@@ -22,10 +22,12 @@ TIMED = (
     ("symdiff", "bilinear_coefficients", "symdiff.bilinear_coefficients"),
     ("symdiff", "cf_coefficients", "symdiff.cf_coefficients"),
     ("symdiff", "read_model", "symdiff.read_model"),
+    ("symdiff", "format_model", "symdiff.format_model"),
     ("fps", "Series.__init__", "fps.Series"),
     ("fps", "coefficient", "fps.coefficient"),
     ("fps", "format_series", "fps.format_series"),
     ("fps", "parse_series", "fps.parse_series"),
+    ("fps", "to_float", "fps.to_float"),
     ("hankel", "hankel_build", "hankel.hankel_build"),
     ("hankel", "rank_exact", "hankel.rank_exact"),
     ("hankel", "rank_numeric", "hankel.rank_numeric"),
@@ -38,9 +40,12 @@ TIMED = (
     ("realize", "verify_realization", "realize.verify_realization"),
     ("paths", "sample_brownian", "paths.sample_brownian"),
     ("paths", "simulate_analytic", "paths.simulate_analytic"),
+    ("paths", "simulate_bilinear", "paths.simulate_bilinear"),
     ("paths", "iterated_stratonovich", "paths.iterated_stratonovich"),
     ("paths", "cf_trajectory", "paths.cf_trajectory"),
+    ("paths", "zakai_build", "paths.zakai_build"),
     ("paths", "zakai_readout", "paths.zakai_readout"),
+    ("paths", "normalize_filter", "paths.normalize_filter"),
     ("dupire", "functional_ito_residual", "dupire.functional_ito_residual"),
     ("dupire", "hijab_decomposition_check", "dupire.hijab_decomposition_check"),
 )

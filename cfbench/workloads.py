@@ -249,14 +249,16 @@ SMALL_BILINEAR_MODEL = (
 )
 COMPARE_REPS = 6
 ZAKAI_REPS = 8
-ITO_REPS = 6
-HIJAB_REPS = 12
-# The decay checks of ito-check and hijab-check are statistical: at these
-# replicate counts the decay factor falls below 1.2 on some replicate
-# streams, so a seed drawn from the benchmark seed would fail on some
-# benchmark seeds.  Their streams are fixed instead; see README.md.
-ITO_SEED = 1
-HIJAB_SEED = 1
+# The decay checks of ito-check and hijab-check are statistical: each decay
+# factor is a ratio of two RMS estimates over the replicates.  Their
+# expected value is about sqrt(2) at any grid, and the spread of the ratio
+# shrinks like 1/sqrt(replicates), so these counts make the checks pass on
+# nearly every replicate stream (measured rates in README.md).  Coarse grids
+# keep that affordable.
+ITO_GRID = 8
+ITO_REPS = 400
+HIJAB_GRID = 32
+HIJAB_REPS = 200
 
 
 def pathwise_mc(seed: int, inputs: str, out: str) -> Plan:
@@ -276,10 +278,11 @@ def pathwise_mc(seed: int, inputs: str, out: str) -> Plan:
     ops.append(Op("demo_zakai", ["demo-zakai", "--reps", str(ZAKAI_REPS),
                                  "--seed", str(rng.randrange(1, 2**31)), "--out", zd],
                   _check_zakai(zd)))
-    ops.append(Op("ito_check", ["ito-check", "--reps", str(ITO_REPS), "--seed", str(ITO_SEED)],
-                  _check_ito))
-    ops.append(Op("hijab_check", ["hijab-check", "--model", quad, "--reps", str(HIJAB_REPS),
-                                  "--seed", str(HIJAB_SEED)], _check_hijab))
+    ops.append(Op("ito_check", ["ito-check", "--grid", str(ITO_GRID), "--reps", str(ITO_REPS),
+                                "--seed", str(rng.randrange(1, 2**31))], _check_ito))
+    ops.append(Op("hijab_check", ["hijab-check", "--model", quad, "--grid", str(HIJAB_GRID),
+                                  "--reps", str(HIJAB_REPS), "--seed", str(rng.randrange(1, 2**31))],
+                  _check_hijab))
     wd = f"{out}/warm"
     warmups = [
         ["compare", "--model", quad, "--deg", "2", "--grid", "64", "--seed", "1", "--out", wd],
