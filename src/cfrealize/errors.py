@@ -36,7 +36,7 @@ class ParseError(CFError):
 
 
 class MonomialBudgetError(CFError):
-    """Iterated Lie differentiation exceeded the stored-monomial budget."""
+    """Iterated Lie differentiation exceeded the live-monomial budget."""
 
 
 class DivergenceError(CFError):

@@ -126,15 +126,3 @@ class RowSpan:
             return None
         return expr
 
-
-def mat_vec(a, x):
-    return [sum(aij * xj for aij, xj in zip(row, x)) for row in a]
-
-
-def vec_mat(x, a):
-    n = len(a[0]) if a else 0
-    return [sum(xi * a[i][j] for i, xi in enumerate(x)) for j in range(n)]
-
-
-def dot(x, y):
-    return sum(xi * yi for xi, yi in zip(x, y))

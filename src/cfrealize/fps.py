@@ -16,7 +16,6 @@ operation is an error.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import product
 
@@ -208,14 +207,6 @@ def series_linear_combine(alpha, r: Series, beta, s: Series) -> Series:
     return Series(r.m, n, out, r.mode)
 
 
-def series_add(r: Series, s: Series) -> Series:
-    return series_linear_combine(1, r, 1, s)
-
-
-def series_scale(alpha, r: Series) -> Series:
-    return series_linear_combine(alpha, r, 0, r)
-
-
 def series_product(r: Series, s: Series) -> Series:
     """Concatenation (Cauchy) product, truncated to the smaller validity degree.
 
@@ -322,14 +313,17 @@ def parse_series(text: str) -> Series:
     mode = head[3].removeprefix("mode=")
     if mode not in (RATIONAL, FLOAT):
         raise ParseError("unknown scalar mode in series header", line=1, token=head[3])
-    coeffs: dict[Word, object] = {}
-    expected = words_up_to(m, n)
     body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != len(expected):
+    # Compare counts before listing words, so an oversized header fails fast.
+    # word_count(m, n) > 2**n, so an n at or past the body count's bit length
+    # cannot match and is rejected without summing its word count.
+    if n >= len(body).bit_length() or word_count(m, n) != len(body):
         raise ParseError(
-            f"expected {len(expected)} records for m={m}, N={n}, found {len(body)}",
+            f"header m={m}, N={n} does not match the {len(body)} records found",
             line=len(lines),
         )
+    coeffs: dict[Word, object] = {}
+    expected = words_up_to(m, n)
     for k, ln in enumerate(body):
         if ";" not in ln:
             raise ParseError("missing ';' in series record", line=k + 2, token=ln)
@@ -356,7 +350,3 @@ def read_series(path) -> Series:
 def word_count(m: int, n: int) -> int:
     """Number of words of degree <= n: sum_{k<=n} (m+1)^k."""
     return sum((m + 1) ** k for k in range(n + 1))
-
-
-def binomial(a: int, b: int) -> int:
-    return math.comb(a, b)

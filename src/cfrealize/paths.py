@@ -79,9 +79,18 @@ class QSpec:
     def dim(self) -> int:
         return self._mats[0].shape[0]
 
+    @property
+    def pieces(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """The (start time, matrix) pieces in time order."""
+        return tuple(zip(self._times.tolist(), self._mats))
+
+    def piece_index(self, t):
+        """Index into ``pieces`` of the piece in force at time t (scalar or
+        array)."""
+        return np.maximum(np.searchsorted(self._times, t, side="right") - 1, 0)
+
     def at(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self._times, t, side="right") - 1)
-        return self._mats[max(idx, 0)]
+        return self._mats[int(self.piece_index(t))]
 
     def cholesky_at(self, t: float) -> np.ndarray:
         return np.linalg.cholesky(self.at(t))
@@ -158,11 +167,12 @@ def sample_brownian(q: QSpec, grid, seed: int) -> SamplePath:
     if steps:
         z = rng.standard_normal((steps, m))
         sqdt = np.sqrt(np.diff(grid))[:, None]
-        piece = np.searchsorted(q._times, grid[:-1], side="right") - 1
+        piece = q.piece_index(grid[:-1])
+        pieces = q.pieces
         incs = np.empty((steps, m))
         for p in np.unique(piece):
             mask = piece == p
-            chol = np.linalg.cholesky(q._mats[max(int(p), 0)])
+            chol = np.linalg.cholesky(pieces[p][1])
             incs[mask] = z[mask] @ chol.T
         incs *= sqdt
         np.cumsum(incs, axis=0, out=values[1:])
@@ -319,15 +329,26 @@ def _integrate_heun(model: AnalyticModel, path: SamplePath, guard: float) -> np.
 def _integrate_euler_ito(
     model: AnalyticModel, path: SamplePath, guard: float, q=None
 ) -> np.ndarray:
-    """Euler-Maruyama on the Ito-converted drift (cross-validation scheme)."""
-    if q is None:
-        if path.q is not None:
-            q0 = path.q.at(0.0)
-            q = [[Fraction(x).limit_denominator(10**12) for x in row] for row in q0]
-        else:
-            q = [[Fraction(int(i == j)) for j in range(model.m)] for i in range(model.m)]
-    drift = stratonovich_to_ito_drift(model, q)
-    b = [compile_float(c) for c in drift.components]
+    """Euler-Maruyama on the Ito-converted drift (cross-validation scheme).
+
+    Each cell converts with the covariance rate at its left endpoint, the
+    rate ``sample_brownian`` draws that cell's increment with.
+    """
+    piece = np.zeros(path.steps, dtype=int)
+    if q is not None:
+        rates = [q]
+    elif path.q is not None:
+        rates = [
+            [[Fraction(x).limit_denominator(10**12) for x in row] for row in mat]
+            for _, mat in path.q.pieces
+        ]
+        piece = path.q.piece_index(path.grid[:-1])
+    else:
+        rates = [[[Fraction(int(i == j)) for j in range(model.m)] for i in range(model.m)]]
+    drifts = [
+        [compile_float(c) for c in stratonovich_to_ito_drift(model, r).components]
+        for r in rates
+    ]
     compiled_noise = [[compile_float(c) for c in g.components] for g in model.fields[1:]]
     incs = path.increments()
     states = np.empty((path.grid.size, model.n))
@@ -336,7 +357,7 @@ def _integrate_euler_ito(
     for j in range(path.steps):
         dt = incs[j, 0]
         dw = incs[j, 1:]
-        step = np.array([bi(x) for bi in b]) * dt
+        step = np.array([bi(x) for bi in drifts[piece[j]]]) * dt
         for i, comps in enumerate(compiled_noise):
             step = step + np.array([f(x) for f in comps]) * dw[i]
         x = x + step
@@ -362,7 +383,8 @@ def simulate_analytic(
     predictor-corrector scheme on the path's own increments;
     ``method="euler_ito"`` integrates the Ito-converted drift with
     Euler-Maruyama for cross-validation (``q`` overrides the covariance rate
-    used in the conversion; defaults to the path's, else the identity).
+    used in the conversion; defaults to the path's, piece by piece, else the
+    identity).
     """
     if model.m != path.m:
         raise ValueError(f"model has m={model.m} channels, path has {path.m}")

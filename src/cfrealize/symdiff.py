@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import add
 
 from .errors import AlphabetError, MonomialBudgetError, ParseError
 from .fps import RATIONAL, Series, Word
@@ -296,35 +298,100 @@ def linear_embedding(model: BilinearModel) -> AnalyticModel:
     return AnalyticModel(n, model.m, model.x0, tuple(fields), readout)
 
 
+def _translate(p: MultiPoly, x0, max_degree: int) -> dict[Exponents, Fraction]:
+    """Terms of p(x0 + y) in y of total degree <= max_degree, exactly.
+
+    Each monomial expands binomially one variable at a time; a partial
+    product whose degree already exceeds the bound is never extended.
+    """
+    out: dict[Exponents, Fraction] = {}
+    for exps, c in p.terms.items():
+        partial = [((), 0, c)]
+        for e, a in zip(exps, x0):
+            nxt = []
+            for pre, d, v in partial:
+                for k in range(min(e, max_degree - d) + 1):
+                    if a or k == e:
+                        nxt.append((pre + (k,), d + k, v * comb(e, k) * a ** (e - k)))
+            partial = nxt
+        for y, _, v in partial:
+            out[y] = out.get(y, 0) + v
+    return {y: v for y, v in out.items() if v}
+
+
+def _lie_jet(field, phi: dict[Exponents, Fraction], max_degree: int) -> dict[Exponents, Fraction]:
+    """Terms of degree <= max_degree of sum_j (d phi / d y_j) * g_j.
+
+    ``field[j]`` lists the terms of g_j as (degree, exponents, coefficient)
+    in increasing degree, so the products that would be dropped are skipped
+    before they are formed.
+    """
+    out: dict[Exponents, Fraction] = {}
+    for e, c in phi.items():
+        d = sum(e) - 1
+        for j, ej in enumerate(e):
+            if not ej:
+                continue
+            base = e[:j] + (ej - 1,) + e[j + 1 :]
+            cj = c * ej
+            for gd, ge, gc in field[j]:
+                if d + gd > max_degree:
+                    break
+                key = tuple(map(add, base, ge))
+                out[key] = out.get(key, 0) + cj * gc
+    return {k: v for k, v in out.items() if v}
+
+
 def cf_coefficients(model: AnalyticModel, n_max: int, term_budget: int = DEFAULT_TERM_BUDGET) -> Series:
     """Generating-series coefficients of an analytic model up to degree n_max.
 
-    Walks words breadth-first, caching the iterated Lie derivative for every
-    prefix so each word costs exactly one Lie derivative.  The coefficient of
-    the empty word is the readout at x0 (the output's initial value).
+    The coefficient of a word is the readout's iterated Lie derivative along
+    the word, evaluated at x0; the empty word gives the readout at x0 (the
+    output's initial value).  The readout and fields are first rewritten exactly in
+    y = x - x0, where a coefficient is the constant term of the iterated
+    derivative.  The words are walked breadth-first, one Lie derivative per
+    word from its prefix's derivative.
 
-    Raises MonomialBudgetError if the cached polynomials exceed
-    ``term_budget`` stored monomials; iterated Lie derivatives can grow
-    without bound and silent truncation would corrupt exact data.
+    Truncation is exact (Taylor-mode differentiation): a Lie derivative
+    differentiates once and multiplies by field terms of degree >= 0, so it
+    lowers total degree by at most one.  With r derivatives still to apply,
+    a term of degree > r can never reach the constant term, and by linearity
+    it can be dropped.  Level k is therefore held to degree n_max - k, and
+    field terms above degree n_max - 1 are never needed.
+
+    Raises MonomialBudgetError if the monomials held at once -- the level
+    being read plus the level being built -- exceed ``term_budget``;
+    iterated Lie derivatives can grow without bound and silent truncation
+    would corrupt exact data.
     """
     if n_max < 0:
         raise ValueError("degree bound must be nonnegative")
-    coeffs: dict[Word, Fraction] = {}
-    level: dict[Word, MultiPoly] = {(): model.readout}
-    coeffs[()] = poly_eval(model.readout, model.x0)
-    stored = len(model.readout.terms)
-    for _ in range(n_max):
-        nxt: dict[Word, MultiPoly] = {}
+    fields = [
+        [
+            sorted((sum(e), e, c) for e, c in _translate(comp, model.x0, n_max - 1).items())
+            for comp in g.components
+        ]
+        for g in model.fields
+    ]
+    origin = (0,) * model.n
+    level: dict[Word, dict[Exponents, Fraction]] = {(): _translate(model.readout, model.x0, n_max)}
+    coeffs: dict[Word, Fraction] = {(): level[()].get(origin, Fraction(0))}
+    for remaining in range(n_max - 1, -1, -1):
+        held = sum(len(phi) for phi in level.values())
+        nxt: dict[Word, dict[Exponents, Fraction]] = {}
         for w, phi in level.items():
-            for i in range(model.m + 1):
-                psi = lie_derivative(model.fields[i], phi)
+            for i, field in enumerate(fields):
+                psi = _lie_jet(field, phi, remaining)
+                if not psi:
+                    continue
                 word = w + (i,)
                 nxt[word] = psi
-                coeffs[word] = poly_eval(psi, model.x0)
-                stored += len(psi.terms)
-                if stored > term_budget:
+                if origin in psi:
+                    coeffs[word] = psi[origin]
+                held += len(psi)
+                if held > term_budget:
                     raise MonomialBudgetError(
-                        f"iterated Lie derivatives exceed {term_budget} stored monomials"
+                        f"iterated Lie derivatives exceed {term_budget} live monomials"
                     )
         level = nxt
     return Series(model.m, n_max, coeffs, RATIONAL)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -246,3 +247,16 @@ class TestSeriesFile:
         good = format_series(Series.zero(1, 1)).splitlines()
         with pytest.raises(ParseError):
             parse_series("\n".join(good[:-1]) + "\n")
+
+    def test_oversized_header_fails_before_listing_words(self):
+        # m=3, N=11 would list 5.6 million words; the record count alone
+        # rejects the file.
+        for n in (11, 10**9):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ParseError):
+                    parse_series(f"cfseries m=3 N={n} mode=rational\n;0/1\n")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20

