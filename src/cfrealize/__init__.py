@@ -25,6 +25,7 @@ from .fps import (
     RATIONAL,
     Series,
     coefficient,
+    coefficient_table,
     concat,
     read_series,
     series_linear_combine,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dupire, hankel, paths, realize
 from .errors import CFError
-from .fps import RATIONAL, format_series, read_series, to_float
+from .fps import RATIONAL, format_series, read_series, to_float, word_count
 from .symdiff import (
     AnalyticModel,
     BilinearModel,
@@ -51,6 +51,30 @@ def _write_json(path: str, payload) -> None:
     _atomic_write(path, _json_text(payload))
 
 
+# Largest number of words a degree flag may imply.  The benchmark's largest
+# case, m = 2 at degree 8, needs 9841; a million words of exact coefficients
+# already take seconds and hundreds of megabytes.
+MAX_WORDS = 10**6
+
+
+def _check_word_count(m: int, flag: str, degree: int | None) -> None:
+    """Reject a degree flag whose words over {0..m} outnumber MAX_WORDS,
+    before anything of that size is built."""
+    if degree is None or degree < 0:
+        return
+    if degree < 64:
+        count = word_count(m, degree)
+        if count <= MAX_WORDS:
+            return
+    else:
+        # word_count(m, d) > 2**d > MAX_WORDS; not summed, as d may be huge.
+        count = f"more than 2^{degree}"
+    raise CFError(
+        f"{flag} {degree} asks for {count} words over the alphabet {{0..{m}}}, "
+        f"above the limit of {MAX_WORDS}"
+    )
+
+
 def _series_coefficients(model, deg: int):
     if isinstance(model, BilinearModel):
         return bilinear_coefficients(model, deg)
@@ -68,6 +92,7 @@ def _trajectory_csv(grid, columns: dict[str, np.ndarray]) -> str:
 
 def cmd_coeffs(args) -> int:
     model = read_model(args.model)
+    _check_word_count(model.m, "--deg", args.deg)
     s = _series_coefficients(model, args.deg)
     if args.mode == "float":
         s = to_float(s)
@@ -89,6 +114,8 @@ def cmd_coeffs(args) -> int:
 
 def cmd_rank(args) -> int:
     s = read_series(args.series)
+    for flag in ("rows", "cols", "bracket", "obs"):
+        _check_word_count(s.m, f"--{flag}", getattr(args, flag))
     block = hankel.hankel_build(s, args.rows, args.cols)
     if s.mode == RATIONAL:
         report = hankel.rank_exact(block)
@@ -107,6 +134,8 @@ def cmd_rank(args) -> int:
 
 def cmd_lierank(args) -> int:
     s = read_series(args.series)
+    for flag in ("bracket", "obs"):
+        _check_word_count(s.m, f"--{flag}", getattr(args, flag))
     report = hankel.lie_rank(s, args.bracket, args.obs, tol=args.tol)
     text = _json_text({"lie": report.as_dict()})
     sys.stdout.write(text)
@@ -117,6 +146,7 @@ def cmd_lierank(args) -> int:
 
 def cmd_realize(args) -> int:
     s = read_series(args.series)
+    _check_word_count(s.m, "--deg", args.deg)
     result = realize.bilinear_realize(s, args.deg)
     _atomic_write(os.path.join(args.out, "model.txt"), format_model(result.model))
     payload = {
@@ -168,6 +198,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     model = read_model(args.model)
+    _check_word_count(model.m, "--deg", args.deg)
     s = to_float(_series_coefficients(model, args.deg))
     grid = paths.make_grid(args.horizon, args.grid)
     q = paths.QSpec.identity(model.m)
@@ -273,6 +304,7 @@ def cmd_demo_zakai(args) -> int:
     init = ["1/2", "1/2"]
     phi_indicator = [0, 1]
     model = paths.zakai_build(generator, obs, phi_indicator, init)
+    _check_word_count(model.m, "--deg", args.deg)
     _atomic_write(os.path.join(args.out, "model.txt"), format_model(model))
 
     s = bilinear_coefficients(model, args.deg)

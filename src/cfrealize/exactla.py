@@ -9,16 +9,13 @@ where floating-point rank decisions would be meaningless.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 def _clear_denominators(row) -> list[int]:
-    fracs = [Fraction(x) for x in row]
-    lcm = 1
-    for f in fracs:
-        d = f.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    return [int(f * lcm) for f in fracs]
+    fracs = [x if type(x) is Fraction else Fraction(x) for x in row]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs]
 
 
 def rank(rows) -> int:
@@ -26,9 +23,12 @@ def rank(rows) -> int:
 
     Rows are scaled to integers (rank preserving) and eliminated with the
     Bareiss fraction-free scheme, bailing out as soon as the remaining block
-    is zero, which keeps low-rank Hankel blocks cheap.
+    is zero, which keeps low-rank Hankel blocks cheap.  Every row below the
+    pivot is updated at every step, also a row whose pivot-column entry is
+    already 0: the next step's division by this pivot is exact only for
+    rows that were multiplied by it.
     """
-    mat = [_clear_denominators(r) for r in rows if any(Fraction(x) != 0 for x in r)]
+    mat = [row for row in map(_clear_denominators, rows) if any(row)]
     if not mat:
         return 0
     ncols = len(mat[0])
@@ -44,13 +44,11 @@ def rank(rows) -> int:
         mat[r], mat[piv] = mat[piv], mat[r]
         pr = mat[r]
         p = pr[col]
+        tail = pr[col + 1 :]
         for i in range(r + 1, len(mat)):
             ri = mat[i]
             f = ri[col]
-            if f == 0 and prev == 1:
-                continue
-            for j in range(col + 1, ncols):
-                ri[j] = (p * ri[j] - f * pr[j]) // prev
+            ri[col + 1 :] = [(p * a - f * b) // prev for a, b in zip(ri[col + 1 :], tail)]
             ri[col] = 0
         prev = p
         rk += 1

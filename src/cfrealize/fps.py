@@ -35,12 +35,12 @@ def word_key(w: Word):
 
 
 def check_word(w, m: int) -> Word:
-    w = tuple(int(c) for c in w)
+    w = tuple(map(int, w))
     if m < 1:
         raise AlphabetError(f"alphabet max letter must be >= 1, got m={m}")
-    for c in w:
-        if not 0 <= c <= m:
-            raise AlphabetError(f"letter {c} outside alphabet {{0..{m}}} in word {w}")
+    if w and (min(w) < 0 or max(w) > m):
+        c = next(c for c in w if not 0 <= c <= m)
+        raise AlphabetError(f"letter {c} outside alphabet {{0..{m}}} in word {w}")
     return w
 
 
@@ -111,6 +111,7 @@ class Series:
         self.m = m
         self.max_degree = max_degree
         self.mode = mode
+        scalar_type = Fraction if mode == RATIONAL else float
         clean: dict[Word, object] = {}
         for w, c in (coeffs or {}).items():
             w = check_word(w, m)
@@ -118,8 +119,9 @@ class Series:
                 raise DegreeError(
                     f"word {w} of degree {len(w)} exceeds truncation degree {max_degree}"
                 )
-            c = _coerce(c, mode)
-            if c != 0:
+            if type(c) is not scalar_type:
+                c = _coerce(c, mode)
+            if c:
                 clean[w] = c
         self.coeffs = clean
 
@@ -189,6 +191,26 @@ def coefficient(r: Series, w) -> object:
             f"word of degree {len(w)} requested from series truncated at {r.max_degree}"
         )
     return r.coeffs.get(w, zero_scalar(r.mode))
+
+
+def coefficient_table(r: Series, row_words, col_words) -> list[list]:
+    """Table of r(u.v) for u in ``row_words`` (rows) and v in ``col_words``.
+
+    Each word list is validated once, and the degree check is made on the
+    longest row and column words, so the entries are plain lookups.  As with
+    :func:`coefficient`, a product word beyond the truncation degree is an
+    error, not a zero.
+    """
+    rows = [check_word(u, r.m) for u in row_words]
+    cols = [check_word(v, r.m) for v in col_words]
+    need = max(map(len, rows), default=0) + max(map(len, cols), default=0)
+    if rows and cols and need > r.max_degree:
+        raise DegreeError(
+            f"word of degree {need} requested from series truncated at {r.max_degree}"
+        )
+    get = r.coeffs.get
+    zero = zero_scalar(r.mode)
+    return [[get(u + v, zero) for v in cols] for u in rows]
 
 
 def series_linear_combine(alpha, r: Series, beta, s: Series) -> Series:
@@ -289,7 +311,7 @@ def format_series(r: Series) -> str:
             val = f"{c.numerator}/{c.denominator}"
         else:
             val = repr(c)
-        lines.append(",".join(str(x) for x in w) + ";" + val)
+        lines.append(",".join(map(str, w)) + ";" + val)
     return "\n".join(lines) + "\n"
 
 
@@ -328,7 +350,7 @@ def parse_series(text: str) -> Series:
         if ";" not in ln:
             raise ParseError("missing ';' in series record", line=k + 2, token=ln)
         wtxt, vtxt = ln.split(";", 1)
-        w = tuple(int(x) for x in wtxt.split(",")) if wtxt else EMPTY_WORD
+        w = tuple(map(int, wtxt.split(","))) if wtxt else EMPTY_WORD
         if w != expected[k]:
             raise ParseError(
                 f"record out of order: expected word {expected[k]}", line=k + 2, token=wtxt

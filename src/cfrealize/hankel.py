@@ -19,7 +19,7 @@ import numpy as np
 
 from . import exactla
 from .errors import DegreeError, ModeMismatchError
-from .fps import FLOAT, RATIONAL, Series, Word, coefficient, words_up_to
+from .fps import FLOAT, RATIONAL, Series, Word, coefficient_table, words_up_to
 from .freelie import expand_bracket, lyndon_words, standard_bracketing
 
 DEFAULT_TOLERANCE = 1e-9
@@ -86,9 +86,7 @@ def hankel_build(s: Series, d_r: int, d_c: int) -> HankelBlock:
         )
     rows = words_up_to(s.m, d_r)
     cols = words_up_to(s.m, d_c)
-    entries = tuple(
-        tuple(coefficient(s, u + v) for v in cols) for u in rows
-    )
+    entries = tuple(tuple(row) for row in coefficient_table(s, rows, cols))
     return HankelBlock(s.m, tuple(rows), tuple(cols), entries, s.mode)
 
 
@@ -104,6 +102,16 @@ def rank_exact(h: HankelBlock) -> RankReport:
 
 def _growth_scale(deg: int, radius: float) -> float:
     return 1.0 / (math.factorial(deg) * radius**deg)
+
+
+def _svd_rank(a: np.ndarray, tol: float) -> tuple[int, tuple[float, ...]]:
+    """Numeric rank decision shared by every float-mode report: the number
+    of singular values above tol * sigma_max (0 for a zero matrix), and the
+    spectrum the decision was made on."""
+    svals = np.linalg.svd(a, compute_uv=False)
+    smax = float(svals[0]) if svals.size else 0.0
+    rk = int(np.count_nonzero(svals > tol * smax)) if smax > 0 else 0
+    return rk, tuple(float(x) for x in svals)
 
 
 def rank_numeric(h: HankelBlock, tol: float = DEFAULT_TOLERANCE, radius: float = 1.0) -> RankReport:
@@ -128,10 +136,7 @@ def rank_numeric(h: HankelBlock, tol: float = DEFAULT_TOLERANCE, radius: float =
     a = np.array(h.entries, dtype=float)
     row_scale = np.array([_growth_scale(len(u), radius) for u in h.row_words])
     col_scale = np.array([_growth_scale(len(v), radius) for v in h.col_words])
-    a = row_scale[:, None] * a * col_scale[None, :]
-    svals = np.linalg.svd(a, compute_uv=False)
-    smax = float(svals[0]) if svals.size else 0.0
-    rk = int(np.count_nonzero(svals > tol * smax)) if smax > 0 else 0
+    rk, svals = _svd_rank(row_scale[:, None] * a * col_scale[None, :], tol)
     d_r = max((len(w) for w in h.row_words), default=0)
     d_c = max((len(w) for w in h.col_words), default=0)
     return RankReport(
@@ -139,7 +144,7 @@ def rank_numeric(h: HankelBlock, tol: float = DEFAULT_TOLERANCE, radius: float =
         mode="numeric",
         truncation={"d_r": d_r, "d_c": d_c, "radius": radius},
         tolerance=tol,
-        singular_values=tuple(float(x) for x in svals),
+        singular_values=svals,
     )
 
 
@@ -164,15 +169,10 @@ def f_y_apply(s: Series, p: Series, n_obs: int) -> list:
         raise DegreeError(
             f"insufficient series degree: need {deg_p + n_obs}, have {s.max_degree}"
         )
-    obs = words_up_to(s.m, n_obs)
     zero = Fraction(0) if s.mode == RATIONAL else 0.0
-    out = []
-    for w in obs:
-        acc = zero
-        for v, cv in p.coeffs.items():
-            acc += cv * coefficient(s, w + v)
-        out.append(acc)
-    return out
+    weights = list(p.coeffs.values())
+    table = coefficient_table(s, words_up_to(s.m, n_obs), list(p.coeffs))
+    return [sum((cv * x for cv, x in zip(weights, row)), zero) for row in table]
 
 
 def lie_rank(
@@ -205,16 +205,9 @@ def lie_rank(
     truncation = {"n_bracket": n_bracket, "n_obs": n_obs}
     if s.mode == RATIONAL:
         return RankReport(rank=exactla.rank(vectors), mode="exact", truncation=truncation)
-    a = np.array(vectors, dtype=float)
-    svals = np.linalg.svd(a, compute_uv=False)
-    smax = float(svals[0]) if svals.size else 0.0
-    rk = int(np.count_nonzero(svals > tol * smax)) if smax > 0 else 0
+    rk, svals = _svd_rank(np.array(vectors, dtype=float), tol)
     return RankReport(
-        rank=rk,
-        mode="numeric",
-        truncation=truncation,
-        tolerance=tol,
-        singular_values=tuple(float(x) for x in svals),
+        rank=rk, mode="numeric", truncation=truncation, tolerance=tol, singular_values=svals
     )
 
 

@@ -28,7 +28,16 @@ from .errors import (
     StabilizationError,
 )
 from .exactla import RowSpan
-from .fps import RATIONAL, Series, Word, coefficient, words_up_to
+from .fps import (
+    EMPTY_WORD,
+    RATIONAL,
+    Series,
+    Word,
+    coefficient,
+    coefficient_table,
+    words_up_to,
+    zero_scalar,
+)
 from .hankel import hankel_build, rank_exact
 from .symdiff import BilinearModel, bilinear_coefficients
 
@@ -76,10 +85,14 @@ def verify_realization(model: BilinearModel, s: Series, n_max: int) -> Discrepan
         from .fps import to_float
 
         got = to_float(got)
+    words = words_up_to(s.m, n_max)
+    (got_row,) = coefficient_table(got, [EMPTY_WORD], words)
+    (want_row,) = coefficient_table(s, [EMPTY_WORD], words)
+    zero = zero_scalar(s.mode)
     worst = None
     worst_word = None
-    for w in words_up_to(s.m, n_max):
-        d = abs(coefficient(got, w) - coefficient(s, w))
+    for w, a, b in zip(words, got_row, want_row):
+        d = abs(a - b) if a != b else zero
         if worst is None or d > worst:
             worst = d
             worst_word = w
@@ -134,20 +147,22 @@ def bilinear_realize(s: Series, n_budget: int | None = None) -> RealizationResul
 
     obs_words = words_up_to(s.m, n - depth)
 
-    def column(v: Word) -> list[Fraction]:
-        return [coefficient(s, u + v) for u in obs_words]
+    def columns(vs: list[Word]) -> list[tuple]:
+        """Hankel columns [s(u.v) for u in obs_words], one per word v."""
+        return list(zip(*coefficient_table(s, obs_words, vs)))
 
     span = RowSpan(len(obs_words))
     basis: list[Word] = []
     frontier: list[Word] = []
-    if span.add(column(())):
+    (empty_column,) = columns([EMPTY_WORD])
+    if span.add(empty_column):
         basis.append(())
         frontier.append(())
     for _deg in range(1, depth + 1):
         candidates = sorted((i,) + v for v in frontier for i in range(s.m + 1))
         frontier = []
-        for v in candidates:
-            if span.add(column(v)):
+        for v, col in zip(candidates, columns(candidates)):
+            if span.add(col):
                 basis.append(v)
                 frontier.append(v)
         if not frontier:
@@ -166,16 +181,17 @@ def bilinear_realize(s: Series, n_budget: int | None = None) -> RealizationResul
         mats = []
         for i in range(s.m + 1):
             cols = []
-            for v in basis:
-                coords = span.coords(column((i,) + v))
+            shifted = [(i,) + v for v in basis]
+            for w, col in zip(shifted, columns(shifted)):
+                coords = span.coords(col)
                 if coords is None:
                     raise ShiftInconsistencyError(
-                        f"column of word {(i,) + v} escapes the selected basis; "
+                        f"column of word {w} escapes the selected basis; "
                         "the series is not rational at this truncation"
                     )
                 cols.append(coords)
             mats.append(tuple(tuple(cols[j][r] for j in range(dim)) for r in range(dim)))
-        x0 = span.coords(column(()))
+        x0 = span.coords(empty_column)
         c = tuple(coefficient(s, v) for v in basis)
         model = BilinearModel(dim, s.m, tuple(x0), tuple(mats), c)
 

@@ -18,15 +18,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import add
 
+import numpy as np
+
 from .errors import AlphabetError, MonomialBudgetError, ParseError
-from .fps import RATIONAL, Series, Word
+from .fps import RATIONAL, Series, Word, words_of_degree
 
 Exponents = tuple[int, ...]
 
 DEFAULT_TERM_BUDGET = 10**6
+
+# Largest exponent the polynomial parser expands.  p^e is built by e
+# multiplications, so an unbounded e lets one short line stall a model read.
+MAX_EXPONENT = 16
 
 
 class MultiPoly:
@@ -397,35 +403,43 @@ def cf_coefficients(model: AnalyticModel, n_max: int, term_budget: int = DEFAULT
     return Series(model.m, n_max, coeffs, RATIONAL)
 
 
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of rationals over their least common denominator."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def bilinear_coefficients(model: BilinearModel, n_max: int) -> Series:
     """Generating-series coefficients of a bilinear model up to degree n_max.
 
-    Uses the row recursion r_empty = C, r_{w.i} = r_w * A_i; the coefficient
-    of w is r_w * x0, i.e. C * A_{i1} * ... * A_{ik} * x0.
+    The coefficient of w = (i1,...,ik) is r_w * x0 with the row recursion
+    r_empty = C, r_{w.i} = r_w * A_i, i.e. C * A_{i1} * ... * A_{ik} * x0.
+    A_0..A_m, C and x0 are each scaled to integers over one common
+    denominator, and level k is held as a ((m+1)^k, n) integer array whose
+    row idx(w) * (m+1) + i is r_{w.i}; rows therefore come in graded-lex
+    order, and each level's coefficients are one integer mat-vec with x0
+    over a single per-level denominator.
     """
     if n_max < 0:
         raise ValueError("degree bound must be nonnegative")
+    n, m = model.n, model.m
+    flat, den_a = _over_common_denominator(v for a in model.mats for row in a for v in row)
+    mats = np.array(flat, dtype=object).reshape(m + 1, n, n)
+    c, den = _over_common_denominator(model.c)
+    x0, den_x = _over_common_denominator(model.x0)
+    x0 = np.array(x0, dtype=object)
+    den *= den_x
+    level = np.array(c, dtype=object).reshape(1, n)
     coeffs: dict[Word, Fraction] = {}
-    level: dict[Word, tuple[Fraction, ...]] = {(): model.c}
-
-    def row_mat(r, a):
-        return tuple(
-            sum(r[i] * a[i][j] for i in range(model.n)) for j in range(model.n)
-        )
-
-    def row_dot_x0(r):
-        return sum(ri * xi for ri, xi in zip(r, model.x0))
-
-    coeffs[()] = row_dot_x0(model.c)
-    for _ in range(n_max):
-        nxt: dict[Word, tuple[Fraction, ...]] = {}
-        for w, r in level.items():
-            for i in range(model.m + 1):
-                r2 = row_mat(r, model.mats[i])
-                nxt[w + (i,)] = r2
-                coeffs[w + (i,)] = row_dot_x0(r2)
-        level = nxt
-    return Series(model.m, n_max, coeffs, RATIONAL)
+    for k in range(n_max + 1):
+        if k:
+            level = np.stack([level @ a for a in mats], axis=1).reshape(len(level) * (m + 1), n)
+            den *= den_a
+        for w, num in zip(words_of_degree(m, k), (level @ x0).tolist()):
+            if num:
+                coeffs[w] = Fraction(num, den)
+    return Series(m, n_max, coeffs, RATIONAL)
 
 
 def is_spd(q) -> bool:
@@ -494,7 +508,8 @@ def stratonovich_to_ito_drift(model: AnalyticModel, q) -> PolyVectorField:
 #   unary   := '-' unary | power
 #   power   := atom ('^' INT)?
 #   atom    := NUMBER | VAR | '(' expr ')'
-# NUMBER is an integer or integer/integer rational literal; VAR is x<k>.
+# NUMBER is an integer or integer/integer rational literal; VAR is x<k>;
+# the INT of a power is at most MAX_EXPONENT.
 
 
 class _Token:
@@ -602,6 +617,10 @@ class _Parser:
             tok = self.take("num")
             if "/" in tok.text:
                 raise ParseError("exponent must be an integer", column=tok.pos, token=tok.text)
+            if len(tok.text) > len(str(MAX_EXPONENT)) or int(tok.text) > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent above the limit of {MAX_EXPONENT}", column=tok.pos, token=tok.text
+                )
             e = int(tok.text)
             out = MultiPoly.const(self.num_vars, 1)
             for _ in range(e):

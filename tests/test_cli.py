@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from cfrealize import coefficient, read_series
-from cfrealize.cli import main
+from cfrealize.cli import MAX_WORDS, main
+from cfrealize.fps import word_count
 
 DRIFT_MODEL = "n = 1\nm = 1\nx0 = 0\ng0 = 1\ng1 = 0\nh = x1\n"
 SCALAR_BILINEAR = (
@@ -63,6 +65,46 @@ class TestCoeffs:
         main(["coeffs", "--model", model, "--deg", "3", "--out", str(out1)])
         main(["coeffs", "--model", model, "--deg", "3", "--out", str(out2)])
         assert read_bytes_map(out1) == read_bytes_map(out2)
+
+
+class TestOversizedFlags:
+    TWO_CHANNEL = "type = bilinear\nn = 1\nm = 2\nx0 = 1\nA0 = 1\nA1 = 2\nA2 = 3\nC = 1\n"
+
+    def run_traced(self, argv):
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return rc, peak
+
+    def test_coeffs_degree_fails_before_allocating(self, tmp_path, capsys):
+        model = write(tmp_path / "model.txt", self.TWO_CHANNEL)
+        out = str(tmp_path / "out")
+        rc, peak = self.run_traced(["coeffs", "--model", model, "--deg", "40", "--out", out])
+        assert rc == 1
+        assert peak < 2**20
+        assert str(word_count(2, 40)) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_series_flags_checked(self, tmp_path, capsys):
+        model = write(tmp_path / "model.txt", self.TWO_CHANNEL)
+        out = tmp_path / "out"
+        assert main(["coeffs", "--model", model, "--deg", "2", "--out", str(out)]) == 0
+        series = str(out / "series.txt")
+        base = ["--rows", "1", "--cols", "1", "--bracket", "1", "--obs", "1"]
+        for flag in ("--rows", "--cols", "--bracket", "--obs"):
+            argv = ["rank", "--series", series] + base
+            argv[argv.index(flag) + 1] = str(10**9)
+            capsys.readouterr()
+            rc, peak = self.run_traced(argv)
+            assert rc == 1 and peak < 2**20
+            assert f"{flag} {10**9} asks for more than 2^{10**9} words" in capsys.readouterr().err
+        rc, peak = self.run_traced(["realize", "--series", series, "--deg", "13", "--out", str(out)])
+        assert rc == 1 and peak < 2**20
+        assert word_count(2, 13) > MAX_WORDS
+        assert str(word_count(2, 13)) in capsys.readouterr().err
 
 
 class TestRank:

@@ -13,6 +13,7 @@ from cfrealize import (
     ParseError,
     Series,
     coefficient,
+    coefficient_table,
     concat,
     series_linear_combine,
     series_product,
@@ -223,6 +224,25 @@ class TestShuffle:
             assert left == right
 
 
+class TestCoefficientTable:
+    def test_matches_single_lookups(self):
+        s = Series(2, 4, {w: Fraction(len(w) + 1, sum(w) + 1) for w in words_up_to(2, 4)})
+        rows, cols = words_up_to(2, 2), words_up_to(2, 1) + [[1, 2]]
+        table = coefficient_table(s, rows, cols)
+        assert table == [[coefficient(s, u + tuple(v)) for v in cols] for u in rows]
+        assert coefficient_table(s, [], cols) == []
+        assert coefficient_table(s, rows, []) == [[] for _ in rows]
+
+    def test_same_errors_as_single_lookups(self):
+        s = Series(1, 3, {(0,): 1})
+        with pytest.raises(DegreeError):
+            coefficient_table(s, [(), (0, 1)], [(1, 1)])
+        with pytest.raises(AlphabetError):
+            coefficient_table(s, [()], [(0,), (2,)])
+        with pytest.raises(AlphabetError):
+            coefficient_table(s, [(-1,)], [()])
+
+
 class TestSeriesFile:
     def test_round_trip_and_stability(self):
         s = Series(1, 3, {(): Fraction(1, 4), (0,): Fraction(1, 2), (1, 1): 2})
@@ -233,6 +253,17 @@ class TestSeriesFile:
 
     def test_float_round_trip(self):
         s = to_float(Series(1, 2, {(0, 1): Fraction(1, 3)}))
+        assert parse_series(format_series(s)) == s
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(0, 3))
+        mode = data.draw(st.sampled_from([RATIONAL, FLOAT]))
+        value = st.fractions() if mode == RATIONAL else st.floats(allow_nan=False)
+        coeffs = data.draw(st.dictionaries(st.sampled_from(words_up_to(m, n)), value))
+        s = Series(m, n, coeffs, mode)
         assert parse_series(format_series(s)) == s
 
     def test_header_and_record_errors(self):

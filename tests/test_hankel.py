@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +12,14 @@ from cfrealize import (
     cf_coefficients,
     coefficient,
     expand_bracket,
+    lyndon_words,
     f_y_apply,
     hankel_build,
     lie_rank,
     parse_model,
     rank_exact,
     rank_numeric,
+    standard_bracketing,
     to_float,
     words_up_to,
 )
@@ -116,6 +119,24 @@ class TestRankNumeric:
         assert report.tolerance == 1e-9
         with pytest.raises(ValueError):
             rank_numeric(hankel_build(to_float(ones_series()), 1, 1), tol=2.0)
+
+    def test_decisions_match_direct_svd(self, rng):
+        # rank_numeric and lie_rank make the same decision: the singular
+        # values of the (scaled) matrix, and the count above tol * sigma_max.
+        s = to_float(bilinear_coefficients(rand_bilinear(rng, 2, 1), 6))
+        block = hankel_build(s, 3, 3)
+        weights = np.array([1.0 / math.factorial(len(w)) for w in block.row_words])
+        brackets = [
+            f_y_apply(s, to_float(expand_bracket(standard_bracketing(ell), 1)), 3)
+            for ell in lyndon_words(1, 3)
+        ]
+        reports = (rank_numeric(block, tol=1e-6), lie_rank(s, 3, 3, tol=1e-6))
+        matrices = (weights[:, None] * np.array(block.entries) * weights[None, :], np.array(brackets))
+        for report, a in zip(reports, matrices):
+            svals = np.linalg.svd(a, compute_uv=False)
+            assert report.singular_values == tuple(float(x) for x in svals)
+            assert report.tolerance == 1e-6
+            assert report.rank == int(np.sum(svals > 1e-6 * svals[0]))
 
     def test_rank_nonincreasing_in_tolerance(self, rng):
         s = to_float(bilinear_coefficients(rand_bilinear(rng, 3, 1), 6))

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfrealize import (
     BilinearModel,
@@ -72,6 +74,25 @@ class TestBilinearRealize:
         result = bilinear_realize(s)
         assert result.model.n <= 4
         assert result.max_discrepancy == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        # Hankel ranks of an n-state model settle by degree n - 1, so data to
+        # degree 2d with d = max(n, 1) certifies stabilization.
+        n = data.draw(st.integers(0, 3))
+        m = data.draw(st.integers(1, 2))
+        frac = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+        def vec():
+            return [data.draw(frac) for _ in range(n)]
+
+        model = BilinearModel(n, m, vec(), [[vec() for _ in range(n)] for _ in range(m + 1)], vec())
+        degree = 2 * max(n, 1)
+        s = bilinear_coefficients(model, degree)
+        result = bilinear_realize(s)
+        assert result.model.n <= n
+        assert bilinear_coefficients(result.model, degree) == s
 
     def test_idempotent_at_coefficient_level(self, rng):
         model = rand_bilinear(rng, 2, 1)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from cfrealize import (
     stratonovich_to_ito_drift,
     words_up_to,
 )
-from cfrealize.symdiff import format_model, poly_to_string
+from cfrealize.symdiff import MAX_EXPONENT, format_model, poly_to_string
 from conftest import rand_bilinear, rand_poly
 
 
@@ -179,7 +180,34 @@ class TestCoefficientOracle:
         assert cf_coefficients(model, n_max) == untruncated_coefficients(model, n_max)
 
 
+def word_product(model, w):
+    """C * A_{i1} * ... * A_{ik} * x0 by plain Fraction mat-vec products."""
+    v = list(model.x0)
+    for i in reversed(w):
+        a = model.mats[i]
+        v = [sum((a[r][j] * v[j] for j in range(model.n)), Fraction(0)) for r in range(model.n)]
+    return sum((ci * vi for ci, vi in zip(model.c, v)), Fraction(0))
+
+
 class TestBilinearCoefficients:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_matches_word_products(self, rng, n, m):
+        for _ in range(3):
+            model = rand_bilinear(rng, n, m, max_den=7)
+            if n:
+                # Zero one row of one matrix and one column of another.
+                mats = [list(map(list, a)) for a in model.mats]
+                r, i, j = rng.randrange(n), rng.randint(0, m), rng.randint(0, m)
+                mats[i][r] = [Fraction(0)] * n
+                for row in mats[j]:
+                    row[r] = Fraction(0)
+                model = BilinearModel(n, m, model.x0, mats, model.c)
+            s = bilinear_coefficients(model, 5)
+            assert (s.m, s.max_degree) == (m, 5)
+            for w in words_up_to(m, 5):
+                assert coefficient(s, w) == word_product(model, w), w
+
     def test_scalar_model_counts_letters(self, rng):
         a, b = Fraction(3, 2), Fraction(-2)
         model = BilinearModel(1, 1, (Fraction(1),), (((a,),), ((b,),)), (Fraction(1),))
@@ -274,6 +302,16 @@ class TestPolynomialParser:
     def test_error_on_fractional_exponent(self):
         with pytest.raises(ParseError):
             P("x1^1/2", 1)
+
+    def test_exponent_bound_fails_fast(self):
+        for text, exponent in (("(1+x1+x2+x3)^1000", "1000"), ("x1^1000000000", "1000000000")):
+            start = time.perf_counter()
+            with pytest.raises(ParseError) as err:
+                P(text, 3)
+            assert time.perf_counter() - start < 0.1
+            assert repr(exponent) in str(err.value)
+        assert P("x1^3", 1) == P("x1*x1*x1", 1)
+        assert P(f"x1^{MAX_EXPONENT}", 1).total_degree() == MAX_EXPONENT
 
 
 class TestModelFiles:
