@@ -34,7 +34,6 @@ from .fps import (
     to_float,
     word_key,
     words_up_to,
-    write_series,
 )
 from .freelie import (
     expand_bracket,
@@ -57,7 +56,6 @@ from .paths import (
     IteratedIntegralTable,
     QSpec,
     SamplePath,
-    cf_evaluate,
     cf_trajectory,
     iterated_stratonovich,
     make_grid,
@@ -91,7 +89,6 @@ from .symdiff import (
     poly_eval,
     read_model,
     stratonovich_to_ito_drift,
-    write_model,
 )
 
 __version__ = "0.1.0"

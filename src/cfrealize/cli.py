@@ -160,29 +160,30 @@ def cmd_realize(args) -> int:
     return 0
 
 
-def _simulate_once(model, grid, seed):
-    q = paths.QSpec.identity(model.m)
-    path = paths.sample_brownian(q, grid, seed)
-    y = (
-        paths.simulate_bilinear(model, path)
-        if isinstance(model, BilinearModel)
-        else paths.simulate_analytic(model, path)
-    )
-    return path, y
+def _simulate_study(model, args):
+    """All --reps replicates of a study: the batched driving path (R, J+1, m)
+    and the simulated outputs (R, J+1)."""
+    grid = paths.make_grid(args.horizon, args.grid)
+    path = paths.sample_brownian(paths.QSpec.identity(model.m), grid, args.seed, args.reps)
+    if isinstance(model, BilinearModel):
+        return path, paths.simulate_bilinear(model, path)
+    return path, paths.simulate_analytic(model, path)
+
+
+def _path_columns(path, rep: int) -> dict[str, np.ndarray]:
+    return {f"W{i + 1}": path.values[rep, :, i] for i in range(path.m)}
 
 
 def cmd_simulate(args) -> int:
     model = read_model(args.model)
-    grid = paths.make_grid(args.horizon, args.grid)
-    terminal = []
+    path, y = _simulate_study(model, args)
     for rep in range(args.reps):
-        path, y = _simulate_once(model, grid, paths.replicate_seed(args.seed, rep))
-        cols = {f"W{i + 1}": path.values[:, i] for i in range(path.m)}
-        cols["Y_sim"] = y
+        cols = _path_columns(path, rep)
+        cols["Y_sim"] = y[rep]
         _atomic_write(
-            os.path.join(args.out, f"rep{rep:03d}.csv"), _trajectory_csv(grid, cols)
+            os.path.join(args.out, f"rep{rep:03d}.csv"), _trajectory_csv(path.grid, cols)
         )
-        terminal.append(float(y[-1]))
+    terminal = y[:, -1].tolist()
     summary = {
         "horizon": args.horizon,
         "grid_steps": args.grid,
@@ -200,26 +201,21 @@ def cmd_compare(args) -> int:
     model = read_model(args.model)
     _check_word_count(model.m, "--deg", args.deg)
     s = to_float(_series_coefficients(model, args.deg))
-    grid = paths.make_grid(args.horizon, args.grid)
-    q = paths.QSpec.identity(model.m)
+    path, y = _simulate_study(model, args)
     errors = {d: [] for d in range(1, args.deg + 1)}
     for rep in range(args.reps):
-        path = paths.sample_brownian(q, grid, paths.replicate_seed(args.seed, rep))
-        y = (
-            paths.simulate_bilinear(model, path)
-            if isinstance(model, BilinearModel)
-            else paths.simulate_analytic(model, path)
-        )
-        table = paths.iterated_stratonovich(path, args.deg)
+        # One table per replicate: a stacked degree-6 table would hold 127
+        # trajectories of every replicate at once.
+        table = paths.iterated_stratonovich(path.replicate(rep), args.deg)
         ycf = paths.cf_trajectory(s, table)
         for d in errors:
             yd = paths.cf_trajectory(s, table, max_degree=d)
-            errors[d].append(abs(float(yd[-1]) - float(y[-1])))
-        cols = {f"W{i + 1}": path.values[:, i] for i in range(path.m)}
-        cols["Y_sim"] = y
+            errors[d].append(abs(float(yd[-1]) - float(y[rep, -1])))
+        cols = _path_columns(path, rep)
+        cols["Y_sim"] = y[rep]
         cols["Y_cf"] = ycf
         _atomic_write(
-            os.path.join(args.out, f"rep{rep:03d}.csv"), _trajectory_csv(grid, cols)
+            os.path.join(args.out, f"rep{rep:03d}.csv"), _trajectory_csv(path.grid, cols)
         )
     summary = {
         "horizon": args.horizon,
@@ -312,28 +308,23 @@ def cmd_demo_zakai(args) -> int:
     rank_report = hankel.rank_exact(block)
 
     grid = paths.make_grid(args.horizon, args.grid)
-    q = paths.QSpec.identity(1)
-    positivity_violations = 0
-    pi_min, pi_max = float("inf"), float("-inf")
-    one_dev = 0.0
-    for rep in range(args.reps):
-        path = paths.sample_brownian(q, grid, paths.replicate_seed(args.seed, rep))
-        sigma_phi, sigma_one, _ = paths.zakai_readout(model, path)
-        positivity_violations += int(np.count_nonzero(sigma_one <= 0))
-        pi = paths.normalize_filter(sigma_phi, sigma_one)
-        pi_min = min(pi_min, float(np.min(pi)))
-        pi_max = max(pi_max, float(np.max(pi)))
-        one_dev = max(one_dev, float(np.max(np.abs(paths.normalize_filter(sigma_one, sigma_one) - 1.0))))
-        if rep < 4:
-            cols = {
-                "W1": path.values[:, 0],
-                "sigma_phi": sigma_phi,
-                "sigma_one": sigma_one,
-                "pi": pi,
-            }
-            _atomic_write(
-                os.path.join(args.out, f"rep{rep:03d}.csv"), _trajectory_csv(grid, cols)
-            )
+    path = paths.sample_brownian(paths.QSpec.identity(1), grid, args.seed, args.reps)
+    sigma_phi, sigma_one = paths.zakai_readout(model, path)[:2]
+    positivity_violations = int(np.count_nonzero(sigma_one <= 0))
+    pi = paths.normalize_filter(sigma_phi, sigma_one)
+    pi_min = float(np.min(pi, initial=np.inf))
+    pi_max = float(np.max(pi, initial=-np.inf))
+    one_dev = float(np.max(np.abs(paths.normalize_filter(sigma_one, sigma_one) - 1.0), initial=0.0))
+    for rep in range(min(args.reps, 4)):
+        cols = {
+            "W1": path.values[rep, :, 0],
+            "sigma_phi": sigma_phi[rep],
+            "sigma_one": sigma_one[rep],
+            "pi": pi[rep],
+        }
+        _atomic_write(
+            os.path.join(args.out, f"rep{rep:03d}.csv"), _trajectory_csv(grid, cols)
+        )
     summary = {
         "generator": generator,
         "obs": obs,
@@ -353,6 +344,13 @@ def cmd_demo_zakai(args) -> int:
         f"[{pi_min:.6f}, {pi_max:.6f}]; Hankel rank {rank_report.rank}"
     )
     return 0
+
+
+SEED_HELP = (
+    "study seed; replicate k draws from generator seed ^ k, so seeds that "
+    "differ only in bits below --reps share replicate streams (seeds 2 and 3 "
+    "with --reps 2 draw the same two paths)"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=0.25)
     p.add_argument("--grid", type=int, default=4096)
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, help=SEED_HELP)
     p.add_argument("--out", required=True)
 
     p = add("compare", cmd_compare, help="compare simulation against the truncated series")
@@ -412,14 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=0.25)
     p.add_argument("--grid", type=int, default=4096)
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, help=SEED_HELP)
     p.add_argument("--out", required=True)
 
     p = add("ito-check", cmd_ito_check, help="functional change-of-variable residual study")
     p.add_argument("--horizon", type=float, default=0.25)
     p.add_argument("--grid", type=int, default=512)
     p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, help=SEED_HELP)
     p.add_argument("--out")
 
     p = add("hijab-check", cmd_hijab_check, help="first-order decomposition check of a model")
@@ -427,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=0.25)
     p.add_argument("--grid", type=int, default=512)
     p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, help=SEED_HELP)
     p.add_argument("--out")
 
     p = add("demo-zakai", cmd_demo_zakai, help="two-state filter demo: positivity and rank")
@@ -435,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=4096)
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--deg", type=int, default=6)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, help=SEED_HELP)
     p.add_argument("--out", required=True)
 
     return parser

@@ -10,30 +10,38 @@ grid cells, avoiding any interpolation semantics.
 
 Registered functionals evaluate at a grid index using only values up to that
 index; causality is therefore structural and is also asserted by randomized
-tail-perturbation tests.
+tail-perturbation tests.  It also makes a bump exact on the causal prefix
+alone: the derivatives at index j copy and bump values[..., : j + 1, :],
+never the whole path (Dupire 2009; Cont & Fournie, arXiv:1002.2446).
+
+Paths may carry leading replicate axes, values (..., J+1, m); a functional
+then returns one value per replicate, and the residual studies sample all
+their replicates in one call and evaluate them together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DivergenceError
-from .paths import QSpec, SamplePath, replicate_seed, sample_brownian
+from .paths import QSpec, SamplePath, sample_brownian, simulate_analytic
 from .symdiff import AnalyticModel, MultiPoly, compile_float, lie_derivative
 
 
 class CausalFunctional:
-    """Evaluation contract: value at grid index j from values[: j + 1].
+    """Evaluation contract: value at grid index j from values[..., : j + 1, :].
 
-    Subclasses must be causal: the value at index j may not depend on any
-    grid value strictly after j.
+    ``values`` has shape (..., len, m) with len >= j + 1, leading axes
+    indexing replicates; the result has the leading shape.  Subclasses must
+    be causal: the value at index j may not depend on any grid value strictly
+    after j.
     """
 
     name = "functional"
 
-    def value(self, grid: np.ndarray, values: np.ndarray, j: int) -> float:
+    def value(self, grid: np.ndarray, values: np.ndarray, j: int):
         raise NotImplementedError
 
 
@@ -49,7 +57,10 @@ class MemorylessFunctional(CausalFunctional):
         self.name = "memoryless"
 
     def value(self, grid, values, j):
-        return self._ev((float(grid[j]), *map(float, values[j])))
+        point = np.empty(values.shape[:-2] + (self.m + 1,))
+        point[..., 0] = grid[j]
+        point[..., 1:] = values[..., j, :]
+        return self._ev(point)
 
 
 class RunningIntegralFunctional(CausalFunctional):
@@ -63,10 +74,7 @@ class RunningIntegralFunctional(CausalFunctional):
         self.name = f"running_integral_{channel}"
 
     def value(self, grid, values, j):
-        if j == 0:
-            return 0.0
-        dt = np.diff(grid[: j + 1])
-        return float(np.dot(values[:j, self.channel - 1], dt))
+        return values[..., :j, self.channel - 1] @ np.diff(grid[: j + 1])
 
 
 class LinearFilterFunctional(CausalFunctional):
@@ -82,38 +90,32 @@ class LinearFilterFunctional(CausalFunctional):
         self.name = f"linear_filter_{channel}"
 
     def value(self, grid, values, j):
-        if j == 0:
-            return 0.0
-        t = float(grid[j])
-        dw = np.diff(values[: j + 1, self.channel - 1])
-        weights = np.array([self._kv((t - float(s),)) for s in grid[:j]])
-        return float(np.dot(weights, dw))
+        weights = self._kv(float(grid[j]) - grid[:j, None])
+        return np.diff(values[..., : j + 1, self.channel - 1], axis=-1) @ weights
 
 
 def stopped_values(values: np.ndarray, j: int) -> np.ndarray:
     """Values of the path stopped at grid index j (frozen afterwards)."""
     out = values.copy()
-    out[j + 1 :] = values[j]
+    out[..., j + 1 :, :] = values[..., j : j + 1, :]
     return out
 
 
-def stop_path(path: SamplePath, j: int) -> SamplePath:
-    """The stopped path as a path object (constant from index j on)."""
-    return SamplePath(path.grid, stopped_values(path.values, j), path.q)
-
-
-def bumped_values(values: np.ndarray, j: int, channel: int, h: float) -> np.ndarray:
-    """Values of the path bumped by h on channel (1-based) from index j on."""
-    out = values.copy()
-    out[j:, channel - 1] += h
+def bumped_values(values: np.ndarray, j: int, channel: int, h) -> np.ndarray:
+    """Causal prefix values[..., : j + 1, :] of the path bumped by h on
+    channel (1-based) from index j on; h is a scalar or one bump per
+    replicate."""
+    out = values[..., : j + 1, :].copy()
+    out[..., j, channel - 1] += h
     return out
 
 
-def default_bump(path: SamplePath) -> float:
-    """Default bump size sqrt(dt) scaled by the path amplitude."""
+def default_bump(path: SamplePath):
+    """Default bump size sqrt(dt) scaled by the path amplitude, one per
+    replicate."""
     dt = float(np.min(np.diff(path.grid)))
-    amp = float(np.max(np.abs(path.values))) if path.values.size else 0.0
-    return np.sqrt(dt) * max(1.0, amp)
+    amp = np.max(np.abs(path.values), axis=(-2, -1), initial=0.0)
+    return np.sqrt(dt) * np.maximum(1.0, amp)
 
 
 def horizontal_derivative(f: CausalFunctional, path: SamplePath, j: int, cells: int = 1) -> float:
@@ -123,7 +125,7 @@ def horizontal_derivative(f: CausalFunctional, path: SamplePath, j: int, cells: 
         raise ValueError("cells must be >= 1")
     if j + cells >= path.grid.size:
         raise ValueError("horizontal step runs past the horizon")
-    stopped = stopped_values(path.values, j)
+    stopped = stopped_values(path.values[..., : j + cells + 1, :], j)
     num = f.value(path.grid, stopped, j + cells) - f.value(path.grid, path.values, j)
     return num / (float(path.grid[j + cells]) - float(path.grid[j]))
 
@@ -191,36 +193,33 @@ def causality_defect(f: CausalFunctional, path: SamplePath, j: int, seed: int = 
     worst = 0.0
     for _ in range(4):
         perturbed = path.values.copy()
-        if j + 1 < perturbed.shape[0]:
-            perturbed[j + 1 :] += rng.standard_normal(perturbed[j + 1 :].shape)
-        worst = max(worst, abs(f.value(path.grid, perturbed, j) - base))
+        tail = perturbed[..., j + 1 :, :]
+        tail += rng.standard_normal(tail.shape)
+        worst = max(worst, float(np.max(np.abs(f.value(path.grid, perturbed, j) - base))))
     return worst
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """RMS residual of the change-of-variable identity over replicates."""
+    """RMS residual of the change-of-variable identity over replicates.
+
+    ``bump_min`` and ``bump_max`` are the smallest and largest vertical
+    bumps used: the default bump scales with each replicate's amplitude,
+    and a fixed bump gives equal values.
+    """
 
     functional: str
     form: str
     rms: float
     grid_steps: int
     horizon: float
-    bump: float
+    bump_min: float
+    bump_max: float
     replicates: int
     eval_time: float
 
     def as_dict(self) -> dict:
-        return {
-            "functional": self.functional,
-            "form": self.form,
-            "rms": self.rms,
-            "grid_steps": self.grid_steps,
-            "horizon": self.horizon,
-            "bump": self.bump,
-            "replicates": self.replicates,
-            "eval_time": self.eval_time,
-        }
+        return asdict(self)
 
 
 def functional_ito_residual(
@@ -241,59 +240,55 @@ def functional_ito_residual(
     vertical bumps; the quadratic-variation term pairs second vertical
     derivatives with the left-endpoint covariance rate.  ``form="strat"``
     checks the Stratonovich version instead: the stochastic term then uses
-    midpoint (trapezoidal) integrand values and no second-order term.
+    midpoint (trapezoidal) integrand values and no second-order term.  All
+    replicates are sampled in one call and carried along a leading axis.
     """
     if form not in ("ito", "strat"):
         raise ValueError(f"unknown form {form!r}")
     grid = np.asarray(grid, dtype=float)
     m = q.dim
-    residuals = np.empty(replicates)
-    bump_used = bump
-    for rep in range(replicates):
-        path = sample_brownian(q, grid, replicate_seed(seed, rep))
-        jt = path.index_of(t)
-        h = bump if bump is not None else default_bump(path)
-        bump_used = h
-        vals = path.values
-        lhs = f.value(grid, vals, jt) - f.value(grid, vals, 0)
-        if not np.isfinite(lhs):
-            raise DivergenceError("functional value is not finite")
-        horiz = 0.0
-        for j in range(jt):
-            stopped = stopped_values(vals, j)
-            horiz += f.value(grid, stopped, j + 1) - f.value(grid, vals, j)
+    path = sample_brownian(q, grid, seed, replicates)
+    jt = path.index_of(t)
+    h = np.broadcast_to(bump if bump is not None else default_bump(path), (replicates,))
+    vals = path.values
+    lhs = f.value(grid, vals, jt) - f.value(grid, vals, 0)
+    if not np.all(np.isfinite(lhs)):
+        raise DivergenceError("functional value is not finite")
+    horiz = 0.0
+    for j in range(jt):
+        stopped = stopped_values(vals[:, : j + 2], j)
+        horiz += f.value(grid, stopped, j + 1) - f.value(grid, vals, j)
+    if form == "ito":
         stoch = 0.0
-        if form == "ito":
-            for j in range(jt):
-                dw = vals[j + 1] - vals[j]
-                for i in range(1, m + 1):
-                    stoch += vertical_derivative(f, path, j, i, h) * dw[i - 1]
-            qv = 0.0
-            for j in range(jt):
-                dt = grid[j + 1] - grid[j]
-                qmat = q.at(grid[j])
-                for i in range(1, m + 1):
-                    for k in range(1, m + 1):
-                        d2 = second_vertical_derivative(f, path, j, i, k, h)
-                        qv += d2 * qmat[k - 1, i - 1] * dt
-            rhs = horiz + stoch + 0.5 * qv
-        else:
-            deriv = np.empty((jt + 1, m))
-            for j in range(jt + 1):
-                for i in range(1, m + 1):
-                    deriv[j, i - 1] = vertical_derivative(f, path, j, i, h)
-            dw = np.diff(vals[: jt + 1], axis=0)
-            stoch = float(np.sum(0.5 * (deriv[:-1] + deriv[1:]) * dw))
-            rhs = horiz + stoch
-        residuals[rep] = lhs - rhs
-    rms = float(np.sqrt(np.mean(residuals**2)))
+        qv = 0.0
+        for j in range(jt):
+            dw = vals[:, j + 1] - vals[:, j]
+            dt = grid[j + 1] - grid[j]
+            qmat = q.at(grid[j])
+            for i in range(1, m + 1):
+                stoch += vertical_derivative(f, path, j, i, h) * dw[:, i - 1]
+                for k in range(1, m + 1):
+                    d2 = second_vertical_derivative(f, path, j, i, k, h)
+                    qv += d2 * qmat[k - 1, i - 1] * dt
+        rhs = horiz + stoch + 0.5 * qv
+    else:
+        deriv = np.empty((replicates, jt + 1, m))
+        for j in range(jt + 1):
+            for i in range(1, m + 1):
+                deriv[:, j, i - 1] = vertical_derivative(f, path, j, i, h)
+        dw = np.diff(vals[:, : jt + 1], axis=1)
+        stoch = np.sum(0.5 * (deriv[:, :-1] + deriv[:, 1:]) * dw, axis=(1, 2))
+        rhs = horiz + stoch
+    residuals = lhs - rhs
+    bumps = (float(np.min(h)), float(np.max(h))) if replicates else (0.0, 0.0)
     return ResidualReport(
         functional=f.name,
         form=form,
-        rms=rms,
+        rms=float(np.sqrt(np.mean(residuals**2))),
         grid_steps=grid.size - 1,
         horizon=float(grid[-1]),
-        bump=float(bump_used if bump_used is not None else 0.0),
+        bump_min=bumps[0],
+        bump_max=bumps[1],
         replicates=replicates,
         eval_time=float(t),
     )
@@ -311,13 +306,7 @@ class DecompositionReport:
     replicates: int
 
     def as_dict(self) -> dict:
-        return {
-            "strat_rms": self.strat_rms,
-            "ito_rms": self.ito_rms,
-            "grid_steps": self.grid_steps,
-            "horizon": self.horizon,
-            "replicates": self.replicates,
-        }
+        return asdict(self)
 
 
 def hijab_decomposition_check(
@@ -330,39 +319,29 @@ def hijab_decomposition_check(
     reconstructs Y from Y(0) + int Z0 dt + int Z1 o dW (trapezoid), and the
     Ito pair replaces Z0 by Z0 + L_{g1} L_{g1} h / 2 evaluated along X with a
     left-point stochastic integral.  Reports terminal RMS errors of both
-    reconstructions over replicates driven by unit-covariance noise.
+    reconstructions over replicates driven by unit-covariance noise, all
+    simulated in one batch.
     """
     if model.m != 1:
         raise ValueError("decomposition check requires a single noise channel")
     grid = np.asarray(grid, dtype=float)
-    q = QSpec.identity(1)
     z0_poly = lie_derivative(model.fields[0], model.readout)
     z1_poly = lie_derivative(model.fields[1], model.readout)
     z11_poly = lie_derivative(model.fields[1], z1_poly)
-    z0 = compile_float(z0_poly)
-    z1 = compile_float(z1_poly)
-    z11 = compile_float(z11_poly)
-    readout = compile_float(model.readout)
+    along = compile_float([model.readout, z0_poly, z1_poly, z11_poly])
 
-    from .paths import simulate_analytic
-
-    err_strat = np.empty(replicates)
-    err_ito = np.empty(replicates)
-    for rep in range(replicates):
-        path = sample_brownian(q, grid, replicate_seed(seed, rep))
-        _, states = simulate_analytic(model, path, return_states=True)
-        y = np.array([readout(x) for x in states])
-        z0_t = np.array([z0(x) for x in states])
-        z1_t = np.array([z1(x) for x in states])
-        zt0_t = z0_t + 0.5 * np.array([z11(x) for x in states])
-        dt = np.diff(grid)
-        dw = np.diff(path.values[:, 0])
-        strat = y[0] + np.sum(0.5 * (z0_t[:-1] + z0_t[1:]) * dt) + np.sum(
-            0.5 * (z1_t[:-1] + z1_t[1:]) * dw
-        )
-        ito = y[0] + np.sum(zt0_t[:-1] * dt) + np.sum(z1_t[:-1] * dw)
-        err_strat[rep] = strat - y[-1]
-        err_ito[rep] = ito - y[-1]
+    path = sample_brownian(QSpec.identity(1), grid, seed, replicates)
+    _, states = simulate_analytic(model, path, return_states=True)
+    y, z0_t, z1_t, z11_t = np.moveaxis(along(states), -1, 0)  # each (R, J+1)
+    zt0_t = z0_t + 0.5 * z11_t
+    dt = np.diff(grid)
+    dw = np.diff(path.values[..., 0], axis=-1)
+    strat = y[:, 0] + np.sum(0.5 * (z0_t[:, :-1] + z0_t[:, 1:]) * dt, axis=-1) + np.sum(
+        0.5 * (z1_t[:, :-1] + z1_t[:, 1:]) * dw, axis=-1
+    )
+    ito = y[:, 0] + np.sum(zt0_t[:, :-1] * dt, axis=-1) + np.sum(z1_t[:, :-1] * dw, axis=-1)
+    err_strat = strat - y[:, -1]
+    err_ito = ito - y[:, -1]
     return DecompositionReport(
         strat_rms=float(np.sqrt(np.mean(err_strat**2))),
         ito_rms=float(np.sqrt(np.mean(err_ito**2))),

@@ -147,9 +147,6 @@ class Series:
         """Largest degree carrying a nonzero coefficient (0 for the zero series)."""
         return max((len(w) for w in self.coeffs), default=0)
 
-    def support(self) -> list[Word]:
-        return sorted(self.coeffs, key=word_key)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -313,11 +310,6 @@ def format_series(r: Series) -> str:
             val = repr(c)
         lines.append(",".join(map(str, w)) + ";" + val)
     return "\n".join(lines) + "\n"
-
-
-def write_series(r: Series, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_series(r))
 
 
 def parse_series(text: str) -> Series:

@@ -6,14 +6,22 @@ Conventions shared by everything in this module:
 * Driving paths are m-dimensional, start at the origin, and live on a strictly
   increasing time grid.  Letter 0 is the time channel (its "increment" is
   dt), letters 1..m are the path channels.
+* A Monte Carlo study is one array with a leading replicate axis: path values
+  (R, J+1, m) and states (R, J+1, n), i.e. stream by time by channel.
+  Sampling, simulation and the filter readout index with ``...``, so one
+  code path serves one path (J+1, m) and R of them; time recursions loop
+  over grid steps, never over replicates.
 * The iterated integral of a word integrates the tail of the word first: the
   outermost integration variable carries the first letter.  Discretization is
   the trapezoidal rule, which converges to the Stratonovich value.
 * Model simulation uses the Heun predictor-corrector scheme on the same
   increment stream as the integral tables, so series-vs-simulation
   comparisons are pathwise, not merely in distribution.
-* Monte Carlo replicate k of a study seeded with s uses generator seed
-  ``s ^ k``; identical seeds and configuration give bit-identical output.
+* Replicate k of a study seeded with s is drawn from its own generator,
+  seeded ``replicate_seed(s, k) = s ^ k``, and equals the single path
+  sampled with that seed; identical seeds and configuration give
+  bit-identical output.  Study seeds that differ only in their low bits
+  share streams: seeds 2 and 3 with two replicates both use generators 2, 3.
 """
 
 from __future__ import annotations
@@ -92,15 +100,13 @@ class QSpec:
     def at(self, t: float) -> np.ndarray:
         return self._mats[int(self.piece_index(t))]
 
-    def cholesky_at(self, t: float) -> np.ndarray:
-        return np.linalg.cholesky(self.at(t))
-
 
 @dataclass(frozen=True)
 class SamplePath:
-    """Discretized continuous driving path: values (J+1, m) over a strictly
-    increasing grid with value 0 at time 0.  ``q`` optionally records the
-    covariance rate the path was sampled with."""
+    """Discretized continuous driving path: values (..., J+1, m) over a
+    strictly increasing grid with value 0 at time 0.  Leading axes index
+    replicates.  ``q`` optionally records the covariance rate the path was
+    sampled with."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -113,9 +119,9 @@ class SamplePath:
             raise ValueError("grid must be a nonempty 1-d array")
         if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
             raise ValueError("grid must start at 0 and strictly increase")
-        if values.ndim != 2 or values.shape[0] != grid.size:
-            raise ValueError("values must have shape (len(grid), m)")
-        if values.shape[0] and not np.all(values[0] == 0.0):
+        if values.ndim < 2 or values.shape[-2] != grid.size:
+            raise ValueError("values must have shape (..., len(grid), m)")
+        if not np.all(values[..., 0, :] == 0.0):
             raise ValueError("path must start at the origin")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
@@ -126,18 +132,22 @@ class SamplePath:
 
     @property
     def m(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     @property
     def horizon(self) -> float:
         return float(self.grid[-1])
 
+    def replicate(self, k: int) -> "SamplePath":
+        """Replicate k of a batched path, as a single path."""
+        return SamplePath(self.grid, self.values[k], self.q)
+
     def increments(self) -> np.ndarray:
-        """Increment stream of shape (J, m+1): column 0 is dt, column i the
-        increment of channel i."""
-        dt = np.diff(self.grid)
-        dw = np.diff(self.values, axis=0)
-        return np.column_stack([dt, dw])
+        """Increment stream of shape (..., J, m+1): column 0 is dt, column i
+        the increment of channel i."""
+        dw = np.diff(self.values, axis=-2)
+        dt = np.broadcast_to(np.diff(self.grid)[:, None], dw.shape[:-1] + (1,))
+        return np.concatenate([dt, dw], axis=-1)
 
     def index_of(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.grid - t)))
@@ -155,35 +165,52 @@ def make_grid(horizon: float, steps: int) -> np.ndarray:
     return np.linspace(0.0, horizon, steps + 1)
 
 
-def sample_brownian(q: QSpec, grid, seed: int) -> SamplePath:
+def replicate_seed(seed: int, index: int) -> int:
+    """Generator seed of Monte Carlo replicate ``index`` for a study seed.
+    Seeds that differ only in bits below the replicate count share streams:
+    seeds 2 and 3 with two replicates draw the same two paths, swapped."""
+    return seed ^ index
+
+
+def _normal_draws(seed: int, replicates: int | None, shape) -> np.ndarray:
+    """Standard normals of the given shape from ``default_rng(seed)``, or,
+    with a replicate count R, (R, *shape) with replicate k drawn from
+    ``default_rng(replicate_seed(seed, k))``."""
+    if replicates is None:
+        return np.random.default_rng(seed).standard_normal(shape)
+    out = np.empty((replicates, *shape))
+    for k in range(replicates):
+        out[k] = np.random.default_rng(replicate_seed(seed, k)).standard_normal(shape)
+    return out
+
+
+def sample_brownian(q: QSpec, grid, seed: int, replicates: int | None = None) -> SamplePath:
     """Driving path with independent Gaussian increments of covariance
     Q(t_j) * dt_j (left-endpoint covariance on each cell).  Deterministic as
-    a function of the seed."""
+    a function of the seed.
+
+    With ``replicates=R`` the values have shape (R, J+1, m), and replicate k
+    equals the single path sampled with seed ``replicate_seed(seed, k)``
+    (``seed ^ k``; see that function for the streams seeds share).
+    """
     grid = np.asarray(grid, dtype=float)
-    m = q.dim
-    rng = np.random.default_rng(seed)
-    steps = grid.size - 1
-    values = np.zeros((grid.size, m))
-    if steps:
-        z = rng.standard_normal((steps, m))
-        sqdt = np.sqrt(np.diff(grid))[:, None]
-        piece = q.piece_index(grid[:-1])
-        pieces = q.pieces
-        incs = np.empty((steps, m))
-        for p in np.unique(piece):
-            mask = piece == p
-            chol = np.linalg.cholesky(pieces[p][1])
-            incs[mask] = z[mask] @ chol.T
-        incs *= sqdt
-        np.cumsum(incs, axis=0, out=values[1:])
+    incs = _normal_draws(seed, replicates, (grid.size - 1, q.dim))
+    # Pieces start at increasing times, so each covers one run of cells.
+    bounds = np.searchsorted(q.piece_index(grid[:-1]), np.arange(len(q.pieces) + 1))
+    for (_, mat), a, b in zip(q.pieces, bounds, bounds[1:]):
+        incs[..., a:b, :] = incs[..., a:b, :] @ np.linalg.cholesky(mat).T
+    incs *= np.sqrt(np.diff(grid))[:, None]
+    values = np.zeros(incs.shape[:-2] + (grid.size, q.dim))
+    np.cumsum(incs, axis=-2, out=values[..., 1:, :])
     return SamplePath(grid, values, q)
 
 
 def sample_diffusion_input(
-    drift: PolyVectorField, sigma, grid, seed: int
+    drift: PolyVectorField, sigma, grid, seed: int, replicates: int | None = None
 ) -> SamplePath:
     """Euler-Maruyama path of dW' = drift(W') dt + sigma dB, started at the
-    origin, returned as a driving path with covariance rate sigma sigma^T."""
+    origin, returned as a driving path with covariance rate sigma sigma^T.
+    ``replicates`` adds a leading replicate axis as in ``sample_brownian``."""
     sigma = np.asarray(sigma, dtype=float)
     m = sigma.shape[0]
     if sigma.shape != (m, m):
@@ -194,15 +221,13 @@ def sample_diffusion_input(
         raise ValueError("drift field dimension must match sigma")
     q = QSpec.constant(sigma @ sigma.T)
     grid = np.asarray(grid, dtype=float)
-    rng = np.random.default_rng(seed)
-    b = [compile_float(c) for c in drift.components]
-    values = np.zeros((grid.size, m))
-    x = np.zeros(m)
-    for j in range(grid.size - 1):
-        dt = grid[j + 1] - grid[j]
-        db = rng.standard_normal(m) * np.sqrt(dt)
-        x = x + np.array([bi(x) for bi in b]) * dt + sigma @ db
-        values[j + 1] = x
+    dt = np.diff(grid)
+    noise = _normal_draws(seed, replicates, (dt.size, m)) * np.sqrt(dt)[:, None] @ sigma.T
+    b = compile_float(drift.components)
+    values = np.zeros(noise.shape[:-2] + (grid.size, m))
+    for j in range(dt.size):
+        x = values[..., j, :]
+        values[..., j + 1, :] = x + b(x) * dt[j] + noise[..., j, :]
     return SamplePath(grid, values, q)
 
 
@@ -218,12 +243,6 @@ class IteratedIntegralTable:
     degree: int
     grid: np.ndarray
     values: dict = field(default_factory=dict)
-
-    def at(self, w: Word, t: float) -> float:
-        idx = int(np.argmin(np.abs(self.grid - t)))
-        if not np.isclose(self.grid[idx], t, rtol=0.0, atol=1e-12):
-            raise ValueError(f"time {t} is not a grid point")
-        return float(self.values[tuple(w)][idx])
 
 
 def iterated_stratonovich(path: SamplePath, degree: int) -> IteratedIntegralTable:
@@ -242,6 +261,8 @@ def iterated_stratonovich(path: SamplePath, degree: int) -> IteratedIntegralTabl
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    if path.values.ndim != 2:
+        raise ValueError("iterated_stratonovich takes one path; use path.replicate(k)")
     incs = path.increments()  # (J, m+1)
     table: dict[Word, np.ndarray] = {(): np.ones(path.grid.size)}
     prev: dict[Word, np.ndarray] = {(): table[()]}
@@ -258,21 +279,6 @@ def iterated_stratonovich(path: SamplePath, degree: int) -> IteratedIntegralTabl
         table.update(nxt)
         prev = nxt
     return IteratedIntegralTable(path.m, degree, path.grid, table)
-
-
-def cf_evaluate(s: Series, table: IteratedIntegralTable, t: float) -> float:
-    """Evaluate the truncated series against an integral table at time t:
-    sum over words of s(w) * I_w(t)."""
-    if s.m != table.m:
-        raise ValueError(f"alphabet mismatch: series m={s.m}, table m={table.m}")
-    if table.degree < s.max_degree:
-        raise DegreeError(
-            f"table degree {table.degree} below series degree {s.max_degree}"
-        )
-    total = 0.0
-    for w, c in s.coeffs.items():
-        total += float(c) * table.at(w, t)
-    return total
 
 
 def cf_trajectory(s: Series, table: IteratedIntegralTable, max_degree: int | None = None) -> np.ndarray:
@@ -296,40 +302,45 @@ def cf_trajectory(s: Series, table: IteratedIntegralTable, max_degree: int | Non
 # -- state-space simulation --------------------------------------------------
 
 
-def _compiled_fields(model: AnalyticModel):
-    return [[compile_float(c) for c in g.components] for g in model.fields]
+def _integrate(
+    model: AnalyticModel, path: SamplePath, guard: float, fields, piece, heun: bool
+) -> np.ndarray:
+    """States (..., J+1, n) of dx = sum_i F_i(x) dxi_i over the path's
+    increments dxi = (dt, dW_1..dW_m).
 
-
-def _field_at(compiled, x) -> np.ndarray:
-    return np.array([[f(x) for f in comps] for comps in compiled])  # (m+1, n)
-
-
-def _integrate_heun(model: AnalyticModel, path: SamplePath, guard: float) -> np.ndarray:
-    compiled = _compiled_fields(model)
+    ``fields[p]`` lists the vector fields F_0..F_m used in cells of piece p,
+    and ``piece[j]`` names the piece of cell j.  ``heun`` selects the
+    predictor-corrector step; otherwise the step is explicit Euler.
+    """
+    evals = [compile_float([c for g in fs for c in g.components]) for fs in fields]
     incs = path.increments()
-    n = model.n
-    states = np.empty((path.grid.size, n))
-    x = np.array([float(v) for v in model.x0])
-    states[0] = x
+    shape = incs.shape[:-2] + (model.m + 1, model.n)
+    x = np.empty(shape[:-2] + (model.n,))
+    x[...] = [float(v) for v in model.x0]
+    states = np.empty(shape[:-2] + (path.grid.size, model.n))
+    states[..., 0, :] = x
+
+    def step(f, x, dxi):
+        return (dxi[..., None, :] @ f(x).reshape(shape))[..., 0, :]
+
     for j in range(path.steps):
-        dxi = incs[j]
-        fx = _field_at(compiled, x)  # (m+1, n)
-        drift = dxi @ fx
-        xp = x + drift
-        fxp = _field_at(compiled, xp)
-        x = x + 0.5 * (drift + dxi @ fxp)
-        if np.max(np.abs(x)) > guard:
+        f = evals[piece[j]]
+        dxi = incs[..., j, :]
+        drift = step(f, x, dxi)
+        if heun:
+            drift = 0.5 * (drift + step(f, x + drift, dxi))
+        x = x + drift
+        states[..., j + 1, :] = x
+        if np.any(np.abs(x) > guard):
             raise DivergenceError(
                 f"state norm exceeded divergence guard {guard:g} at step {j + 1}"
             )
-        states[j + 1] = x
     return states
 
 
-def _integrate_euler_ito(
-    model: AnalyticModel, path: SamplePath, guard: float, q=None
-) -> np.ndarray:
-    """Euler-Maruyama on the Ito-converted drift (cross-validation scheme).
+def _ito_fields(model: AnalyticModel, path: SamplePath, q=None):
+    """Euler-Maruyama fields (Ito drift, g_1..g_m) per covariance piece, and
+    the piece of each cell.
 
     Each cell converts with the covariance rate at its left endpoint, the
     rate ``sample_brownian`` draws that cell's increment with.
@@ -345,28 +356,7 @@ def _integrate_euler_ito(
         piece = path.q.piece_index(path.grid[:-1])
     else:
         rates = [[[Fraction(int(i == j)) for j in range(model.m)] for i in range(model.m)]]
-    drifts = [
-        [compile_float(c) for c in stratonovich_to_ito_drift(model, r).components]
-        for r in rates
-    ]
-    compiled_noise = [[compile_float(c) for c in g.components] for g in model.fields[1:]]
-    incs = path.increments()
-    states = np.empty((path.grid.size, model.n))
-    x = np.array([float(v) for v in model.x0])
-    states[0] = x
-    for j in range(path.steps):
-        dt = incs[j, 0]
-        dw = incs[j, 1:]
-        step = np.array([bi(x) for bi in drifts[piece[j]]]) * dt
-        for i, comps in enumerate(compiled_noise):
-            step = step + np.array([f(x) for f in comps]) * dw[i]
-        x = x + step
-        if np.max(np.abs(x)) > guard:
-            raise DivergenceError(
-                f"state norm exceeded divergence guard {guard:g} at step {j + 1}"
-            )
-        states[j + 1] = x
-    return states
+    return [(stratonovich_to_ito_drift(model, r), *model.fields[1:]) for r in rates], piece
 
 
 def simulate_analytic(
@@ -377,7 +367,8 @@ def simulate_analytic(
     q=None,
     return_states: bool = False,
 ):
-    """Output trajectory of an analytic model driven by the given path.
+    """Output trajectory (..., J+1) of an analytic model driven by the given
+    path (values (..., J+1, m), one trajectory per replicate).
 
     ``method="heun"`` integrates the Stratonovich dynamics with the Heun
     predictor-corrector scheme on the path's own increments;
@@ -389,13 +380,13 @@ def simulate_analytic(
     if model.m != path.m:
         raise ValueError(f"model has m={model.m} channels, path has {path.m}")
     if method == "heun":
-        states = _integrate_heun(model, path, guard)
+        fields, piece = [model.fields], np.zeros(path.steps, dtype=int)
     elif method == "euler_ito":
-        states = _integrate_euler_ito(model, path, guard, q)
+        fields, piece = _ito_fields(model, path, q)
     else:
         raise ValueError(f"unknown method {method!r}")
-    readout = compile_float(model.readout)
-    y = np.array([readout(x) for x in states])
+    states = _integrate(model, path, guard, fields, piece, heun=method == "heun")
+    y = compile_float(model.readout)(states)
     if return_states:
         return y, states
     return y
@@ -459,27 +450,25 @@ def zakai_build(generator, obs, phi, init) -> BilinearModel:
 
 
 def normalize_filter(sigma_phi: np.ndarray, sigma_one: np.ndarray) -> np.ndarray:
-    """Pointwise ratio sigma(phi) / sigma(1); the normalizer must stay
-    positive, otherwise the discretization failed."""
+    """Pointwise ratio sigma(phi) / sigma(1) of trajectories (..., J+1); the
+    normalizer must stay positive, otherwise the discretization failed."""
     sigma_phi = np.asarray(sigma_phi, dtype=float)
     sigma_one = np.asarray(sigma_one, dtype=float)
     if sigma_phi.shape != sigma_one.shape:
         raise ValueError("trajectories must have equal shapes")
     if np.any(sigma_one <= 0):
-        j = int(np.argmax(sigma_one <= 0))
+        *rep, j = np.unravel_index(np.argmax(sigma_one <= 0), sigma_one.shape)
+        where = f" of replicate {tuple(map(int, rep))}" if rep else ""
         raise PositivityError(
-            f"unnormalized filter mass is nonpositive at index {j}; refine the grid"
+            f"unnormalized filter mass is nonpositive at index {j}{where}; refine the grid"
         )
     return sigma_phi / sigma_one
 
 
-def replicate_seed(seed: int, index: int) -> int:
-    """Generator seed of Monte Carlo replicate ``index`` for a study seed."""
-    return seed ^ index
-
-
 def zakai_readout(model: BilinearModel, path: SamplePath):
-    """Simulate a filter model once; returns (sigma_phi, sigma_one, states)."""
+    """Simulate a filter model along every replicate of the path; returns
+    (sigma_phi, sigma_one, states), shaped (..., J+1), (..., J+1) and
+    (..., J+1, n)."""
     _, states = simulate_bilinear(model, path, return_states=True)
     phi = np.array([float(v) for v in model.c])
     sigma_phi = states @ phi

@@ -34,6 +34,10 @@ DEFAULT_TERM_BUDGET = 10**6
 # multiplications, so an unbounded e lets one short line stall a model read.
 MAX_EXPONENT = 16
 
+# Largest number of terms a product may expand to in the polynomial parser,
+# checked while it expands: (1+x1+...+x6)^16 would have 74 613 terms.
+MAX_TERMS = 2000
+
 
 class MultiPoly:
     """Polynomial in ``num_vars`` variables with rational coefficients.
@@ -111,13 +115,7 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return MultiPoly(self.num_vars, {e: c * other for e, c in self.terms.items()})
-        other = self._coerce(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.num_vars, out)
+        return MultiPoly(self.num_vars, _product_terms((self, self._coerce(other)), self.num_vars))
 
     __rmul__ = __mul__
 
@@ -146,6 +144,27 @@ class MultiPoly:
         return f"MultiPoly({poly_to_string(self)!r})"
 
 
+def _product_terms(factors, num_vars: int, limit: float = float("inf")):
+    """Terms of the product of the factors, or None once a partial product
+    passes ``limit`` terms.  Each factor is scaled to integers over one
+    common denominator, so Fractions are formed only at the end."""
+    out: dict[Exponents, int] = {(0,) * num_vars: 1}
+    den = 1
+    for q in factors:
+        q_num, q_den = _over_common_denominator(q.terms.values())
+        q_items = list(zip(q.terms, q_num))
+        nxt: dict[Exponents, int] = {}
+        for e1, a in out.items():
+            for e2, b in q_items:
+                e = tuple(map(add, e1, e2))
+                nxt[e] = nxt.get(e, 0) + a * b
+            if len(nxt) > limit:
+                return None
+        out = {e: v for e, v in nxt.items() if v}
+        den *= q_den
+    return {e: Fraction(v, den) for e, v in out.items()}
+
+
 def poly_eval(p: MultiPoly, x):
     """Evaluate p at the point x (length num_vars).
 
@@ -164,19 +183,28 @@ def poly_eval(p: MultiPoly, x):
     return total
 
 
-def compile_float(p: MultiPoly):
-    """Compile p into a fast float evaluator used in simulation loops."""
-    terms = [(float(c), exps) for exps, c in p.terms.items()]
+def compile_float(polys):
+    """Compile a polynomial, or k polynomials in the same variables, into a
+    numpy evaluator of points x (..., num_vars) giving (...) or (..., k).
 
-    def ev(x, _terms=terms):
-        total = 0.0
-        for c, exps in _terms:
-            v = c
-            for xi, e in zip(x, exps):
-                if e:
-                    v *= xi**e
-            total += v
-        return total
+    Each monomial is one row of an exponent matrix E (terms, num_vars) and
+    of a coefficient matrix C (terms, k); an evaluation is prod(x ** E) @ C.
+    """
+    single = isinstance(polys, MultiPoly)
+    polys = [polys] if single else list(polys)
+    num_vars = polys[0].num_vars
+    monomials = sorted({e for p in polys for e in p.terms})
+    row = {e: t for t, e in enumerate(monomials)}
+    coef = np.zeros((len(monomials), len(polys)))
+    for k, p in enumerate(polys):
+        for e, c in p.terms.items():
+            coef[row[e], k] = float(c)
+    expo = np.array(monomials, dtype=float).reshape(len(monomials), num_vars)
+
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        out = np.multiply.reduce(x[..., None, :] ** expo, axis=-1) @ coef
+        return out[..., 0] if single else out
 
     return ev
 
@@ -509,7 +537,8 @@ def stratonovich_to_ito_drift(model: AnalyticModel, q) -> PolyVectorField:
 #   power   := atom ('^' INT)?
 #   atom    := NUMBER | VAR | '(' expr ')'
 # NUMBER is an integer or integer/integer rational literal; VAR is x<k>;
-# the INT of a power is at most MAX_EXPONENT.
+# the INT of a power is at most MAX_EXPONENT, and no product (a '*' or one
+# step of a power) may expand past MAX_TERMS terms.
 
 
 class _Token:
@@ -597,11 +626,19 @@ class _Parser:
             p = p + q if op == "+" else p - q
         return p
 
+    def product(self, factors, tok: _Token) -> MultiPoly:
+        terms = _product_terms(factors, self.num_vars, MAX_TERMS)
+        if terms is None:
+            raise ParseError(
+                f"product expands past the limit of {MAX_TERMS} terms", column=tok.pos, token=tok.text
+            )
+        return MultiPoly(self.num_vars, terms)
+
     def term(self) -> MultiPoly:
         p = self.unary()
         while self.peek().kind == "*":
-            self.take()
-            p = p * self.unary()
+            tok = self.take()
+            p = self.product((p, self.unary()), tok)
         return p
 
     def unary(self) -> MultiPoly:
@@ -621,18 +658,24 @@ class _Parser:
                 raise ParseError(
                     f"exponent above the limit of {MAX_EXPONENT}", column=tok.pos, token=tok.text
                 )
-            e = int(tok.text)
-            out = MultiPoly.const(self.num_vars, 1)
-            for _ in range(e):
-                out = out * p
-            return out
+            return self.product((p,) * int(tok.text), tok)
         return p
 
     def atom(self) -> MultiPoly:
         tok = self.peek()
         if tok.kind == "num":
             self.take()
-            return MultiPoly.const(self.num_vars, Fraction(tok.text))
+            try:
+                value = Fraction(tok.text)
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", column=tok.pos, token=tok.text) from None
+            except ValueError:  # more digits than int() converts
+                raise ParseError(
+                    f"number literal of {len(tok.text)} characters is too long to convert",
+                    column=tok.pos,
+                    token=f"{tok.text[:20]}...",
+                ) from None
+            return MultiPoly.const(self.num_vars, value)
         if tok.kind == "var":
             self.take()
             idx = int(tok.text[1:])
@@ -819,8 +862,3 @@ def format_model(model) -> str:
 def read_model(path):
     with open(path, "r", encoding="ascii") as fh:
         return parse_model(fh.read())
-
-
-def write_model(model, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_model(model))

@@ -180,12 +180,10 @@ def test_criterion_5_series_truncation_error():
     model = cf.parse_model(QUADRATIC_MODEL)
     s = cf.to_float(cf.cf_coefficients(model, 6))
     errs = {n: [] for n in range(2, 7)}
-    for k in range(200):
-        path = cf.sample_brownian(
-            cf.QSpec.identity(1), cf.make_grid(0.25, 4096), replicate_seed(505, k)
-        )
-        y = cf.simulate_analytic(model, path)[-1]
-        table = cf.iterated_stratonovich(path, 6)
+    paths = cf.sample_brownian(cf.QSpec.identity(1), cf.make_grid(0.25, 4096), 505, 200)
+    ys = cf.simulate_analytic(model, paths)[:, -1]
+    for k, y in enumerate(ys):
+        table = cf.iterated_stratonovich(paths.replicate(k), 6)
         for n in errs:
             errs[n].append(abs(cf.cf_trajectory(s, table, max_degree=n)[-1] - y))
     medians = {n: float(np.median(v)) for n, v in errs.items()}
@@ -243,19 +241,12 @@ def test_criterion_8_filter_demo():
     model = cf.zakai_build([[-1, 1], [1, -1]], [0, 1], [0, 1], ["1/2", "1/2"])
     grid = cf.make_grid(0.25, 4096)
     q = cf.QSpec.identity(1)
-    violations = 0
-    pi_lo, pi_hi = float("inf"), float("-inf")
-    unit_dev = 0.0
-    for k in range(200):
-        path = cf.sample_brownian(q, grid, replicate_seed(808, k))
-        sigma_phi, sigma_one, _ = zakai_readout(model, path)
-        violations += int(np.count_nonzero(sigma_one <= 0))
-        pi = cf.normalize_filter(sigma_phi, sigma_one)
-        pi_lo = min(pi_lo, float(np.min(pi)))
-        pi_hi = max(pi_hi, float(np.max(pi)))
-        unit_dev = max(
-            unit_dev, float(np.max(np.abs(cf.normalize_filter(sigma_one, sigma_one) - 1.0)))
-        )
+    path = cf.sample_brownian(q, grid, 808, 200)
+    sigma_phi, sigma_one, _ = zakai_readout(model, path)
+    violations = int(np.count_nonzero(sigma_one <= 0))
+    pi = cf.normalize_filter(sigma_phi, sigma_one)
+    pi_lo, pi_hi = float(np.min(pi)), float(np.max(pi))
+    unit_dev = float(np.max(np.abs(cf.normalize_filter(sigma_one, sigma_one) - 1.0)))
     s = cf.bilinear_coefficients(model, 6)
     rank = cf.rank_exact(cf.hankel_build(s, 3, 3)).rank
     ok = (

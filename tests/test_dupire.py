@@ -7,12 +7,13 @@ from cfrealize.dupire import (
     MemorylessFunctional,
     RunningIntegralFunctional,
     causality_defect,
+    default_bump,
     functional_ito_residual,
     hijab_decomposition_check,
     horizontal_derivative,
     memoryless_from_state_poly,
     second_vertical_derivative,
-    stop_path,
+    stopped_values,
     vertical_derivative,
 )
 from cfrealize.paths import replicate_seed
@@ -39,9 +40,9 @@ def w1_squared(m=1):
 class TestStoppedPath:
     def test_constant_after_stop(self):
         path = brownian()
-        stopped = stop_path(path, 100)
-        assert np.all(stopped.values[100:] == path.values[100])
-        assert np.array_equal(stopped.values[:101], path.values[:101])
+        stopped = stopped_values(path.values, 100)
+        assert np.all(stopped[100:] == path.values[100])
+        assert np.array_equal(stopped[:101], path.values[:101])
 
 
 class TestHorizontalDerivative:
@@ -126,6 +127,33 @@ class TestVerticalDerivative:
         assert got == pytest.approx(1.0, abs=2 * dt)
 
 
+class TestReplicateAxis:
+    def test_values_and_bumps_per_replicate(self):
+        batch = sample_brownian(QSpec.identity(2), make_grid(0.25, 256), 3, 5)
+        grid = batch.grid
+        functionals = [
+            MemorylessFunctional(P("x1 + x2^2*x3", 3), 2),
+            RunningIntegralFunctional(2),
+            LinearFilterFunctional(P("1 - x1", 1), 1),
+        ]
+        h = default_bump(batch)
+        assert h.shape == (5,)
+        for f in functionals:
+            for j in (0, 17, 256):
+                value = f.value(grid, batch.values, j)
+                first = vertical_derivative(f, batch, j, 1)
+                second = second_vertical_derivative(f, batch, j, 1, 2)
+                assert value.shape == first.shape == second.shape == (5,)
+                for k in range(5):
+                    single = batch.replicate(k)
+                    assert h[k] == default_bump(single)
+                    assert value[k] == pytest.approx(f.value(grid, single.values, j), abs=1e-12)
+                    assert first[k] == pytest.approx(vertical_derivative(f, single, j, 1), abs=1e-12)
+                    assert second[k] == pytest.approx(
+                        second_vertical_derivative(f, single, j, 1, 2), abs=1e-9
+                    )
+
+
 class TestCausality:
     def test_all_registered_functionals_exactly_causal(self):
         path = brownian(m=2)
@@ -180,6 +208,19 @@ class TestResiduals:
             w1_squared(), QSpec.identity(1), make_grid(0.25, 256), 0.25, 20, 9, form="strat"
         )
         assert rep.rms <= 1e-12
+
+    def test_bump_range_over_replicates(self):
+        # The default bump scales with each replicate's amplitude; with
+        # Q = 16 on [0, 1] the amplitudes exceed 1 and differ.
+        q = QSpec.constant([[16.0]])
+        grid = make_grid(1.0, 32)
+        rep = functional_ito_residual(w1_squared(), q, grid, 1.0, 8, 21)
+        bumps = [default_bump(sample_brownian(q, grid, replicate_seed(21, k))) for k in range(8)]
+        assert rep.bump_min == min(bumps) and rep.bump_max == max(bumps)
+        assert rep.bump_min < rep.bump_max
+        assert rep.as_dict()["bump_max"] == rep.bump_max
+        fixed = functional_ito_residual(w1_squared(), q, grid, 1.0, 8, 21, bump=1e-3)
+        assert fixed.bump_min == fixed.bump_max == 1e-3
 
     def test_nonunit_covariance(self):
         rms = []

@@ -10,7 +10,6 @@ from cfrealize import (
     QSpec,
     SamplePath,
     cf_coefficients,
-    cf_evaluate,
     cf_trajectory,
     coefficient,
     hankel_build,
@@ -18,6 +17,7 @@ from cfrealize import (
     make_grid,
     normalize_filter,
     parse_model,
+    poly_eval,
     rank_exact,
     sample_brownian,
     sample_diffusion_input,
@@ -71,10 +71,7 @@ class TestSampleBrownian:
         q = QSpec.identity(2)
         grid = make_grid(0.1, 2)
         reps = 100_000
-        incs = np.empty((reps, 2, 2))
-        for k in range(reps):
-            path = sample_brownian(q, grid, replicate_seed(123, k))
-            incs[k] = np.diff(path.values, axis=0)
+        incs = np.diff(sample_brownian(q, grid, 123, reps).values, axis=1)
         dt = 0.05
         flat = incs.reshape(-1, 2)
         cov = flat.T @ flat / flat.shape[0]
@@ -88,6 +85,23 @@ class TestSampleBrownian:
         path = sample_brownian(QSpec.identity(1), np.array([0.0]), 7)
         assert path.values.shape == (1, 1)
         assert path.values[0, 0] == 0.0
+
+    def test_replicate_streams_match_single_paths(self):
+        # Replicate k of a batched study is byte for byte the single path
+        # sampled with seed replicate_seed(s, k), for constant and piecewise Q.
+        grid = make_grid(0.25, 64)
+        q_const = QSpec.constant([[2.0, 0.3], [0.3, 1.0]])
+        q_piece = QSpec([(0.0, [[2.0, 0.3], [0.3, 1.0]]), (0.1, [[1.0, -0.2], [-0.2, 3.0]])])
+        for q in (q_const, q_piece):
+            batch = sample_brownian(q, grid, 1234, 6)
+            assert batch.values.shape == (6, 65, 2)
+            for k in range(6):
+                single = sample_brownian(q, grid, replicate_seed(1234, k))
+                assert batch.values[k].tobytes() == single.values.tobytes()
+        # without a replicate count the study seed drives one generator
+        path = sample_brownian(QSpec.identity(1), grid, 7)
+        z = np.random.default_rng(7).standard_normal(64)
+        assert np.array_equal(path.values[1:, 0], np.cumsum(z * np.sqrt(np.diff(grid))))
 
     def test_seed_determinism(self):
         q = QSpec.identity(2)
@@ -104,11 +118,8 @@ class TestSampleDiffusionInput:
         drift = PolyVectorField((MultiPoly.zero(1),))
         grid = make_grid(0.2, 4)
         reps = 20_000
-        incs = []
-        for k in range(reps):
-            path = sample_diffusion_input(drift, [[1.0]], grid, replicate_seed(5, k))
-            incs.append(np.diff(path.values[:, 0]))
-        incs = np.asarray(incs).ravel()
+        path = sample_diffusion_input(drift, [[1.0]], grid, 5, reps)
+        incs = np.diff(path.values[..., 0], axis=1).ravel()
         dt = 0.05
         assert abs(incs.var() - dt) <= 3 * dt * math.sqrt(2.0 / incs.size)
         assert abs(incs.mean()) <= 3 * math.sqrt(dt / incs.size)
@@ -116,12 +127,19 @@ class TestSampleDiffusionInput:
     def test_ou_stationary_variance(self):
         drift = PolyVectorField((parse_polynomial("-x1", 1),))
         grid = make_grid(4.0, 400)
-        terminals = [
-            sample_diffusion_input(drift, [[1.0]], grid, replicate_seed(31, k)).values[-1, 0]
-            for k in range(3000)
-        ]
+        terminals = sample_diffusion_input(drift, [[1.0]], grid, 31, 3000).values[:, -1, 0]
         var = float(np.var(terminals))
         assert abs(var - 0.5) <= 0.05 * 0.5 + 3 * 0.5 * math.sqrt(2.0 / 3000)
+
+    def test_replicate_streams_match_single_paths(self):
+        drift = PolyVectorField((parse_polynomial("-x1 + x2^2", 2), parse_polynomial("x1 - 1/2*x2", 2)))
+        sigma = [[1.0, 0.2], [0.1, 0.7]]
+        grid = make_grid(0.5, 128)
+        batch = sample_diffusion_input(drift, sigma, grid, 77, 5)
+        assert batch.values.shape == (5, 129, 2)
+        for k in range(5):
+            single = sample_diffusion_input(drift, sigma, grid, replicate_seed(77, k))
+            assert batch.values[k].tobytes() == single.values.tobytes()
 
     def test_determinism_and_q_attached(self):
         drift = PolyVectorField((MultiPoly.zero(1),))
@@ -201,7 +219,7 @@ class TestCfEvaluate:
         s = to_float(cf_coefficients(model, 3))
         path = sample_brownian(QSpec.identity(1), make_grid(0.25, 32), 2)
         table = iterated_stratonovich(path, 3)
-        assert cf_evaluate(s, table, 0.25) == pytest.approx(0.25, abs=1e-14)
+        assert cf_trajectory(s, table)[path.index_of(0.25)] == pytest.approx(0.25, abs=1e-14)
 
     def test_single_noise_letter(self):
         from cfrealize import Series
@@ -209,7 +227,7 @@ class TestCfEvaluate:
         s = to_float(Series(1, 1, {(1,): 1}))
         path = sample_brownian(QSpec.identity(1), make_grid(0.25, 32), 3)
         table = iterated_stratonovich(path, 1)
-        assert cf_evaluate(s, table, 0.25) == pytest.approx(path.values[-1, 0])
+        assert cf_trajectory(s, table)[path.index_of(0.25)] == pytest.approx(path.values[-1, 0])
 
     def test_squared_noise(self):
         model = parse_model("n = 1\nm = 1\nx0 = 0\ng0 = 0\ng1 = 1\nh = x1^2\n")
@@ -217,14 +235,14 @@ class TestCfEvaluate:
         path = sample_brownian(QSpec.identity(1), make_grid(0.25, 512), 4)
         table = iterated_stratonovich(path, 2)
         w = path.values[-1, 0]
-        assert cf_evaluate(s, table, 0.25) == pytest.approx(w * w, abs=1e-10)
+        assert cf_trajectory(s, table)[path.index_of(0.25)] == pytest.approx(w * w, abs=1e-10)
 
     def test_degree_mismatch(self):
         model = parse_model("n = 1\nm = 1\nx0 = 0\ng0 = 1\ng1 = 0\nh = x1\n")
         s = to_float(cf_coefficients(model, 3))
         path = sample_brownian(QSpec.identity(1), make_grid(0.25, 8), 2)
         with pytest.raises(DegreeError):
-            cf_evaluate(s, iterated_stratonovich(path, 2), 0.25)
+            cf_trajectory(s, iterated_stratonovich(path, 2))[path.index_of(0.25)]
 
 
 class TestSimulateAnalytic:
@@ -248,12 +266,10 @@ class TestSimulateAnalytic:
         model = parse_model("n = 1\nm = 1\nx0 = 1\ng0 = 0\ng1 = x1\nh = x1\n")
         diffs = []
         for steps in (512, 1024):
-            terminal = []
-            for k in range(200):
-                path = sample_brownian(QSpec.identity(1), make_grid(0.25, steps), replicate_seed(8, k))
-                yh = simulate_analytic(model, path)[-1]
-                ye = simulate_analytic(model, path, method="euler_ito")[-1]
-                terminal.append(yh - ye)
+            path = sample_brownian(QSpec.identity(1), make_grid(0.25, steps), 8, 200)
+            yh = simulate_analytic(model, path)[:, -1]
+            ye = simulate_analytic(model, path, method="euler_ito")[:, -1]
+            terminal = yh - ye
             diffs.append(float(np.sqrt(np.mean(np.square(terminal)))))
         assert diffs[0] / diffs[1] >= 1.2
 
@@ -263,13 +279,49 @@ class TestSimulateAnalytic:
         # 0.025-0.067 with per-piece drifts and 0.22-0.40 with Q(0) alone.
         model = parse_model("n = 1\nm = 1\nx0 = 1\ng0 = 0\ng1 = x1\nh = x1\n")
         q = QSpec([(0.0, [[1.0]]), (0.125, [[4.0]])])
-        gaps = []
-        for k in range(50):
-            path = sample_brownian(q, make_grid(0.25, 512), replicate_seed(13, k))
-            yh = simulate_analytic(model, path)[-1]
-            ye = simulate_analytic(model, path, method="euler_ito")[-1]
-            gaps.append(yh - ye)
+        path = sample_brownian(q, make_grid(0.25, 512), 13, 50)
+        gaps = simulate_analytic(model, path)[:, -1] - simulate_analytic(
+            model, path, method="euler_ito"
+        )[:, -1]
         assert float(np.sqrt(np.mean(np.square(gaps)))) < 0.12
+
+    def test_replicate_axis_matches_single_paths(self):
+        model = parse_model(
+            "n = 2\nm = 2\nx0 = 1, -1/3\ng0 = x2, -x1 + 1/2*x1*x2\n"
+            "g1 = 1/2*x1, 1\ng2 = 1/4*x2^2, 1/3*x1\nh = x1^2 - x2\n"
+        )
+        q = QSpec([(0.0, [[1.0, 0.2], [0.2, 2.0]]), (0.1, [[3.0, 0.0], [0.0, 0.5]])])
+        batch = sample_brownian(q, make_grid(0.25, 256), 9, 5)
+        for method in ("heun", "euler_ito"):
+            y, states = simulate_analytic(model, batch, method=method, return_states=True)
+            assert y.shape == (5, 257) and states.shape == (5, 257, 2)
+            for k in range(5):
+                yk, sk = simulate_analytic(model, batch.replicate(k), method=method, return_states=True)
+                np.testing.assert_allclose(y[k], yk, rtol=1e-13, atol=1e-15)
+                np.testing.assert_allclose(states[k], sk, rtol=1e-13, atol=1e-15)
+
+    def test_matches_serial_heun_reference(self):
+        # a plain per-component Heun loop through poly_eval as the oracle
+        model = parse_model(
+            "n = 2\nm = 2\nx0 = 1, -1/3\ng0 = x2, -x1 + 1/2*x1*x2\n"
+            "g1 = 1/2*x1, 1\ng2 = 1/4*x2^2, 1/3*x1\nh = x1^2 - x2\n"
+        )
+        path = sample_brownian(QSpec.identity(2), make_grid(0.25, 128), 21)
+
+        def field(x):
+            return [[poly_eval(c, x) for c in g.components] for g in model.fields]
+
+        def step(f, dxi):
+            return [sum(float(dxi[i]) * f[i][k] for i in range(3)) for k in range(2)]
+
+        x = [float(v) for v in model.x0]
+        want = [poly_eval(model.readout, x)]
+        for dxi in path.increments():
+            drift = step(field(x), dxi)
+            corrected = step(field([a + b for a, b in zip(x, drift)]), dxi)
+            x = [a + 0.5 * (b + c) for a, b, c in zip(x, drift, corrected)]
+            want.append(poly_eval(model.readout, x))
+        np.testing.assert_allclose(simulate_analytic(model, path), want, rtol=1e-12, atol=1e-14)
 
     def test_divergence_guard(self):
         model = parse_model("n = 1\nm = 1\nx0 = 10\ng0 = x1^2\ng1 = 0\nh = x1\n")
@@ -354,10 +406,10 @@ class TestOrderingConsistency:
         model = parse_model("n = 1\nm = 1\nx0 = 1/2\ng0 = x1\ng1 = 1\nh = x1^2\n")
         s = to_float(cf_coefficients(model, 6))
         meds = {n: [] for n in (2, 4, 6)}
-        for k in range(50):
-            path = sample_brownian(QSpec.identity(1), make_grid(0.25, 1024), replicate_seed(14, k))
-            y = simulate_analytic(model, path)[-1]
-            table = iterated_stratonovich(path, 6)
+        paths = sample_brownian(QSpec.identity(1), make_grid(0.25, 1024), 14, 50)
+        ys = simulate_analytic(model, paths)[:, -1]
+        for k, y in enumerate(ys):
+            table = iterated_stratonovich(paths.replicate(k), 6)
             for n in meds:
                 meds[n].append(abs(cf_trajectory(s, table, max_degree=n)[-1] - y))
         m2, m4, m6 = (float(np.median(meds[n])) for n in (2, 4, 6))
@@ -373,10 +425,10 @@ class TestZakai:
 
     def test_positivity_and_rank_bound(self):
         model = zakai_build([[-1, 1], [1, -1]], [0, 1], [1, 1], ["1/2", "1/2"])
-        for k in range(20):
-            path = sample_brownian(QSpec.identity(1), make_grid(0.25, 1024), replicate_seed(16, k))
-            sigma_phi, sigma_one, _ = zakai_readout(model, path)
-            assert np.all(sigma_one > 0)
+        path = sample_brownian(QSpec.identity(1), make_grid(0.25, 1024), 16, 20)
+        sigma_phi, sigma_one, _ = zakai_readout(model, path)
+        assert sigma_one.shape == (20, 1025)
+        assert np.all(sigma_one > 0)
         s = bilinear_coefficients(model, 6)
         assert rank_exact(hankel_build(s, 3, 3)).rank <= 2
 
@@ -411,6 +463,10 @@ class TestNormalizeFilter:
     def test_nonpositive_normalizer_rejected(self):
         with pytest.raises(PositivityError):
             normalize_filter(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        batch = np.ones((3, 5))
+        batch[2, 4] = -1.0
+        with pytest.raises(PositivityError, match=r"index 4 of replicate \(2,\)"):
+            normalize_filter(batch, batch)
 
 
 class TestDeterminism:

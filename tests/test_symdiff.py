@@ -24,7 +24,7 @@ from cfrealize import (
     stratonovich_to_ito_drift,
     words_up_to,
 )
-from cfrealize.symdiff import MAX_EXPONENT, format_model, poly_to_string
+from cfrealize.symdiff import MAX_EXPONENT, MAX_TERMS, compile_float, format_model, poly_to_string
 from conftest import rand_bilinear, rand_poly
 
 
@@ -48,6 +48,23 @@ class TestPolyBasics:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             poly_eval(P("x1", 2), (1,))
+
+    def test_compiled_evaluator_matches_poly_eval(self, rng):
+        # one polynomial gives shape (...), a list of k gives (..., k);
+        # rounding of the float evaluation stays far below 1e-12
+        import numpy as np
+
+        polys = [rand_poly(rng, 3, 4) for _ in range(4)] + [MultiPoly.zero(3)]
+        points = np.array([[rng.uniform(-2, 2) for _ in range(3)] for _ in range(12)]).reshape(3, 4, 3)
+        together = compile_float(polys)(points)
+        assert together.shape == (3, 4, 5)
+        for k, p in enumerate(polys):
+            alone = compile_float(p)(points)
+            assert alone.shape == (3, 4)
+            for idx in np.ndindex(3, 4):
+                want = float(poly_eval(p, tuple(Fraction(v) for v in points[idx])))
+                assert alone[idx] == pytest.approx(want, rel=1e-12, abs=1e-12)
+                assert together[idx + (k,)] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_partial(self):
         assert P("x1^2*x2", 2).partial(1) == P("2*x1*x2", 2)
@@ -312,6 +329,36 @@ class TestPolynomialParser:
             assert repr(exponent) in str(err.value)
         assert P("x1^3", 1) == P("x1*x1*x1", 1)
         assert P(f"x1^{MAX_EXPONENT}", 1).total_degree() == MAX_EXPONENT
+
+
+    def test_term_bound_fails_fast(self):
+        # (1+x1+...+x5)^16 has 20 349 terms; the bound stops it early
+        for text, token in (
+            ("(1+x1+x2+x3+x4+x5)^16", "16"),
+            ("(1+x1+x2+x3+x4+x5)^8 * (1+x1+x2+x3+x4+x5)^8", "*"),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(ParseError) as err:
+                P(text, 5)
+            assert time.perf_counter() - start < 0.1
+            assert f"limit of {MAX_TERMS} terms" in str(err.value)
+            assert err.value.token == token
+        # below the bound the expansion is exact: C(19, 3) terms
+        assert len(P("(1+x1+x2+x3)^16", 3).terms) == 969
+        assert P("(x1 + 1/2)^2", 1) == P("x1^2 + x1 + 1/4", 1)
+
+    def test_oversized_literal_names_line_and_token(self):
+        text = "n = 1\nm = 1\nx0 = 0\ng0 = 1\ng1 = 0\nh = x1 + " + "1" * 5000 + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert err.value.line == 6
+        assert err.value.token.startswith("1" * 20)
+        assert "5000 characters" in str(err.value)
+
+    def test_zero_denominator_literal(self):
+        with pytest.raises(ParseError) as err:
+            parse_model("n = 1\nm = 1\nx0 = 0\ng0 = 1/0\ng1 = 0\nh = x1\n")
+        assert err.value.line == 4 and err.value.token == "1/0"
 
 
 class TestModelFiles:
