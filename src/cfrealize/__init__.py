@@ -25,13 +25,14 @@ from .fps import (
     RATIONAL,
     Series,
     coefficient,
-    coefficient_table,
     concat,
+    hankel_column,
     read_series,
     series_linear_combine,
     series_product,
     shuffle,
     to_float,
+    word_index,
     word_key,
     words_up_to,
 )

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dupire, hankel, paths, realize
 from .errors import CFError
-from .fps import RATIONAL, format_series, read_series, to_float, word_count
+from .fps import RATIONAL, check_word_count, format_series, read_series, to_float
 from .symdiff import (
     AnalyticModel,
     BilinearModel,
@@ -51,28 +51,15 @@ def _write_json(path: str, payload) -> None:
     _atomic_write(path, _json_text(payload))
 
 
-# Largest number of words a degree flag may imply.  The benchmark's largest
-# case, m = 2 at degree 8, needs 9841; a million words of exact coefficients
-# already take seconds and hundreds of megabytes.
-MAX_WORDS = 10**6
-
-
 def _check_word_count(m: int, flag: str, degree: int | None) -> None:
-    """Reject a degree flag whose words over {0..m} outnumber MAX_WORDS,
-    before anything of that size is built."""
-    if degree is None or degree < 0:
-        return
-    if degree < 64:
-        count = word_count(m, degree)
-        if count <= MAX_WORDS:
-            return
-    else:
-        # word_count(m, d) > 2**d > MAX_WORDS; not summed, as d may be huge.
-        count = f"more than 2^{degree}"
-    raise CFError(
-        f"{flag} {degree} asks for {count} words over the alphabet {{0..{m}}}, "
-        f"above the limit of {MAX_WORDS}"
-    )
+    if degree is not None:
+        check_word_count(m, degree, flag)
+
+
+def _check_reps(reps: int) -> None:
+    """Reject a replicate count below 1, before anything is sampled."""
+    if reps < 1:
+        raise CFError(f"--reps must be at least 1, got {reps}")
 
 
 def _series_coefficients(model, deg: int):
@@ -97,18 +84,16 @@ def cmd_coeffs(args) -> int:
     if args.mode == "float":
         s = to_float(s)
     _atomic_write(os.path.join(args.out, "series.txt"), format_series(s))
-    per_degree = {}
-    for w in s.coeffs:
-        per_degree[len(w)] = per_degree.get(len(w), 0) + 1
+    per_degree = [sum(map(bool, level)) for level in s.levels]
     summary = {
         "m": s.m,
         "degree": s.max_degree,
         "mode": s.mode,
-        "nonzero_per_degree": {str(d): per_degree.get(d, 0) for d in range(s.max_degree + 1)},
-        "nonzero_total": len(s.coeffs),
+        "nonzero_per_degree": {str(d): count for d, count in enumerate(per_degree)},
+        "nonzero_total": sum(per_degree),
     }
     _write_json(os.path.join(args.out, "summary.json"), summary)
-    print(f"wrote {os.path.join(args.out, 'series.txt')} ({len(s.coeffs)} nonzero records)")
+    print(f"wrote {os.path.join(args.out, 'series.txt')} ({sum(per_degree)} nonzero records)")
     return 0
 
 
@@ -175,6 +160,7 @@ def _path_columns(path, rep: int) -> dict[str, np.ndarray]:
 
 
 def cmd_simulate(args) -> int:
+    _check_reps(args.reps)
     model = read_model(args.model)
     path, y = _simulate_study(model, args)
     for rep in range(args.reps):
@@ -198,6 +184,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_reps(args.reps)
     model = read_model(args.model)
     _check_word_count(model.m, "--deg", args.deg)
     s = to_float(_series_coefficients(model, args.deg))
@@ -238,6 +225,7 @@ DECAY_FACTOR = 1.2
 def cmd_ito_check(args) -> int:
     from .symdiff import MultiPoly
 
+    _check_reps(args.reps)
     q = paths.QSpec.identity(1)
     linear = dupire.MemorylessFunctional(MultiPoly.var(2, 2), 1)
     quad = dupire.MemorylessFunctional(MultiPoly.var(2, 2) * MultiPoly.var(2, 2), 1)
@@ -274,6 +262,7 @@ def cmd_ito_check(args) -> int:
 
 
 def cmd_hijab_check(args) -> int:
+    _check_reps(args.reps)
     model = read_model(args.model)
     if not isinstance(model, AnalyticModel):
         raise CFError("decomposition check needs an analytic model")
@@ -295,6 +284,7 @@ def cmd_hijab_check(args) -> int:
 
 
 def cmd_demo_zakai(args) -> int:
+    _check_reps(args.reps)
     generator = [[-1, 1], [1, -1]]
     obs = [0, 1]
     init = ["1/2", "1/2"]

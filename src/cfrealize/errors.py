@@ -25,6 +25,7 @@ class ParseError(CFError):
     """
 
     def __init__(self, message, line=None, column=None, token=None):
+        self.message = message
         self.line = line
         self.column = column
         self.token = token

@@ -6,6 +6,12 @@ Words are globally ordered graded-lexicographically: shorter words first,
 ties broken by ordinary tuple comparison.  That single ordering is used for
 matrix indexing and for file output, so artifacts are bit-reproducible.
 
+Series, series files, Hankel columns and integral tables share one level
+layout: level k holds the (m+1)^k words of degree k in that order, w at
+``word_index(w, m)`` (its letters read as a base-(m+1) numeral).  Hence
+word_index(u.v) = word_index(u) * (m+1)^|v| + word_index(v), and a Hankel
+column [s(u.v) for |u| = a] is a strided slice of level a + |v|.
+
 A :class:`Series` assigns a scalar coefficient to every word up to a fixed
 truncation degree.  Coefficients beyond the truncation degree are unknown
 (not zero); asking for one raises :class:`~cfrealize.errors.DegreeError`.
@@ -16,10 +22,13 @@ operation is an error.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import chain, product
+from types import MappingProxyType
 
-from .errors import AlphabetError, DegreeError, ModeMismatchError, ParseError
+from .errors import AlphabetError, CFError, DegreeError, ModeMismatchError, ParseError
 
 Word = tuple[int, ...]
 
@@ -28,10 +37,18 @@ EMPTY_WORD: Word = ()
 RATIONAL = "rational"
 FLOAT = "float"
 
+MAX_WORDS = 10**6  # levels are dense: the most words a series (or degree flag) may span
+
 
 def word_key(w: Word):
     """Sort key implementing the graded-lexicographic order."""
     return (len(w), w)
+
+
+def word_index(w: Word, m: int) -> int:
+    """Position of w in ``words_of_degree(m, len(w))``; AlphabetError for a
+    letter outside {0..m}."""
+    return reduce(lambda i, c: i * (m + 1) + c, check_word(w, m), 0)
 
 
 def check_word(w, m: int) -> Word:
@@ -58,14 +75,9 @@ def words_up_to(m: int, n: int) -> list[Word]:
 
     The list has sum_{k<=n} (m+1)^k entries and starts with the empty word.
     """
-    if m < 1:
-        raise AlphabetError(f"alphabet max letter must be >= 1, got m={m}")
     if n < 0:
         raise ValueError("degree bound must be nonnegative")
-    out: list[Word] = []
-    for d in range(n + 1):
-        out.extend(words_of_degree(m, d))
-    return out
+    return [w for d in range(n + 1) for w in words_of_degree(m, d)]
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -94,36 +106,44 @@ class Series:
         m: largest letter of the alphabet (alphabet size is m + 1).
         max_degree: validity degree; coefficients of longer words are unknown.
         mode: ``"rational"`` or ``"float"``.
-        coeffs: map word -> scalar holding the nonzero coefficients.
+        levels: ``levels[k]`` holds the coefficients of the words of degree
+            k, w's at ``word_index(w, m)``; given as is, or built from
+            ``coeffs``, a map word -> scalar (absent words are zero).
 
     Instances are treated as immutable; operations return new series.
     """
 
-    __slots__ = ("m", "max_degree", "mode", "coeffs")
+    __slots__ = ("m", "max_degree", "mode", "levels")
 
-    def __init__(self, m: int, max_degree: int, coeffs=None, mode: str = RATIONAL):
+    def __init__(self, m: int, max_degree: int, coeffs=None, mode: str = RATIONAL, levels=None):
         if m < 1:
             raise AlphabetError(f"alphabet max letter must be >= 1, got m={m}")
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         if mode not in (RATIONAL, FLOAT):
             raise ValueError(f"unknown scalar mode {mode!r}")
+        check_word_count(m, max_degree)
         self.m = m
         self.max_degree = max_degree
         self.mode = mode
         scalar_type = Fraction if mode == RATIONAL else float
-        clean: dict[Word, object] = {}
-        for w, c in (coeffs or {}).items():
-            w = check_word(w, m)
-            if len(w) > max_degree:
-                raise DegreeError(
-                    f"word {w} of degree {len(w)} exceeds truncation degree {max_degree}"
-                )
-            if type(c) is not scalar_type:
-                c = _coerce(c, mode)
-            if c:
-                clean[w] = c
-        self.coeffs = clean
+        zero = zero_scalar(mode)
+        if levels is None:
+            levels = [[zero] * (m + 1) ** k for k in range(max_degree + 1)]
+            for w, c in (coeffs or {}).items():
+                w = check_word(w, m)
+                if len(w) > max_degree:
+                    raise DegreeError(
+                        f"word {w} of degree {len(w)} exceeds truncation degree {max_degree}"
+                    )
+                levels[len(w)][word_index(w, m)] = c
+        elif coeffs or list(map(len, levels)) != [(m + 1) ** k for k in range(max_degree + 1)]:
+            raise ValueError(f"need levels of (m+1)^k scalars, k = 0..{max_degree}, and no map")
+        # A zero of either sign is stored as the mode's zero.
+        self.levels = tuple(
+            tuple([(c if type(c) is scalar_type else _coerce(c, mode)) or zero for c in level])
+            for level in levels
+        )
 
     # -- constructors -------------------------------------------------
 
@@ -143,12 +163,18 @@ class Series:
 
     # -- basic protocol ------------------------------------------------
 
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only map word -> scalar of the nonzero coefficients."""
+        pairs = zip(words_up_to(self.m, self.max_degree), chain.from_iterable(self.levels))
+        return MappingProxyType({w: c for w, c in pairs if c})
+
     def degree(self) -> int:
         """Largest degree carrying a nonzero coefficient (0 for the zero series)."""
-        return max((len(w) for w in self.coeffs), default=0)
+        return max((k for k, level in enumerate(self.levels) if any(level)), default=0)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(map(any, self.levels))
 
     def __eq__(self, other):
         return (
@@ -156,16 +182,11 @@ class Series:
             and self.m == other.m
             and self.max_degree == other.max_degree
             and self.mode == other.mode
-            and self.coeffs == other.coeffs
+            and self.levels == other.levels
         )
-
-    def __hash__(self):
-        return hash((self.m, self.max_degree, self.mode, frozenset(self.coeffs.items())))
 
     def __repr__(self):
-        terms = ", ".join(
-            f"{w or '()'}: {c}" for w, c in sorted(self.coeffs.items(), key=lambda p: word_key(p[0]))
-        )
+        terms = ", ".join(f"{w or '()'}: {c}" for w, c in self.coeffs.items())
         return f"Series(m={self.m}, N={self.max_degree}, mode={self.mode}, {{{terms}}})"
 
 
@@ -177,7 +198,7 @@ def _check_pair(r: Series, s: Series):
 
 
 def coefficient(r: Series, w) -> object:
-    """Coefficient of word ``w`` in ``r``; zero if absent.
+    """Coefficient of word ``w`` in ``r``.
 
     Requesting a word beyond the truncation degree is an error, which keeps
     "unknown" distinct from "zero".
@@ -187,27 +208,19 @@ def coefficient(r: Series, w) -> object:
         raise DegreeError(
             f"word of degree {len(w)} requested from series truncated at {r.max_degree}"
         )
-    return r.coeffs.get(w, zero_scalar(r.mode))
+    return r.levels[len(w)][word_index(w, r.m)]
 
 
-def coefficient_table(r: Series, row_words, col_words) -> list[list]:
-    """Table of r(u.v) for u in ``row_words`` (rows) and v in ``col_words``.
-
-    Each word list is validated once, and the degree check is made on the
-    longest row and column words, so the entries are plain lookups.  As with
-    :func:`coefficient`, a product word beyond the truncation degree is an
-    error, not a zero.
-    """
-    rows = [check_word(u, r.m) for u in row_words]
-    cols = [check_word(v, r.m) for v in col_words]
-    need = max(map(len, rows), default=0) + max(map(len, cols), default=0)
-    if rows and cols and need > r.max_degree:
+def hankel_column(r: Series, v, d: int) -> list:
+    """Hankel column [r(u.v) for u of degree <= d], u in graded-lex order:
+    one strided slice per level.  As with :func:`coefficient`, a product
+    word beyond the truncation degree is an error, not a zero."""
+    if d + len(v) > r.max_degree:
         raise DegreeError(
-            f"word of degree {need} requested from series truncated at {r.max_degree}"
+            f"word of degree {d + len(v)} requested from series truncated at {r.max_degree}"
         )
-    get = r.coeffs.get
-    zero = zero_scalar(r.mode)
-    return [[get(u + v, zero) for v in cols] for u in rows]
+    start, step = word_index(v, r.m), (r.m + 1) ** len(v)
+    return [c for a in range(d + 1) for c in r.levels[a + len(v)][start::step]]
 
 
 def series_linear_combine(alpha, r: Series, beta, s: Series) -> Series:
@@ -216,36 +229,31 @@ def series_linear_combine(alpha, r: Series, beta, s: Series) -> Series:
     n = min(r.max_degree, s.max_degree)
     alpha = _coerce(alpha, r.mode)
     beta = _coerce(beta, r.mode)
-    out: dict[Word, object] = {}
-    for w, c in r.coeffs.items():
-        if len(w) <= n:
-            out[w] = alpha * c
-    for w, c in s.coeffs.items():
-        if len(w) <= n:
-            out[w] = out.get(w, zero_scalar(r.mode)) + beta * c
-    return Series(r.m, n, out, r.mode)
+    levels = [[alpha * a + beta * b for a, b in zip(x, y)] for x, y in zip(r.levels, s.levels)]
+    return Series(r.m, n, mode=r.mode, levels=levels)
 
 
 def series_product(r: Series, s: Series) -> Series:
     """Concatenation (Cauchy) product, truncated to the smaller validity degree.
 
     The coefficient of a word w is the sum of r(u)*s(v) over all splittings
-    w = u.v; the product is noncommutative.
+    w = u.v; the product is noncommutative.  Level k sums the outer products
+    of r's level a and s's level k - a.
     """
     _check_pair(r, s)
     n = min(r.max_degree, s.max_degree)
-    out: dict[Word, object] = {}
-    zero = zero_scalar(r.mode)
-    for u, cu in r.coeffs.items():
-        if len(u) > n:
-            continue
-        rem = n - len(u)
-        for v, cv in s.coeffs.items():
-            if len(v) > rem:
-                continue
-            w = u + v
-            out[w] = out.get(w, zero) + cu * cv
-    return Series(r.m, n, out, r.mode)
+    levels = []
+    for k in range(n + 1):
+        out = [zero_scalar(r.mode)] * (r.m + 1) ** k
+        for a in range(k + 1):
+            right = s.levels[k - a]
+            for i, x in enumerate(r.levels[a]):
+                if x:
+                    for j, y in enumerate(right):
+                        if y:
+                            out[i * len(right) + j] += x * y
+        levels.append(out)
+    return Series(r.m, n, mode=r.mode, levels=levels)
 
 
 _SHUFFLE_CACHE: dict[tuple[Word, Word], dict[Word, int]] = {}
@@ -285,29 +293,39 @@ def shuffle(u, v, m: int, mode: str = RATIONAL) -> Series:
 
 
 def to_float(r: Series) -> Series:
-    """Cast a series to float mode (identity on float-mode input)."""
+    """Cast a series to float mode (identity on float-mode input).
+
+    Raises CFError naming the first word whose coefficient lies outside the
+    float range.
+    """
     if r.mode == FLOAT:
         return r
-    return Series(r.m, r.max_degree, {w: float(c) for w, c in r.coeffs.items()}, FLOAT)
+    try:
+        levels = [[float(c) for c in level] for level in r.levels]
+    except OverflowError:
+        for w, c in r.coeffs.items():
+            try:
+                float(c)
+            except OverflowError:
+                raise CFError(f"coefficient of word {w} is outside the float range") from None
+        raise
+    return Series(r.m, r.max_degree, mode=FLOAT, levels=levels)
 
 
 # -- series file format ---------------------------------------------------
 #
 # Header line:   cfseries m=<m> N=<N> mode=<rational|float>
-# Then one record per word of degree <= N in graded-lex order:
+# Then one record per word of degree <= N in graded-lex order, that is the
+# levels one after another:
 #     <comma-joined letters>;<value>
 # The empty word is the empty string; rational values are n/d in lowest
-# terms, float values use repr() so they round-trip exactly.
+# terms, float values use repr() so they round-trip exactly and are finite.
 
 
 def format_series(r: Series) -> str:
     lines = [f"cfseries m={r.m} N={r.max_degree} mode={r.mode}"]
-    for w in words_up_to(r.m, r.max_degree):
-        c = r.coeffs.get(w, zero_scalar(r.mode))
-        if r.mode == RATIONAL:
-            val = f"{c.numerator}/{c.denominator}"
-        else:
-            val = repr(c)
+    for w, c in zip(words_up_to(r.m, r.max_degree), chain.from_iterable(r.levels)):
+        val = f"{c.numerator}/{c.denominator}" if r.mode == RATIONAL else repr(c)
         lines.append(",".join(map(str, w)) + ";" + val)
     return "\n".join(lines) + "\n"
 
@@ -336,7 +354,7 @@ def parse_series(text: str) -> Series:
             f"header m={m}, N={n} does not match the {len(body)} records found",
             line=len(lines),
         )
-    coeffs: dict[Word, object] = {}
+    values = []
     expected = words_up_to(m, n)
     for k, ln in enumerate(body):
         if ";" not in ln:
@@ -351,9 +369,11 @@ def parse_series(text: str) -> Series:
             val = Fraction(vtxt) if mode == RATIONAL else float(vtxt)
         except (ValueError, ZeroDivisionError):
             raise ParseError("bad coefficient value", line=k + 2, token=vtxt) from None
-        if val != 0:
-            coeffs[w] = val
-    return Series(m, n, coeffs, mode)
+        if mode == FLOAT and not math.isfinite(val):
+            raise ParseError("non-finite coefficient value", line=k + 2, token=vtxt)
+        values.append(val)
+    levels = [values[word_count(m, k - 1) : word_count(m, k)] for k in range(n + 1)]
+    return Series(m, n, mode=mode, levels=levels)
 
 
 def read_series(path) -> Series:
@@ -364,3 +384,14 @@ def read_series(path) -> Series:
 def word_count(m: int, n: int) -> int:
     """Number of words of degree <= n: sum_{k<=n} (m+1)^k."""
     return sum((m + 1) ** k for k in range(n + 1))
+
+
+def check_word_count(m: int, n: int, what: str = "truncation degree") -> None:
+    """Raise DegreeError if the words of degree <= n over {0..m} outnumber MAX_WORDS."""
+    # From n = 64 on, word_count(m, n) > 2**n > MAX_WORDS; not summed, as n may be huge.
+    count = word_count(m, n) if n < 64 else f"more than 2^{n}"
+    if n >= 64 or count > MAX_WORDS:
+        raise DegreeError(
+            f"{what} {n} asks for {count} words over the alphabet {{0..{m}}}, "
+            f"above the limit of {MAX_WORDS}"
+        )

@@ -13,13 +13,23 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import exactla
 from .errors import DegreeError, ModeMismatchError
-from .fps import FLOAT, RATIONAL, Series, Word, coefficient_table, words_up_to
+from .fps import (
+    FLOAT,
+    RATIONAL,
+    Series,
+    Word,
+    hankel_column,
+    to_float,
+    word_count,
+    word_index,
+    words_up_to,
+    zero_scalar,
+)
 from .freelie import expand_bracket, lyndon_words, standard_bracketing
 
 DEFAULT_TOLERANCE = 1e-9
@@ -44,8 +54,7 @@ class HankelBlock:
         return (len(self.row_words), len(self.col_words))
 
     def entry(self, u: Word, v: Word):
-        i = self.row_words.index(tuple(u))
-        j = self.col_words.index(tuple(v))
+        i, j = (word_count(self.m, len(w) - 1) + word_index(w, self.m) for w in (u, v))
         return self.entries[i][j]
 
 
@@ -84,18 +93,16 @@ def hankel_build(s: Series, d_r: int, d_c: int) -> HankelBlock:
         raise DegreeError(
             f"insufficient series degree: need {d_r + d_c}, have {s.max_degree}"
         )
-    rows = words_up_to(s.m, d_r)
     cols = words_up_to(s.m, d_c)
-    entries = tuple(tuple(row) for row in coefficient_table(s, rows, cols))
-    return HankelBlock(s.m, tuple(rows), tuple(cols), entries, s.mode)
+    entries = tuple(zip(*(hankel_column(s, v, d_r) for v in cols)))
+    return HankelBlock(s.m, tuple(words_up_to(s.m, d_r)), tuple(cols), entries, s.mode)
 
 
 def rank_exact(h: HankelBlock) -> RankReport:
     """Exact rank by fraction-free elimination; rational-mode blocks only."""
     if h.mode != RATIONAL:
         raise ModeMismatchError("exact rank requires a rational-mode block")
-    d_r = max((len(w) for w in h.row_words), default=0)
-    d_c = max((len(w) for w in h.col_words), default=0)
+    d_r, d_c = len(h.row_words[-1]), len(h.col_words[-1])  # graded-lex: last is longest
     rk = exactla.rank([list(row) for row in h.entries])
     return RankReport(rank=rk, mode="exact", truncation={"d_r": d_r, "d_c": d_c})
 
@@ -137,8 +144,7 @@ def rank_numeric(h: HankelBlock, tol: float = DEFAULT_TOLERANCE, radius: float =
     row_scale = np.array([_growth_scale(len(u), radius) for u in h.row_words])
     col_scale = np.array([_growth_scale(len(v), radius) for v in h.col_words])
     rk, svals = _svd_rank(row_scale[:, None] * a * col_scale[None, :], tol)
-    d_r = max((len(w) for w in h.row_words), default=0)
-    d_c = max((len(w) for w in h.col_words), default=0)
+    d_r, d_c = len(h.row_words[-1]), len(h.col_words[-1])  # graded-lex: last is longest
     return RankReport(
         rank=rk,
         mode="numeric",
@@ -169,10 +175,10 @@ def f_y_apply(s: Series, p: Series, n_obs: int) -> list:
         raise DegreeError(
             f"insufficient series degree: need {deg_p + n_obs}, have {s.max_degree}"
         )
-    zero = Fraction(0) if s.mode == RATIONAL else 0.0
-    weights = list(p.coeffs.values())
-    table = coefficient_table(s, words_up_to(s.m, n_obs), list(p.coeffs))
-    return [sum((cv * x for cv, x in zip(weights, row)), zero) for row in table]
+    out = [zero_scalar(s.mode)] * word_count(s.m, n_obs)
+    for v, cv in p.coeffs.items():
+        out = [acc + cv * x for acc, x in zip(out, hankel_column(s, v, n_obs))]
+    return out
 
 
 def lie_rank(
@@ -198,8 +204,6 @@ def lie_rank(
     for ell in lyndon_words(s.m, n_bracket):
         p = expand_bracket(standard_bracketing(ell), s.m)
         if s.mode == FLOAT:
-            from .fps import to_float
-
             p = to_float(p)
         vectors.append(f_y_apply(s, p, n_obs))
     truncation = {"n_bracket": n_bracket, "n_obs": n_obs}

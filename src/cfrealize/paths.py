@@ -14,6 +14,8 @@ Conventions shared by everything in this module:
 * The iterated integral of a word integrates the tail of the word first: the
   outermost integration variable carries the first letter.  Discretization is
   the trapezoidal rule, which converges to the Stratonovich value.
+* An integral table holds level k as one ((m+1)^k, J+1) array, the word w's
+  trajectory in row ``word_index(w, m)`` (the layout of :mod:`cfrealize.fps`).
 * Model simulation uses the Heun predictor-corrector scheme on the same
   increment stream as the integral tables, so series-vs-simulation
   comparisons are pathwise, not merely in distribution.
@@ -26,13 +28,14 @@ Conventions shared by everything in this module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 
 import numpy as np
 
 from .errors import DegreeError, DivergenceError, PositivityError
-from .fps import Series, Word
+from .fps import Series, word_index
 from .symdiff import (
     AnalyticModel,
     BilinearModel,
@@ -235,14 +238,20 @@ def sample_diffusion_input(
 class IteratedIntegralTable:
     """All iterated Stratonovich integrals of one path up to a degree.
 
-    ``values[w]`` holds the trajectory of the integral of the word w along
-    the grid; the empty word is identically 1.
+    ``table[w]`` is the trajectory of the integral of the word w along the
+    grid, row ``word_index(w, m)`` of ``levels[len(w)]``; the empty word is
+    identically 1.
     """
 
     m: int
     degree: int
     grid: np.ndarray
-    values: dict = field(default_factory=dict)
+    levels: tuple = ()
+
+    def __getitem__(self, w) -> np.ndarray:
+        if len(w) > self.degree:
+            raise DegreeError(f"word of degree {len(w)} beyond table degree {self.degree}")
+        return self.levels[len(w)][word_index(w, self.m)]
 
 
 def iterated_stratonovich(path: SamplePath, degree: int) -> IteratedIntegralTable:
@@ -258,34 +267,40 @@ def iterated_stratonovich(path: SamplePath, degree: int) -> IteratedIntegralTabl
     the sum telescopes and I_(i,i) = W_i^2 / 2 exactly on any grid.  For
     (i, i, i) each cell adds a local error dW_{i,j}^3 / 12, so
     I_(i,i,i) - W_i^3 / 6 is the running sum of those terms.
+
+    Level k is one block per first letter i: word_index((i,) + tail) = i * R
+    + word_index(tail), R = (m+1)^(k-1), so block i is rows [i*R, (i+1)*R) in
+    tail order, formed in place (the last block first holds the midpoints).
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if path.values.ndim != 2:
         raise ValueError("iterated_stratonovich takes one path; use path.replicate(k)")
     incs = path.increments()  # (J, m+1)
-    table: dict[Word, np.ndarray] = {(): np.ones(path.grid.size)}
-    prev: dict[Word, np.ndarray] = {(): table[()]}
-    for _ in range(degree):
-        nxt: dict[Word, np.ndarray] = {}
-        for tail, tail_vals in prev.items():
-            mid = 0.5 * (tail_vals[:-1] + tail_vals[1:])
-            for i in range(path.m + 1):
-                w = (i,) + tail
-                traj = np.empty(path.grid.size)
-                traj[0] = 0.0
-                np.cumsum(mid * incs[:, i], out=traj[1:])
-                nxt[w] = traj
-        table.update(nxt)
-        prev = nxt
-    return IteratedIntegralTable(path.m, degree, path.grid, table)
+    # The levels are row blocks of one array: one allocation per table, which
+    # keeps the peak RSS of a study that builds many tables where it was.
+    bounds = list(accumulate(((path.m + 1) ** k for k in range(degree + 1)), initial=0))
+    table = np.zeros((bounds[-1], path.grid.size))
+    table[0] = 1.0
+    levels = tuple(table[a:b] for a, b in zip(bounds, bounds[1:]))
+    for prev, level in zip(levels, levels[1:]):
+        rows = len(prev)
+        mid = level[-rows:, 1:]
+        np.add(prev[:, :-1], prev[:, 1:], out=mid)
+        mid *= 0.5
+        for i in range(path.m + 1):
+            block = level[i * rows : (i + 1) * rows, 1:]
+            np.multiply(mid, incs[:, i], out=block)
+            np.cumsum(block, axis=1, out=block)
+    return IteratedIntegralTable(path.m, degree, path.grid, levels)
 
 
 def cf_trajectory(s: Series, table: IteratedIntegralTable, max_degree: int | None = None) -> np.ndarray:
     """Trajectory of the truncated series along the whole grid.
 
     ``max_degree`` optionally restricts the sum to words of at most that
-    degree (useful for truncation-error studies on one table).
+    degree (useful for truncation-error studies on one table).  Terms are
+    added in graded-lex order, skipping zero coefficients.
     """
     if s.m != table.m:
         raise ValueError(f"alphabet mismatch: series m={s.m}, table m={table.m}")
@@ -293,9 +308,10 @@ def cf_trajectory(s: Series, table: IteratedIntegralTable, max_degree: int | Non
     if table.degree < limit:
         raise DegreeError(f"table degree {table.degree} below requested degree {limit}")
     out = np.zeros(table.grid.size)
-    for w, c in s.coeffs.items():
-        if len(w) <= limit:
-            out += float(c) * table.values[w]
+    rows = chain.from_iterable(table.levels)
+    for c, row in zip(chain.from_iterable(s.levels[: limit + 1]), rows):
+        if c:
+            out += float(c) * row
     return out
 
 

@@ -34,8 +34,9 @@ from .fps import (
     Series,
     Word,
     coefficient,
-    coefficient_table,
-    words_up_to,
+    hankel_column,
+    to_float,
+    words_of_degree,
     zero_scalar,
 )
 from .hankel import hankel_build, rank_exact
@@ -82,21 +83,13 @@ def verify_realization(model: BilinearModel, s: Series, n_max: int) -> Discrepan
         raise ValueError(f"alphabet mismatch: model m={model.m}, series m={s.m}")
     got = bilinear_coefficients(model, n_max)
     if s.mode != RATIONAL:
-        from .fps import to_float
-
         got = to_float(got)
-    words = words_up_to(s.m, n_max)
-    (got_row,) = coefficient_table(got, [EMPTY_WORD], words)
-    (want_row,) = coefficient_table(s, [EMPTY_WORD], words)
-    zero = zero_scalar(s.mode)
-    worst = None
-    worst_word = None
-    for w, a, b in zip(words, got_row, want_row):
-        d = abs(a - b) if a != b else zero
-        if worst is None or d > worst:
-            worst = d
-            worst_word = w
-    return DiscrepancyReport(max_abs=worst, worst_word=worst_word, degree=n_max)
+    worst, (k, i) = zero_scalar(s.mode), (0, 0)
+    for level, (got_level, want_level) in enumerate(zip(got.levels, s.levels)):
+        for index, (a, b) in enumerate(zip(got_level, want_level)):
+            if a != b and abs(a - b) > worst:
+                worst, k, i = abs(a - b), level, index
+    return DiscrepancyReport(max_abs=worst, worst_word=words_of_degree(s.m, k)[i], degree=n_max)
 
 
 def _empty_model(m: int) -> BilinearModel:
@@ -145,24 +138,19 @@ def bilinear_realize(s: Series, n_budget: int | None = None) -> RealizationResul
             "possibly infinite Hankel rank"
         )
 
-    obs_words = words_up_to(s.m, n - depth)
-
-    def columns(vs: list[Word]) -> list[tuple]:
-        """Hankel columns [s(u.v) for u in obs_words], one per word v."""
-        return list(zip(*coefficient_table(s, obs_words, vs)))
-
-    span = RowSpan(len(obs_words))
+    obs = n - depth  # observation degree of the Hankel columns
+    empty_column = hankel_column(s, EMPTY_WORD, obs)
+    span = RowSpan(len(empty_column))
     basis: list[Word] = []
     frontier: list[Word] = []
-    (empty_column,) = columns([EMPTY_WORD])
     if span.add(empty_column):
         basis.append(())
         frontier.append(())
     for _deg in range(1, depth + 1):
         candidates = sorted((i,) + v for v in frontier for i in range(s.m + 1))
         frontier = []
-        for v, col in zip(candidates, columns(candidates)):
-            if span.add(col):
+        for v in candidates:
+            if span.add(hankel_column(s, v, obs)):
                 basis.append(v)
                 frontier.append(v)
         if not frontier:
@@ -181,9 +169,8 @@ def bilinear_realize(s: Series, n_budget: int | None = None) -> RealizationResul
         mats = []
         for i in range(s.m + 1):
             cols = []
-            shifted = [(i,) + v for v in basis]
-            for w, col in zip(shifted, columns(shifted)):
-                coords = span.coords(col)
+            for w in ((i,) + v for v in basis):
+                coords = span.coords(hankel_column(s, w, obs))
                 if coords is None:
                     raise ShiftInconsistencyError(
                         f"column of word {w} escapes the selected basis; "

@@ -24,7 +24,7 @@ from operator import add
 import numpy as np
 
 from .errors import AlphabetError, MonomialBudgetError, ParseError
-from .fps import RATIONAL, Series, Word, words_of_degree
+from .fps import RATIONAL, Series
 
 Exponents = tuple[int, ...]
 
@@ -384,7 +384,7 @@ def cf_coefficients(model: AnalyticModel, n_max: int, term_budget: int = DEFAULT
     output's initial value).  The readout and fields are first rewritten exactly in
     y = x - x0, where a coefficient is the constant term of the iterated
     derivative.  The words are walked breadth-first, one Lie derivative per
-    word from its prefix's derivative.
+    word from its prefix's derivative, and held in the series' level order.
 
     Truncation is exact (Taylor-mode differentiation): a Lie derivative
     differentiates once and multiplies by field terms of degree >= 0, so it
@@ -408,27 +408,23 @@ def cf_coefficients(model: AnalyticModel, n_max: int, term_budget: int = DEFAULT
         for g in model.fields
     ]
     origin = (0,) * model.n
-    level: dict[Word, dict[Exponents, Fraction]] = {(): _translate(model.readout, model.x0, n_max)}
-    coeffs: dict[Word, Fraction] = {(): level[()].get(origin, Fraction(0))}
+    level = [_translate(model.readout, model.x0, n_max)]
+    levels = [[level[0].get(origin, 0)]]
     for remaining in range(n_max - 1, -1, -1):
-        held = sum(len(phi) for phi in level.values())
-        nxt: dict[Word, dict[Exponents, Fraction]] = {}
-        for w, phi in level.items():
-            for i, field in enumerate(fields):
-                psi = _lie_jet(field, phi, remaining)
-                if not psi:
-                    continue
-                word = w + (i,)
-                nxt[word] = psi
-                if origin in psi:
-                    coeffs[word] = psi[origin]
+        held = sum(map(len, level))
+        nxt = []
+        for phi in level:
+            for field in fields:
+                psi = _lie_jet(field, phi, remaining) if phi else {}
+                nxt.append(psi)
                 held += len(psi)
                 if held > term_budget:
                     raise MonomialBudgetError(
                         f"iterated Lie derivatives exceed {term_budget} live monomials"
                     )
         level = nxt
-    return Series(model.m, n_max, coeffs, RATIONAL)
+        levels.append([psi.get(origin, 0) for psi in level])
+    return Series(model.m, n_max, mode=RATIONAL, levels=levels)
 
 
 def _over_common_denominator(values) -> tuple[list[int], int]:
@@ -445,9 +441,9 @@ def bilinear_coefficients(model: BilinearModel, n_max: int) -> Series:
     r_empty = C, r_{w.i} = r_w * A_i, i.e. C * A_{i1} * ... * A_{ik} * x0.
     A_0..A_m, C and x0 are each scaled to integers over one common
     denominator, and level k is held as a ((m+1)^k, n) integer array whose
-    row idx(w) * (m+1) + i is r_{w.i}; rows therefore come in graded-lex
-    order, and each level's coefficients are one integer mat-vec with x0
-    over a single per-level denominator.
+    row idx(w) * (m+1) + i is r_{w.i}; rows therefore come in the series'
+    level order, and each level's coefficients are one integer mat-vec with
+    x0 over one per-level denominator, handed to the series as that level.
     """
     if n_max < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -459,15 +455,14 @@ def bilinear_coefficients(model: BilinearModel, n_max: int) -> Series:
     x0 = np.array(x0, dtype=object)
     den *= den_x
     level = np.array(c, dtype=object).reshape(1, n)
-    coeffs: dict[Word, Fraction] = {}
+    levels = []
+    zero = Fraction(0)
     for k in range(n_max + 1):
         if k:
             level = np.stack([level @ a for a in mats], axis=1).reshape(len(level) * (m + 1), n)
             den *= den_a
-        for w, num in zip(words_of_degree(m, k), (level @ x0).tolist()):
-            if num:
-                coeffs[w] = Fraction(num, den)
-    return Series(m, n_max, coeffs, RATIONAL)
+        levels.append([Fraction(num, den) if num else zero for num in (level @ x0).tolist()])
+    return Series(m, n_max, mode=RATIONAL, levels=levels)
 
 
 def is_spd(q) -> bool:
@@ -804,26 +799,38 @@ def parse_model(text: str):
             raise ParseError(f"unknown key {key!r}", line=fields[key][1], token=key)
         return BilinearModel(n, m, tuple(x0), tuple(mats), tuple(c))
 
+    lines = text.splitlines()
+
+    def polynomial(key: str, comp: str, no: int, column: int) -> MultiPoly:
+        """Parse one polynomial that starts at ``column`` of line ``no``; an
+        error keeps the parser's message and token and counts its column
+        (from 0, as the parser does) in the whole line."""
+        try:
+            return parse_polynomial(comp, n)
+        except ParseError as exc:
+            raise ParseError(
+                f"in {key}: {exc.message}", line=no, column=column + exc.column, token=exc.token
+            ) from None
+
+    def value_column(value: str, no: int) -> int:
+        raw = lines[no - 1]
+        return raw.index(value, raw.index("=") + 1)
+
     vfs = []
     for i in range(m + 1):
         value, no = need(f"g{i}")
-        comps = [s.strip() for s in value.split(",")]
-        if len(comps) != n:
+        pieces = value.split(",")
+        if len(pieces) != n:
             raise ParseError(f"g{i} needs {n} components", line=no, token=value)
         parsed = []
-        for comp in comps:
-            try:
-                parsed.append(parse_polynomial(comp, n))
-            except ParseError as exc:
-                raise ParseError(
-                    f"in g{i}: {exc.args[0]}", line=no, token=exc.token
-                ) from None
+        column = value_column(value, no)
+        for piece in pieces:
+            comp = piece.strip()
+            parsed.append(polynomial(f"g{i}", comp, no, column + piece.index(comp)))
+            column += len(piece) + 1
         vfs.append(PolyVectorField(tuple(parsed)))
     h_text, h_line = need("h")
-    try:
-        readout = parse_polynomial(h_text, n)
-    except ParseError as exc:
-        raise ParseError(f"in h: {exc.args[0]}", line=h_line, token=exc.token) from None
+    readout = polynomial("h", h_text, h_line, value_column(h_text, h_line))
     if fields:
         key = next(iter(fields))
         raise ParseError(f"unknown key {key!r}", line=fields[key][1], token=key)

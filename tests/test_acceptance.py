@@ -102,7 +102,7 @@ def test_criterion_4a_time_word_exact():
     t0 = time.monotonic()
     path = cf.sample_brownian(cf.QSpec.identity(1), cf.make_grid(0.25, 4096), 41)
     table = cf.iterated_stratonovich(path, 2)
-    err = float(np.max(np.abs(table.values[(0, 0)] - path.grid**2 / 2)))
+    err = float(np.max(np.abs(table[(0, 0)] - path.grid**2 / 2)))
     elapsed = time.monotonic() - t0
     report(
         "4a",
@@ -135,8 +135,8 @@ def test_criterion_4b_repeated_letter_refinement():
             )
             table = cf.iterated_stratonovich(path, 3)
             w = path.values[-1, 0]
-            max_err2 = max(max_err2, abs(table.values[(1, 1)][-1] - w * w / 2))
-            errs3.append(table.values[(1, 1, 1)][-1] - w**3 / 6)
+            max_err2 = max(max_err2, abs(table[(1, 1)][-1] - w * w / 2))
+            errs3.append(table[(1, 1, 1)][-1] - w**3 / 6)
         rms.append(float(np.sqrt(np.mean(np.square(errs3)))))
     factors = [rms[i] / rms[i + 1] for i in range(2)]
     elapsed = time.monotonic() - t0
@@ -160,10 +160,10 @@ def test_criterion_4c_shuffle_identity_smooth_path():
         grid = cf.make_grid(1.0, steps)
         path = cf.SamplePath(grid, np.sin(grid)[:, None])
         table = cf.iterated_stratonovich(path, 3)
-        prod = table.values[u] * table.values[v]
+        prod = table[u] * table[v]
         mix = np.zeros_like(prod)
         for w, c in sh.coeffs.items():
-            mix += float(c) * table.values[w]
+            mix += float(c) * table[w]
         defects.append(float(np.max(np.abs(prod - mix))))
     ratio = defects[0] / defects[1]
     elapsed = time.monotonic() - t0

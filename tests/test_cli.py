@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from cfrealize import coefficient, read_series
-from cfrealize.cli import MAX_WORDS, main
-from cfrealize.fps import word_count
+from cfrealize.cli import main
+from cfrealize.fps import MAX_WORDS, word_count
 
 DRIFT_MODEL = "n = 1\nm = 1\nx0 = 0\ng0 = 1\ng1 = 0\nh = x1\n"
 SCALAR_BILINEAR = (
@@ -105,6 +105,44 @@ class TestOversizedFlags:
         assert rc == 1 and peak < 2**20
         assert word_count(2, 13) > MAX_WORDS
         assert str(word_count(2, 13)) in capsys.readouterr().err
+
+
+class TestBadCounts:
+    # A0 = 10^64: the coefficient of 0^k is 10^(64k), past the float range
+    # from k = 5 on.
+    HUGE = "type = bilinear\nn = 1\nm = 1\nx0 = 1\nA0 = 1" + "0" * 64 + "\nA1 = 0\nC = 1\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["coeffs", "--mode", "float"], ["compare", "--seed", "1", "--grid", "8"]]
+    )
+    def test_float_overflow_names_word(self, tmp_path, capsys, argv):
+        model = write(tmp_path / "model.txt", self.HUGE)
+        out = tmp_path / "out"
+        rc = main(argv + ["--model", model, "--deg", "6", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "coefficient of word (0, 0, 0, 0, 0) is outside the float range" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate", "--model", "M"],
+            ["compare", "--model", "M", "--deg", "2"],
+            ["ito-check"],
+            ["hijab-check", "--model", "M"],
+            ["demo-zakai"],
+        ],
+    )
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_replicate_count_below_one_rejected(self, tmp_path, capsys, command, reps):
+        model = write(tmp_path / "model.txt", QUADRATIC_MODEL)
+        out = tmp_path / "out"
+        argv = [model if a == "M" else a for a in command]
+        rc = main(argv + ["--reps", str(reps), "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert f"--reps must be at least 1, got {reps}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRank:

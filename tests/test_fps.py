@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from cfrealize import (
     AlphabetError,
+    CFError,
     DegreeError,
     ModeMismatchError,
     ParseError,
     Series,
     coefficient,
-    coefficient_table,
     concat,
+    hankel_column,
     series_linear_combine,
     series_product,
     shuffle,
@@ -23,12 +24,15 @@ from cfrealize import (
 )
 from cfrealize.fps import (
     FLOAT,
+    MAX_WORDS,
     RATIONAL,
     format_series,
     parse_series,
     shuffle_counts,
     word_count,
+    word_index,
     word_key,
+    words_of_degree,
 )
 
 words_strategy = st.lists(st.integers(0, 2), max_size=4).map(tuple)
@@ -80,6 +84,18 @@ class TestWords:
         assert concat((), (1, 0)) == (1, 0)
         assert concat((0,), (1,)) == (0, 1)
         assert concat((1, 2), (0,)) == (1, 2, 0)
+
+    def test_word_index_inverts_listing(self):
+        for m in (1, 2, 3):
+            for d in range(4):
+                indices = [word_index(w, m) for w in words_of_degree(m, d)]
+                assert indices == list(range((m + 1) ** d))
+        with pytest.raises(AlphabetError):
+            word_index((0, 2), 1)
+
+    @given(words_strategy, words_strategy)
+    def test_word_index_of_concatenation(self, u, v):
+        assert word_index(concat(u, v), 2) == word_index(u, 2) * 3 ** len(v) + word_index(v, 2)
 
     @given(words_strategy, words_strategy, words_strategy)
     def test_concat_associative_with_unit(self, u, v, w):
@@ -162,6 +178,32 @@ class TestSeriesAlgebra:
             series_product(z(0, m=1), z(0, m=2))
 
 
+class TestLevels:
+    def test_levels_hold_every_word_in_index_order(self):
+        s = Series(2, 2, {(1,): 3, (2, 0): Fraction(1, 2)})
+        assert [len(level) for level in s.levels] == [1, 3, 9]
+        assert s.levels[1] == (0, 3, 0)
+        assert s.levels[2][word_index((2, 0), 2)] == Fraction(1, 2)
+        assert Series(2, 2, levels=s.levels) == s
+        assert dict(s.coeffs) == {(1,): 3, (2, 0): Fraction(1, 2)}
+        with pytest.raises(TypeError):
+            s.coeffs[(0,)] = 1
+        with pytest.raises(ValueError):
+            Series(2, 2, levels=s.levels[:2])
+
+    def test_negative_zero_stored_as_zero(self):
+        s = Series(1, 1, {(0,): -0.0, (1,): 2.0}, FLOAT)
+        assert s.coeffs == {(1,): 2.0}
+        assert format_series(s).splitlines()[2] == "0;0.0"
+
+    def test_word_count_bound(self):
+        assert word_count(1, 18) <= MAX_WORDS < word_count(1, 19)
+        Series.zero(1, 18)
+        for n in (19, 10**9):
+            with pytest.raises(DegreeError):
+                Series.zero(1, n)
+
+
 class TestCoefficient:
     def test_zero_series(self):
         assert coefficient(Series.zero(1, 3), (0, 1)) == 0
@@ -224,23 +266,23 @@ class TestShuffle:
             assert left == right
 
 
-class TestCoefficientTable:
+class TestHankelColumn:
     def test_matches_single_lookups(self):
         s = Series(2, 4, {w: Fraction(len(w) + 1, sum(w) + 1) for w in words_up_to(2, 4)})
         rows, cols = words_up_to(2, 2), words_up_to(2, 1) + [[1, 2]]
-        table = coefficient_table(s, rows, cols)
-        assert table == [[coefficient(s, u + tuple(v)) for v in cols] for u in rows]
-        assert coefficient_table(s, [], cols) == []
-        assert coefficient_table(s, rows, []) == [[] for _ in rows]
+        for v in cols:
+            assert hankel_column(s, v, 2) == [coefficient(s, u + tuple(v)) for u in rows]
+        assert hankel_column(s, (1,), -1) == []
+        assert [hankel_column(s, v, 2) for v in []] == []
 
     def test_same_errors_as_single_lookups(self):
         s = Series(1, 3, {(0,): 1})
         with pytest.raises(DegreeError):
-            coefficient_table(s, [(), (0, 1)], [(1, 1)])
+            hankel_column(s, (1, 1), 2)
         with pytest.raises(AlphabetError):
-            coefficient_table(s, [()], [(0,), (2,)])
+            hankel_column(s, (2,), 0)
         with pytest.raises(AlphabetError):
-            coefficient_table(s, [(-1,)], [()])
+            hankel_column(s, (-1,), 0)
 
 
 class TestSeriesFile:
@@ -261,7 +303,8 @@ class TestSeriesFile:
         m = data.draw(st.integers(1, 3))
         n = data.draw(st.integers(0, 3))
         mode = data.draw(st.sampled_from([RATIONAL, FLOAT]))
-        value = st.fractions() if mode == RATIONAL else st.floats(allow_nan=False)
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        value = st.fractions() if mode == RATIONAL else finite
         coeffs = data.draw(st.dictionaries(st.sampled_from(words_up_to(m, n)), value))
         s = Series(m, n, coeffs, mode)
         assert parse_series(format_series(s)) == s
@@ -273,6 +316,22 @@ class TestSeriesFile:
         bad = good.replace("1;0/1", "2;0/1")
         with pytest.raises(ParseError):
             parse_series(bad)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_line_and_token(self, value):
+        text = format_series(to_float(Series(1, 1, {(1,): 1})))
+        with pytest.raises(ParseError) as err:
+            parse_series(text.replace("1;1.0", "1;" + value))
+        assert (err.value.line, err.value.token) == (4, value)
+
+    def test_rational_value_past_float_range_parses(self):
+        s = Series(1, 1, {(1,): Fraction(10**400, 3)})
+        assert parse_series(format_series(s)) == s
+
+    def test_to_float_names_word_out_of_range(self):
+        s = Series(1, 2, {(0,): 10**300, (0, 1): 10**400, (1, 1): -(10**400)})
+        with pytest.raises(CFError, match=r"word \(0, 1\)"):
+            to_float(s)
 
     def test_record_count_checked(self):
         good = format_series(Series.zero(1, 1)).splitlines()

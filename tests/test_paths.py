@@ -25,6 +25,7 @@ from cfrealize import (
     simulate_analytic,
     simulate_bilinear,
     to_float,
+    words_up_to,
     zakai_build,
 )
 from cfrealize.paths import replicate_seed, zakai_readout
@@ -160,26 +161,56 @@ class TestIteratedIntegrals:
         path = sample_brownian(QSpec.identity(1), make_grid(0.25, 64), 11)
         table = iterated_stratonovich(path, 4)
         t = path.grid
-        assert np.allclose(table.values[(0,)], t, atol=1e-15)
-        assert np.allclose(table.values[(0, 0)], t**2 / 2, atol=1e-15)
-        assert np.max(np.abs(table.values[(0, 0, 0, 0)] - t**4 / 24)) <= (0.25 / 64) ** 2
+        assert np.allclose(table[(0,)], t, atol=1e-15)
+        assert np.allclose(table[(0, 0)], t**2 / 2, atol=1e-15)
+        assert np.max(np.abs(table[(0, 0, 0, 0)] - t**4 / 24)) <= (0.25 / 64) ** 2
 
     def test_repeated_noise_letter_chain_rule(self):
         path = sample_brownian(QSpec.identity(1), make_grid(0.25, 256), 12)
         table = iterated_stratonovich(path, 3)
         w = path.values[:, 0]
-        assert np.max(np.abs(table.values[(1, 1)] - w**2 / 2)) <= 1e-12
+        assert np.max(np.abs(table[(1, 1)] - w**2 / 2)) <= 1e-12
         # (1,1,1) is not exact: each cell adds dW^3/12 to I_(1,1,1) - W^3/6
         dw = np.diff(w)
         local = np.concatenate([[0.0], np.cumsum(dw**3 / 12)])
-        defect = table.values[(1, 1, 1)] - w**3 / 6
+        defect = table[(1, 1, 1)] - w**3 / 6
         assert np.max(np.abs(local)) > 1e-6
         assert np.max(np.abs(defect - local)) <= 1e-13
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_rows_match_per_word_recursion(self, m):
+        # Reference: the per-word recursion the level build replaced, one
+        # trajectory per word from its tail's midpoints and the increments
+        # of its first letter.
+        path = sample_brownian(QSpec.identity(m), make_grid(0.25, 256), 21)
+        incs = path.increments()
+        ref = {(): np.ones(path.grid.size)}
+        prev = dict(ref)
+        for _ in range(4):
+            nxt = {}
+            for tail, vals in prev.items():
+                mid = 0.5 * (vals[:-1] + vals[1:])
+                for i in range(m + 1):
+                    traj = np.empty(path.grid.size)
+                    traj[0] = 0.0
+                    np.cumsum(mid * incs[:, i], out=traj[1:])
+                    nxt[(i,) + tail] = traj
+            ref.update(nxt)
+            prev = nxt
+        table = iterated_stratonovich(path, 4)
+        assert [level.shape for level in table.levels] == [
+            ((m + 1) ** k, path.grid.size) for k in range(5)
+        ]
+        stacked = np.array([ref[w] for w in words_up_to(m, 4)])
+        assert np.concatenate(table.levels).tobytes() == stacked.tobytes()
+        assert all(table[w].tobytes() == traj.tobytes() for w, traj in ref.items())
+        with pytest.raises(DegreeError):
+            table[(0,) * 5]
 
     def test_empty_word_is_one(self):
         path = sample_brownian(QSpec.identity(1), make_grid(0.25, 8), 1)
         table = iterated_stratonovich(path, 0)
-        assert np.all(table.values[()] == 1.0)
+        assert np.all(table[()] == 1.0)
 
     def test_shuffle_identity_smooth_path_second_order(self):
         # defect of I_u I_v = sum of shuffle integrals decays at quadrature
@@ -188,10 +219,10 @@ class TestIteratedIntegrals:
         for steps in (64, 128):
             table = iterated_stratonovich(sin_path(steps), 3)
             u, v = (0, 1), (0,)
-            prod = table.values[u] * table.values[v]
+            prod = table[u] * table[v]
             mix = np.zeros_like(prod)
             for w, c in shuffle(u, v, 1).coeffs.items():
-                mix += float(c) * table.values[w]
+                mix += float(c) * table[w]
             defects.append(np.max(np.abs(prod - mix)))
         assert defects[0] / defects[1] >= 3.0
 
@@ -206,8 +237,8 @@ class TestIteratedIntegrals:
             for k in range(200):
                 path = sample_brownian(QSpec.identity(1), make_grid(0.25, steps), replicate_seed(77, k))
                 table = iterated_stratonovich(path, 3)
-                prod = table.values[u][-1] * table.values[v][-1]
-                mix = sum(float(c) * table.values[w][-1] for w, c in sh.coeffs.items())
+                prod = table[u][-1] * table[v][-1]
+                mix = sum(float(c) * table[w][-1] for w, c in sh.coeffs.items())
                 defects.append(prod - mix)
             rms.append(float(np.sqrt(np.mean(np.square(defects)))))
         assert rms[0] / rms[1] >= 1.2
@@ -478,5 +509,5 @@ class TestDeterminism:
             path = sample_brownian(QSpec.identity(1), grid, 19)
             y = simulate_analytic(model, path)
             table = iterated_stratonovich(path, 3)
-            out.append((path.values.tobytes(), y.tobytes(), table.values[(0, 1)].tobytes()))
+            out.append((path.values.tobytes(), y.tobytes(), table[(0, 1)].tobytes()))
         assert out[0] == out[1]

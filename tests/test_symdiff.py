@@ -360,6 +360,25 @@ class TestPolynomialParser:
             parse_model("n = 1\nm = 1\nx0 = 0\ng0 = 1/0\ng1 = 0\nh = x1\n")
         assert err.value.line == 4 and err.value.token == "1/0"
 
+    def test_model_error_names_token_once_with_column(self):
+        text = "n = 1\nm = 1\nx0 = 0\ng0 = 1\ng1 = 0\nh  =  (1 + x1)^3000\n"
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        exc = err.value
+        assert str(exc).count("'3000'") == 1
+        assert (exc.line, exc.token) == (6, "3000")
+        assert text.splitlines()[5][exc.column :].startswith("3000")
+        assert str(exc) == (
+            f"in h: exponent above the limit of {MAX_EXPONENT} near '3000' (line 6, column 15)"
+        )
+        # a field component's column counts in the whole line too
+        text = "n = 2\nm = 1\nx0 = 0, 0\ng0 = x1,  x2 * qq\ng1 = 0, 0\nh = x1\n"
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert err.value.line == 4 and err.value.token == "q"
+        assert text.splitlines()[3][err.value.column :].startswith("qq")
+        assert str(err.value).startswith("in g0: unexpected character in polynomial near 'q'")
+
 
 class TestModelFiles:
     def test_analytic_round_trip(self):
@@ -372,6 +391,32 @@ class TestModelFiles:
 
     def test_bilinear_round_trip(self, rng):
         model = rand_bilinear(rng, 3, 2)
+        assert parse_model(format_model(model)) == model
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        bilinear = data.draw(st.booleans())
+        n = data.draw(st.integers(0 if bilinear else 1, 2))  # a vector field needs n >= 1
+        m = data.draw(st.integers(1, 2))
+        scalar = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+        def poly():
+            exps = st.tuples(*[st.integers(0, 2)] * n)
+            return MultiPoly(n, data.draw(st.dictionaries(exps, scalar, max_size=4)))
+
+        x0 = tuple(data.draw(scalar) for _ in range(n))
+        if bilinear:
+            mats = tuple(
+                tuple(tuple(data.draw(scalar) for _ in range(n)) for _ in range(n))
+                for _ in range(m + 1)
+            )
+            model = BilinearModel(n, m, x0, mats, tuple(data.draw(scalar) for _ in range(n)))
+        else:
+            fields = tuple(
+                PolyVectorField(tuple(poly() for _ in range(n))) for _ in range(m + 1)
+            )
+            model = AnalyticModel(n, m, x0, fields, poly())
         assert parse_model(format_model(model)) == model
 
     def test_missing_key(self):
