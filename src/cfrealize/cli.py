@@ -51,6 +51,14 @@ def _write_json(path: str, payload) -> None:
     _atomic_write(path, _json_text(payload))
 
 
+def _emit(args, name: str, payload) -> None:
+    """Print a JSON report, and write it to ``name`` under --out if given."""
+    text = _json_text(payload)
+    sys.stdout.write(text)
+    if args.out:
+        _atomic_write(os.path.join(args.out, name), text)
+
+
 def _check_word_count(m: int, flag: str, degree: int | None) -> None:
     if degree is not None:
         check_word_count(m, degree, flag)
@@ -75,6 +83,13 @@ def _trajectory_csv(grid, columns: dict[str, np.ndarray]) -> str:
         row = [repr(float(grid[j]))] + [repr(float(v[j])) for v in columns.values()]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def _write_replicates(out: str, grid, columns: dict[str, np.ndarray], count: int) -> None:
+    """One CSV per replicate k < count, rep<k>.csv, from (R, J+1) columns."""
+    for rep in range(count):
+        cols = {name: col[rep] for name, col in columns.items()}
+        _atomic_write(os.path.join(out, f"rep{rep:03d}.csv"), _trajectory_csv(grid, cols))
 
 
 def cmd_coeffs(args) -> int:
@@ -110,10 +125,7 @@ def cmd_rank(args) -> int:
     if args.bracket is not None and args.obs is not None:
         lie = hankel.lie_rank(s, args.bracket, args.obs, tol=args.tol)
         payload["lie"] = lie.as_dict()
-    text = _json_text(payload)
-    sys.stdout.write(text)
-    if args.out:
-        _atomic_write(os.path.join(args.out, "rank.json"), text)
+    _emit(args, "rank.json", payload)
     return 0
 
 
@@ -122,10 +134,7 @@ def cmd_lierank(args) -> int:
     for flag in ("bracket", "obs"):
         _check_word_count(s.m, f"--{flag}", getattr(args, flag))
     report = hankel.lie_rank(s, args.bracket, args.obs, tol=args.tol)
-    text = _json_text({"lie": report.as_dict()})
-    sys.stdout.write(text)
-    if args.out:
-        _atomic_write(os.path.join(args.out, "rank.json"), text)
+    _emit(args, "rank.json", {"lie": report.as_dict()})
     return 0
 
 
@@ -155,20 +164,15 @@ def _simulate_study(model, args):
     return path, paths.simulate_analytic(model, path)
 
 
-def _path_columns(path, rep: int) -> dict[str, np.ndarray]:
-    return {f"W{i + 1}": path.values[rep, :, i] for i in range(path.m)}
+def _path_columns(path) -> dict[str, np.ndarray]:
+    return {f"W{i + 1}": path.values[..., i] for i in range(path.m)}
 
 
 def cmd_simulate(args) -> int:
     _check_reps(args.reps)
     model = read_model(args.model)
     path, y = _simulate_study(model, args)
-    for rep in range(args.reps):
-        cols = _path_columns(path, rep)
-        cols["Y_sim"] = y[rep]
-        _atomic_write(
-            os.path.join(args.out, f"rep{rep:03d}.csv"), _trajectory_csv(path.grid, cols)
-        )
+    _write_replicates(args.out, path.grid, {**_path_columns(path), "Y_sim": y}, args.reps)
     terminal = y[:, -1].tolist()
     summary = {
         "horizon": args.horizon,
@@ -190,20 +194,17 @@ def cmd_compare(args) -> int:
     s = to_float(_series_coefficients(model, args.deg))
     path, y = _simulate_study(model, args)
     errors = {d: [] for d in range(1, args.deg + 1)}
+    ycf = np.empty_like(y)
     for rep in range(args.reps):
         # One table per replicate: a stacked degree-6 table would hold 127
         # trajectories of every replicate at once.
         table = paths.iterated_stratonovich(path.replicate(rep), args.deg)
-        ycf = paths.cf_trajectory(s, table)
+        ycf[rep] = paths.cf_trajectory(s, table)
         for d in errors:
             yd = paths.cf_trajectory(s, table, max_degree=d)
             errors[d].append(abs(float(yd[-1]) - float(y[rep, -1])))
-        cols = _path_columns(path, rep)
-        cols["Y_sim"] = y[rep]
-        cols["Y_cf"] = ycf
-        _atomic_write(
-            os.path.join(args.out, f"rep{rep:03d}.csv"), _trajectory_csv(path.grid, cols)
-        )
+    columns = {**_path_columns(path), "Y_sim": y, "Y_cf": ycf}
+    _write_replicates(args.out, path.grid, columns, args.reps)
     summary = {
         "horizon": args.horizon,
         "grid_steps": args.grid,
@@ -254,10 +255,7 @@ def cmd_ito_check(args) -> int:
         "linear_rms": linear_report.rms,
         "pass": bool(ok),
     }
-    text = _json_text(payload)
-    sys.stdout.write(text)
-    if args.out:
-        _atomic_write(os.path.join(args.out, "residuals.json"), text)
+    _emit(args, "residuals.json", payload)
     return 0 if ok else 1
 
 
@@ -276,10 +274,7 @@ def cmd_hijab_check(args) -> int:
     factor = rms[0] / rms[1] if rms[1] > 0 else float("inf")
     ok = factor >= DECAY_FACTOR
     payload = {"reports": reports, "ito_decay_factor": factor, "pass": bool(ok)}
-    text = _json_text(payload)
-    sys.stdout.write(text)
-    if args.out:
-        _atomic_write(os.path.join(args.out, "hijab.json"), text)
+    _emit(args, "hijab.json", payload)
     return 0 if ok else 1
 
 
@@ -305,16 +300,8 @@ def cmd_demo_zakai(args) -> int:
     pi_min = float(np.min(pi, initial=np.inf))
     pi_max = float(np.max(pi, initial=-np.inf))
     one_dev = float(np.max(np.abs(paths.normalize_filter(sigma_one, sigma_one) - 1.0), initial=0.0))
-    for rep in range(min(args.reps, 4)):
-        cols = {
-            "W1": path.values[rep, :, 0],
-            "sigma_phi": sigma_phi[rep],
-            "sigma_one": sigma_one[rep],
-            "pi": pi[rep],
-        }
-        _atomic_write(
-            os.path.join(args.out, f"rep{rep:03d}.csv"), _trajectory_csv(grid, cols)
-        )
+    columns = {**_path_columns(path), "sigma_phi": sigma_phi, "sigma_one": sigma_one, "pi": pi}
+    _write_replicates(args.out, grid, columns, min(args.reps, 4))
     summary = {
         "generator": generator,
         "obs": obs,
@@ -359,6 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
+    def study(p, grid: int, reps: int):
+        """The flags of a Monte Carlo study, with its default grid and reps."""
+        p.add_argument("--horizon", type=float, default=0.25)
+        p.add_argument("--grid", type=int, default=grid)
+        p.add_argument("--reps", type=int, default=reps)
+        p.add_argument("--seed", type=int, required=True, help=SEED_HELP)
+
     p = add("coeffs", cmd_coeffs, help="generate the coefficient series of a model")
     p.add_argument("--model", required=True)
     p.add_argument("--deg", type=int, required=True)
@@ -388,42 +382,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("simulate", cmd_simulate, help="simulate a model along sampled driving paths")
     p.add_argument("--model", required=True)
-    p.add_argument("--horizon", type=float, default=0.25)
-    p.add_argument("--grid", type=int, default=4096)
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int, required=True, help=SEED_HELP)
+    study(p, grid=4096, reps=1)
     p.add_argument("--out", required=True)
 
     p = add("compare", cmd_compare, help="compare simulation against the truncated series")
     p.add_argument("--model", required=True)
     p.add_argument("--deg", type=int, required=True)
-    p.add_argument("--horizon", type=float, default=0.25)
-    p.add_argument("--grid", type=int, default=4096)
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int, required=True, help=SEED_HELP)
+    study(p, grid=4096, reps=1)
     p.add_argument("--out", required=True)
 
     p = add("ito-check", cmd_ito_check, help="functional change-of-variable residual study")
-    p.add_argument("--horizon", type=float, default=0.25)
-    p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--seed", type=int, required=True, help=SEED_HELP)
+    study(p, grid=512, reps=200)
     p.add_argument("--out")
 
     p = add("hijab-check", cmd_hijab_check, help="first-order decomposition check of a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--horizon", type=float, default=0.25)
-    p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--seed", type=int, required=True, help=SEED_HELP)
+    study(p, grid=512, reps=100)
     p.add_argument("--out")
 
     p = add("demo-zakai", cmd_demo_zakai, help="two-state filter demo: positivity and rank")
-    p.add_argument("--horizon", type=float, default=0.25)
-    p.add_argument("--grid", type=int, default=4096)
-    p.add_argument("--reps", type=int, default=200)
+    study(p, grid=4096, reps=200)
     p.add_argument("--deg", type=int, default=6)
-    p.add_argument("--seed", type=int, required=True, help=SEED_HELP)
     p.add_argument("--out", required=True)
 
     return parser

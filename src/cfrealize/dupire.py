@@ -5,14 +5,15 @@ Discretized paths are read as piecewise-constant cadlag trajectories: the
 value on [t_j, t_{j+1}) is the grid value at t_j.  That makes the vertical
 bump (adding h to one channel from a grid time onward) exactly representable
 and makes left-endpoint quadrature exact for the running-integral
-functional.  The horizontal derivative extends the stopped path by whole
-grid cells, avoiding any interpolation semantics.
+functional.  The horizontal derivative extends the stopped path by one
+grid cell, avoiding any interpolation semantics.
 
 Registered functionals evaluate at a grid index using only values up to that
 index; causality is therefore structural and is also asserted by randomized
-tail-perturbation tests.  It also makes a bump exact on the causal prefix
-alone: the derivatives at index j copy and bump values[..., : j + 1, :],
-never the whole path (Dupire 2009; Cont & Fournie, arXiv:1002.2446).
+tail-perturbation tests.  So a bump or a stop at index j changes one grid
+row: the derivatives write that row of ``path.values`` in place, evaluate,
+and assign the saved row back, also if the functional raises; no prefix of
+the path is copied (Dupire 2009; Cont & Fournie, arXiv:1002.2446).
 
 Paths may carry leading replicate axes, values (..., J+1, m); a functional
 then returns one value per replicate, and the residual studies sample all
@@ -94,20 +95,35 @@ class LinearFilterFunctional(CausalFunctional):
         return np.diff(values[..., : j + 1, self.channel - 1], axis=-1) @ weights
 
 
-def stopped_values(values: np.ndarray, j: int) -> np.ndarray:
-    """Values of the path stopped at grid index j (frozen afterwards)."""
-    out = values.copy()
-    out[..., j + 1 :, :] = values[..., j : j + 1, :]
-    return out
+def _edited_value(f: CausalFunctional, path: SamplePath, j: int, edit):
+    """Value of f at index j after ``edit`` changed row j of ``path.values``
+    in place.  The saved row is then assigned back, also when f raises;
+    subtracting a bump again could round."""
+    values = path.values
+    saved = values[..., j, :].copy()
+    try:
+        edit(values[..., j, :])
+        return f.value(path.grid, values, j)
+    finally:
+        values[..., j, :] = saved
 
 
-def bumped_values(values: np.ndarray, j: int, channel: int, h) -> np.ndarray:
-    """Causal prefix values[..., : j + 1, :] of the path bumped by h on
-    channel (1-based) from index j on; h is a scalar or one bump per
-    replicate."""
-    out = values[..., : j + 1, :].copy()
-    out[..., j, channel - 1] += h
-    return out
+def _bumped_value(f: CausalFunctional, path: SamplePath, j: int, *bumps):
+    """Value of f at index j with the path bumped from t_j on by h on each
+    (channel, h) of bumps, in order; channels are 1-based and h is a scalar
+    or one bump per replicate."""
+
+    def bump(row):
+        for channel, h in bumps:
+            row[..., channel - 1] += h
+
+    return _edited_value(f, path, j, bump)
+
+
+def _stop_step(f: CausalFunctional, path: SamplePath, j: int):
+    """f one cell past t_j along the path stopped at t_j, minus f at t_j."""
+    stopped = _edited_value(f, path, j + 1, lambda row: np.copyto(row, path.values[..., j, :]))
+    return stopped - f.value(path.grid, path.values, j)
 
 
 def default_bump(path: SamplePath):
@@ -118,16 +134,12 @@ def default_bump(path: SamplePath):
     return np.sqrt(dt) * np.maximum(1.0, amp)
 
 
-def horizontal_derivative(f: CausalFunctional, path: SamplePath, j: int, cells: int = 1) -> float:
-    """Forward difference of f along the stopped path, advancing by whole
-    grid cells."""
-    if cells < 1:
-        raise ValueError("cells must be >= 1")
-    if j + cells >= path.grid.size:
+def horizontal_derivative(f: CausalFunctional, path: SamplePath, j: int) -> float:
+    """Forward difference of f along the path stopped at t_j, over one grid
+    cell."""
+    if j + 1 >= path.grid.size:
         raise ValueError("horizontal step runs past the horizon")
-    stopped = stopped_values(path.values[..., : j + cells + 1, :], j)
-    num = f.value(path.grid, stopped, j + cells) - f.value(path.grid, path.values, j)
-    return num / (float(path.grid[j + cells]) - float(path.grid[j]))
+    return _stop_step(f, path, j) / (float(path.grid[j + 1]) - float(path.grid[j]))
 
 
 def vertical_derivative(
@@ -145,12 +157,12 @@ def vertical_derivative(
     """
     if h is None:
         h = default_bump(path)
-    up = f.value(path.grid, bumped_values(path.values, j, channel, h), j)
+    up = _bumped_value(f, path, j, (channel, h))
     if scheme == "forward":
         base = f.value(path.grid, path.values, j)
         return (up - base) / h
     if scheme == "central":
-        dn = f.value(path.grid, bumped_values(path.values, j, channel, -h), j)
+        dn = _bumped_value(f, path, j, (channel, -h))
         return (up - dn) / (2.0 * h)
     raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -172,16 +184,15 @@ def second_vertical_derivative(
     """
     if h is None:
         h = default_bump(path)
-    vals = path.values
     if channel_i == channel_j:
-        up = f.value(path.grid, bumped_values(vals, j, channel_i, h), j)
-        mid = f.value(path.grid, vals, j)
-        dn = f.value(path.grid, bumped_values(vals, j, channel_i, -h), j)
+        up = _bumped_value(f, path, j, (channel_i, h))
+        mid = f.value(path.grid, path.values, j)
+        dn = _bumped_value(f, path, j, (channel_i, -h))
         return (up - 2.0 * mid + dn) / (h * h)
-    pp = f.value(path.grid, bumped_values(bumped_values(vals, j, channel_j, h), j, channel_i, h), j)
-    pm = f.value(path.grid, bumped_values(bumped_values(vals, j, channel_j, -h), j, channel_i, h), j)
-    mp = f.value(path.grid, bumped_values(bumped_values(vals, j, channel_j, h), j, channel_i, -h), j)
-    mm = f.value(path.grid, bumped_values(bumped_values(vals, j, channel_j, -h), j, channel_i, -h), j)
+    pp = _bumped_value(f, path, j, (channel_j, h), (channel_i, h))
+    pm = _bumped_value(f, path, j, (channel_j, -h), (channel_i, h))
+    mp = _bumped_value(f, path, j, (channel_j, h), (channel_i, -h))
+    mm = _bumped_value(f, path, j, (channel_j, -h), (channel_i, -h))
     return (pp - pm - mp + mm) / (4.0 * h * h)
 
 
@@ -256,8 +267,7 @@ def functional_ito_residual(
         raise DivergenceError("functional value is not finite")
     horiz = 0.0
     for j in range(jt):
-        stopped = stopped_values(vals[:, : j + 2], j)
-        horiz += f.value(grid, stopped, j + 1) - f.value(grid, vals, j)
+        horiz += _stop_step(f, path, j)
     if form == "ito":
         stoch = 0.0
         qv = 0.0

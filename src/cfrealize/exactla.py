@@ -12,10 +12,11 @@ from fractions import Fraction
 from math import lcm
 
 
-def _clear_denominators(row) -> list[int]:
-    fracs = [x if type(x) is Fraction else Fraction(x) for x in row]
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of rationals over their least common denominator."""
+    fracs = [x if type(x) is Fraction else Fraction(x) for x in values]
     den = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs]
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 def rank(rows) -> int:
@@ -28,7 +29,7 @@ def rank(rows) -> int:
     already 0: the next step's division by this pivot is exact only for
     rows that were multiplied by it.
     """
-    mat = [row for row in map(_clear_denominators, rows) if any(row)]
+    mat = [row for row, _ in map(over_common_denominator, rows) if any(row)]
     if not mat:
         return 0
     ncols = len(mat[0])

@@ -325,7 +325,12 @@ def to_float(r: Series) -> Series:
 def format_series(r: Series) -> str:
     lines = [f"cfseries m={r.m} N={r.max_degree} mode={r.mode}"]
     for w, c in zip(words_up_to(r.m, r.max_degree), chain.from_iterable(r.levels)):
-        val = f"{c.numerator}/{c.denominator}" if r.mode == RATIONAL else repr(c)
+        if r.mode == RATIONAL:
+            val = f"{c.numerator}/{c.denominator}"
+        elif math.isfinite(c):
+            val = repr(c)
+        else:
+            raise CFError(f"coefficient of word {w} is not finite: {c!r}")
         lines.append(",".join(map(str, w)) + ";" + val)
     return "\n".join(lines) + "\n"
 
@@ -342,6 +347,8 @@ def parse_series(text: str) -> Series:
         n = int(head[2].removeprefix("N="))
     except ValueError:
         raise ParseError("malformed series header", line=1, token=lines[0]) from None
+    if n < 0:
+        raise ParseError("negative degree bound in series header", line=1, token=head[2])
     mode = head[3].removeprefix("mode=")
     if mode not in (RATIONAL, FLOAT):
         raise ParseError("unknown scalar mode in series header", line=1, token=head[3])

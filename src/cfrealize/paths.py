@@ -126,6 +126,8 @@ class SamplePath:
             raise ValueError("values must have shape (..., len(grid), m)")
         if not np.all(values[..., 0, :] == 0.0):
             raise ValueError("path must start at the origin")
+        if not values.flags.writeable:
+            values = values.copy()  # functional derivatives bump rows in place
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
@@ -176,15 +178,13 @@ def replicate_seed(seed: int, index: int) -> int:
 
 
 def _normal_draws(seed: int, replicates: int | None, shape) -> np.ndarray:
-    """Standard normals of the given shape from ``default_rng(seed)``, or,
-    with a replicate count R, (R, *shape) with replicate k drawn from
-    ``default_rng(replicate_seed(seed, k))``."""
-    if replicates is None:
-        return np.random.default_rng(seed).standard_normal(shape)
-    out = np.empty((replicates, *shape))
-    for k in range(replicates):
+    """Standard normals (R, *shape), replicate k drawn from
+    ``default_rng(replicate_seed(seed, k))``; with ``replicates=None``,
+    replicate 0 of one (``seed ^ 0 == seed``) without the replicate axis."""
+    out = np.empty((1 if replicates is None else replicates, *shape))
+    for k in range(len(out)):
         out[k] = np.random.default_rng(replicate_seed(seed, k)).standard_normal(shape)
-    return out
+    return out[0] if replicates is None else out
 
 
 def sample_brownian(q: QSpec, grid, seed: int, replicates: int | None = None) -> SamplePath:
@@ -318,9 +318,7 @@ def cf_trajectory(s: Series, table: IteratedIntegralTable, max_degree: int | Non
 # -- state-space simulation --------------------------------------------------
 
 
-def _integrate(
-    model: AnalyticModel, path: SamplePath, guard: float, fields, piece, heun: bool
-) -> np.ndarray:
+def _integrate(model: AnalyticModel, path: SamplePath, fields, piece, heun: bool) -> np.ndarray:
     """States (..., J+1, n) of dx = sum_i F_i(x) dxi_i over the path's
     increments dxi = (dt, dW_1..dW_m).
 
@@ -347,14 +345,14 @@ def _integrate(
             drift = 0.5 * (drift + step(f, x + drift, dxi))
         x = x + drift
         states[..., j + 1, :] = x
-        if np.any(np.abs(x) > guard):
+        if np.any(np.abs(x) > DIVERGENCE_GUARD):
             raise DivergenceError(
-                f"state norm exceeded divergence guard {guard:g} at step {j + 1}"
+                f"state norm exceeded divergence guard {DIVERGENCE_GUARD:g} at step {j + 1}"
             )
     return states
 
 
-def _ito_fields(model: AnalyticModel, path: SamplePath, q=None):
+def _ito_fields(model: AnalyticModel, path: SamplePath):
     """Euler-Maruyama fields (Ito drift, g_1..g_m) per covariance piece, and
     the piece of each cell.
 
@@ -362,9 +360,7 @@ def _ito_fields(model: AnalyticModel, path: SamplePath, q=None):
     rate ``sample_brownian`` draws that cell's increment with.
     """
     piece = np.zeros(path.steps, dtype=int)
-    if q is not None:
-        rates = [q]
-    elif path.q is not None:
+    if path.q is not None:
         rates = [
             [[Fraction(x).limit_denominator(10**12) for x in row] for row in mat]
             for _, mat in path.q.pieces
@@ -376,12 +372,7 @@ def _ito_fields(model: AnalyticModel, path: SamplePath, q=None):
 
 
 def simulate_analytic(
-    model: AnalyticModel,
-    path: SamplePath,
-    method: str = "heun",
-    guard: float = DIVERGENCE_GUARD,
-    q=None,
-    return_states: bool = False,
+    model: AnalyticModel, path: SamplePath, method: str = "heun", return_states: bool = False
 ):
     """Output trajectory (..., J+1) of an analytic model driven by the given
     path (values (..., J+1, m), one trajectory per replicate).
@@ -389,37 +380,30 @@ def simulate_analytic(
     ``method="heun"`` integrates the Stratonovich dynamics with the Heun
     predictor-corrector scheme on the path's own increments;
     ``method="euler_ito"`` integrates the Ito-converted drift with
-    Euler-Maruyama for cross-validation (``q`` overrides the covariance rate
-    used in the conversion; defaults to the path's, piece by piece, else the
-    identity).
+    Euler-Maruyama for cross-validation, converting with the path's
+    covariance rate piece by piece, else with the identity.  A state past
+    ``DIVERGENCE_GUARD`` in absolute value raises ``DivergenceError``.
+    ``return_states`` also returns the states (..., J+1, n).
     """
     if model.m != path.m:
         raise ValueError(f"model has m={model.m} channels, path has {path.m}")
     if method == "heun":
         fields, piece = [model.fields], np.zeros(path.steps, dtype=int)
     elif method == "euler_ito":
-        fields, piece = _ito_fields(model, path, q)
+        fields, piece = _ito_fields(model, path)
     else:
         raise ValueError(f"unknown method {method!r}")
-    states = _integrate(model, path, guard, fields, piece, heun=method == "heun")
+    states = _integrate(model, path, fields, piece, heun=method == "heun")
     y = compile_float(model.readout)(states)
     if return_states:
         return y, states
     return y
 
 
-def simulate_bilinear(
-    model: BilinearModel,
-    path: SamplePath,
-    method: str = "heun",
-    guard: float = DIVERGENCE_GUARD,
-    return_states: bool = False,
-):
+def simulate_bilinear(model: BilinearModel, path: SamplePath, return_states: bool = False):
     """Output trajectory of a bilinear model, via the linear-field embedding
-    (identical arithmetic to simulate_analytic on that embedding)."""
-    return simulate_analytic(
-        linear_embedding(model), path, method=method, guard=guard, return_states=return_states
-    )
+    (identical arithmetic to Heun ``simulate_analytic`` on that embedding)."""
+    return simulate_analytic(linear_embedding(model), path, return_states=return_states)
 
 
 # -- finite-state filtering demo ---------------------------------------------

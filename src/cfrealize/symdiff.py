@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from operator import add
 
 import numpy as np
 
 from .errors import AlphabetError, MonomialBudgetError, ParseError
+from .exactla import over_common_denominator
 from .fps import RATIONAL, Series
 
 Exponents = tuple[int, ...]
@@ -151,7 +152,7 @@ def _product_terms(factors, num_vars: int, limit: float = float("inf")):
     out: dict[Exponents, int] = {(0,) * num_vars: 1}
     den = 1
     for q in factors:
-        q_num, q_den = _over_common_denominator(q.terms.values())
+        q_num, q_den = over_common_denominator(q.terms.values())
         q_items = list(zip(q.terms, q_num))
         nxt: dict[Exponents, int] = {}
         for e1, a in out.items():
@@ -427,13 +428,6 @@ def cf_coefficients(model: AnalyticModel, n_max: int, term_budget: int = DEFAULT
     return Series(model.m, n_max, mode=RATIONAL, levels=levels)
 
 
-def _over_common_denominator(values) -> tuple[list[int], int]:
-    """Integer numerators of rationals over their least common denominator."""
-    values = list(values)
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def bilinear_coefficients(model: BilinearModel, n_max: int) -> Series:
     """Generating-series coefficients of a bilinear model up to degree n_max.
 
@@ -448,10 +442,10 @@ def bilinear_coefficients(model: BilinearModel, n_max: int) -> Series:
     if n_max < 0:
         raise ValueError("degree bound must be nonnegative")
     n, m = model.n, model.m
-    flat, den_a = _over_common_denominator(v for a in model.mats for row in a for v in row)
+    flat, den_a = over_common_denominator(v for a in model.mats for row in a for v in row)
     mats = np.array(flat, dtype=object).reshape(m + 1, n, n)
-    c, den = _over_common_denominator(model.c)
-    x0, den_x = _over_common_denominator(model.x0)
+    c, den = over_common_denominator(model.c)
+    x0, den_x = over_common_denominator(model.x0)
     x0 = np.array(x0, dtype=object)
     den *= den_x
     level = np.array(c, dtype=object).reshape(1, n)
@@ -503,23 +497,16 @@ def stratonovich_to_ito_drift(model: AnalyticModel, q) -> PolyVectorField:
     q = [[Fraction(v) for v in row] for row in q]
     if len(q) != model.m:
         raise ValueError(f"Q must be {model.m} x {model.m}")
-    n = model.n
     comps = list(model.fields[0].components)
     for i in range(1, model.m + 1):
-        gi = model.fields[i]
         for j in range(1, model.m + 1):
             qij = q[i - 1][j - 1]
             if qij == 0:
                 continue
-            gj = model.fields[j]
-            for row in range(n):
-                # row-th component of (Jacobian g_i) g_j
-                acc = MultiPoly.zero(n)
-                for col in range(1, n + 1):
-                    d = gi.components[row].partial(col)
-                    if not d.is_zero():
-                        acc = acc + d * gj.components[col - 1]
-                comps[row] = comps[row] + acc * (qij * Fraction(1, 2))
+            half = qij * Fraction(1, 2)
+            # Row r of (Jacobian g_i) g_j is the Lie derivative of g_i[r] along g_j.
+            for row, gir in enumerate(model.fields[i].components):
+                comps[row] = comps[row] + lie_derivative(model.fields[j], gir) * half
     return PolyVectorField(tuple(comps))
 
 
@@ -701,7 +688,7 @@ def poly_to_string(p: MultiPoly) -> str:
     for exps, c in items:
         factors = []
         if c != 1 or not any(exps):
-            factors.append(str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}")
+            factors.append(str(c))
         for j, e in enumerate(exps):
             if e == 1:
                 factors.append(f"x{j + 1}")
@@ -837,10 +824,6 @@ def parse_model(text: str):
     return AnalyticModel(n, m, tuple(x0), tuple(vfs), readout)
 
 
-def _fmt_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def format_model(model) -> str:
     """Canonical model file text (inverse of parse_model)."""
     lines = []
@@ -848,16 +831,15 @@ def format_model(model) -> str:
         lines.append("type = bilinear")
         lines.append(f"n = {model.n}")
         lines.append(f"m = {model.m}")
-        lines.append("x0 = " + ", ".join(_fmt_fraction(v) for v in model.x0))
+        lines.append("x0 = " + ", ".join(map(str, model.x0)))
         for i, a in enumerate(model.mats):
-            flat = [v for row in a for v in row]
-            lines.append(f"A{i} = " + ", ".join(_fmt_fraction(v) for v in flat))
-        lines.append("C = " + ", ".join(_fmt_fraction(v) for v in model.c))
+            lines.append(f"A{i} = " + ", ".join(str(v) for row in a for v in row))
+        lines.append("C = " + ", ".join(map(str, model.c)))
     elif isinstance(model, AnalyticModel):
         lines.append("type = analytic")
         lines.append(f"n = {model.n}")
         lines.append(f"m = {model.m}")
-        lines.append("x0 = " + ", ".join(_fmt_fraction(v) for v in model.x0))
+        lines.append("x0 = " + ", ".join(map(str, model.x0)))
         for i, g in enumerate(model.fields):
             lines.append(f"g{i} = " + ", ".join(poly_to_string(c) for c in g.components))
         lines.append("h = " + poly_to_string(model.readout))

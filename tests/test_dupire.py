@@ -3,6 +3,7 @@ import pytest
 
 from cfrealize import QSpec, make_grid, parse_model, sample_brownian
 from cfrealize.dupire import (
+    CausalFunctional,
     LinearFilterFunctional,
     MemorylessFunctional,
     RunningIntegralFunctional,
@@ -13,10 +14,9 @@ from cfrealize.dupire import (
     horizontal_derivative,
     memoryless_from_state_poly,
     second_vertical_derivative,
-    stopped_values,
     vertical_derivative,
 )
-from cfrealize.paths import replicate_seed
+from cfrealize.paths import SamplePath, replicate_seed
 from cfrealize.symdiff import MultiPoly, parse_polynomial
 
 
@@ -35,14 +35,6 @@ def w1(m=1):
 
 def w1_squared(m=1):
     return MemorylessFunctional(P("x2^2", m + 1), m)
-
-
-class TestStoppedPath:
-    def test_constant_after_stop(self):
-        path = brownian()
-        stopped = stopped_values(path.values, 100)
-        assert np.all(stopped[100:] == path.values[100])
-        assert np.array_equal(stopped[:101], path.values[:101])
 
 
 class TestHorizontalDerivative:
@@ -152,6 +144,179 @@ class TestReplicateAxis:
                     assert second[k] == pytest.approx(
                         second_vertical_derivative(f, single, j, 1, 2), abs=1e-9
                     )
+
+
+# Reference derivatives that copy the path, as the module did before it bumped
+# and stopped rows in place: the in-place forms must agree to the last bit.
+def copy_stopped(values, j):
+    out = values.copy()
+    out[..., j + 1 :, :] = values[..., j : j + 1, :]
+    return out
+
+
+def copy_bumped(values, j, channel, h):
+    out = values[..., : j + 1, :].copy()
+    out[..., j, channel - 1] += h
+    return out
+
+
+def ref_horizontal(f, path, j):
+    stopped = copy_stopped(path.values[..., : j + 2, :], j)
+    num = f.value(path.grid, stopped, j + 1) - f.value(path.grid, path.values, j)
+    return num / (float(path.grid[j + 1]) - float(path.grid[j]))
+
+
+def ref_vertical(f, path, j, channel, h, scheme="central"):
+    up = f.value(path.grid, copy_bumped(path.values, j, channel, h), j)
+    if scheme == "forward":
+        return (up - f.value(path.grid, path.values, j)) / h
+    dn = f.value(path.grid, copy_bumped(path.values, j, channel, -h), j)
+    return (up - dn) / (2.0 * h)
+
+
+def ref_second(f, path, j, ci, cj, h):
+    g, vals = path.grid, path.values
+    if ci == cj:
+        up = f.value(g, copy_bumped(vals, j, ci, h), j)
+        dn = f.value(g, copy_bumped(vals, j, ci, -h), j)
+        return (up - 2.0 * f.value(g, vals, j) + dn) / (h * h)
+    pp = f.value(g, copy_bumped(copy_bumped(vals, j, cj, h), j, ci, h), j)
+    pm = f.value(g, copy_bumped(copy_bumped(vals, j, cj, -h), j, ci, h), j)
+    mp = f.value(g, copy_bumped(copy_bumped(vals, j, cj, h), j, ci, -h), j)
+    mm = f.value(g, copy_bumped(copy_bumped(vals, j, cj, -h), j, ci, -h), j)
+    return (pp - pm - mp + mm) / (4.0 * h * h)
+
+
+def ref_residual_rms(f, q, grid, t, replicates, seed, form, bump):
+    m = q.dim
+    path = sample_brownian(q, grid, seed, replicates)
+    jt = path.index_of(t)
+    h = np.broadcast_to(bump if bump is not None else default_bump(path), (replicates,))
+    vals = path.values
+    lhs = f.value(grid, vals, jt) - f.value(grid, vals, 0)
+    horiz = 0.0
+    for j in range(jt):
+        stopped = copy_stopped(vals[:, : j + 2], j)
+        horiz += f.value(grid, stopped, j + 1) - f.value(grid, vals, j)
+    if form == "ito":
+        stoch = 0.0
+        qv = 0.0
+        for j in range(jt):
+            dw = vals[:, j + 1] - vals[:, j]
+            dt = grid[j + 1] - grid[j]
+            qmat = q.at(grid[j])
+            for i in range(1, m + 1):
+                stoch += ref_vertical(f, path, j, i, h) * dw[:, i - 1]
+                for k in range(1, m + 1):
+                    qv += ref_second(f, path, j, i, k, h) * qmat[k - 1, i - 1] * dt
+        rhs = horiz + stoch + 0.5 * qv
+    else:
+        deriv = np.empty((replicates, jt + 1, m))
+        for j in range(jt + 1):
+            for i in range(1, m + 1):
+                deriv[:, j, i - 1] = ref_vertical(f, path, j, i, h)
+        dw = np.diff(vals[:, : jt + 1], axis=1)
+        rhs = horiz + np.sum(0.5 * (deriv[:, :-1] + deriv[:, 1:]) * dw, axis=(1, 2))
+    return float(np.sqrt(np.mean((lhs - rhs) ** 2)))
+
+
+def registered(m):
+    if m == 1:
+        return [
+            w1_squared(),
+            MemorylessFunctional(P("x1*x2^3 - x2", 2), 1),
+            RunningIntegralFunctional(1),
+            LinearFilterFunctional(P("1 - x1", 1), 1),
+        ]
+    return [
+        MemorylessFunctional(P("x1 + x2^2*x3", 3), 2),
+        RunningIntegralFunctional(2),
+        LinearFilterFunctional(P("1 - 2*x1 + x1^2", 1), 2),
+    ]
+
+
+def bit_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestInPlaceMatchesCopies:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("replicates", [None, 3])
+    @pytest.mark.parametrize("bump", ["scalar", "per_replicate"])
+    def test_derivatives_bit_equal(self, m, replicates, bump):
+        path = sample_brownian(QSpec.identity(m), make_grid(0.25, 40), 17, replicates)
+        h = 1e-3 if bump == "scalar" else default_bump(path)
+        for f in registered(m):
+            for j in (0, 1, 13, 39):
+                assert bit_equal(horizontal_derivative(f, path, j), ref_horizontal(f, path, j))
+                for ci in range(1, m + 1):
+                    for scheme in ("central", "forward"):
+                        got = vertical_derivative(f, path, j, ci, h, scheme)
+                        assert bit_equal(got, ref_vertical(f, path, j, ci, h, scheme))
+                    for cj in range(1, m + 1):
+                        got = second_vertical_derivative(f, path, j, ci, cj, h)
+                        assert bit_equal(got, ref_second(f, path, j, ci, cj, h))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("form", ["ito", "strat"])
+    @pytest.mark.parametrize("bump", [None, 1e-3])
+    def test_residual_bit_equal(self, m, form, bump):
+        q = QSpec.identity(m) if m == 1 else QSpec.constant([[2.0, 0.5], [0.5, 1.0]])
+        grid = make_grid(0.5, 24)
+        for f in registered(m):
+            got = functional_ito_residual(f, q, grid, 0.375, 4, 31, form=form, bump=bump)
+            assert got.rms == ref_residual_rms(f, q, grid, 0.375, 4, 31, form, bump)
+
+
+class RaiseOnCall(CausalFunctional):
+    """Delegates to f, but raises on its n-th evaluation (never for n <= 0;
+    -n then counts the evaluations)."""
+
+    def __init__(self, f, n):
+        self.f, self.n = f, n
+
+    def value(self, grid, values, j):
+        self.n -= 1
+        if self.n == 0:
+            raise RuntimeError("evaluation failed")
+        return self.f.value(grid, values, j)
+
+
+class TestPathRestored:
+    DERIVATIVES = {
+        "horizontal": lambda f, path: horizontal_derivative(f, path, 9),
+        "forward": lambda f, path: vertical_derivative(f, path, 9, 2, scheme="forward"),
+        "central": lambda f, path: vertical_derivative(f, path, 9, 2),
+        "second_diagonal": lambda f, path: second_vertical_derivative(f, path, 9, 1, 1),
+        "second_mixed": lambda f, path: second_vertical_derivative(f, path, 9, 1, 2),
+    }
+
+    @pytest.mark.parametrize("replicates", [None, 3])
+    @pytest.mark.parametrize("name", sorted(DERIVATIVES))
+    def test_values_bit_identical_after_call(self, replicates, name):
+        derivative = self.DERIVATIVES[name]
+        path = sample_brownian(QSpec.identity(2), make_grid(0.25, 16), 5, replicates)
+        before = path.values.copy()
+        counted = RaiseOnCall(MemorylessFunctional(P("x1 + x2^2*x3", 3), 2), 0)
+        derivative(counted, path)
+        assert bit_equal(path.values, before)
+        evaluations = -counted.n
+        assert evaluations >= 2
+        for n in range(1, evaluations + 1):
+            with pytest.raises(RuntimeError):
+                derivative(RaiseOnCall(counted.f, n), path)
+            assert bit_equal(path.values, before)
+
+
+    def test_read_only_values_are_copied_not_written(self):
+        path = brownian(steps=16, m=2)
+        frozen = path.values.copy()
+        frozen.flags.writeable = False
+        held = SamplePath(path.grid, frozen)
+        f = MemorylessFunctional(P("x1 + x2^2*x3", 3), 2)
+        assert bit_equal(vertical_derivative(f, held, 9, 2), vertical_derivative(f, path, 9, 2))
+        assert bit_equal(frozen, path.values)
 
 
 class TestCausality:

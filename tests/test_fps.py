@@ -324,6 +324,18 @@ class TestSeriesFile:
             parse_series(text.replace("1;1.0", "1;" + value))
         assert (err.value.line, err.value.token) == (4, value)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_format_rejects_non_finite_float_naming_first_word(self, value):
+        s = Series(1, 2, {(0,): 1.5, (1, 0): value, (1, 1): float("inf")}, FLOAT)
+        with pytest.raises(CFError, match=r"word \(1, 0\) is not finite"):
+            format_series(s)
+
+    @pytest.mark.parametrize("n", [-1, -7])
+    def test_negative_degree_bound_names_header_token(self, n):
+        with pytest.raises(ParseError) as err:
+            parse_series(f"cfseries m=1 N={n} mode=rational\n")
+        assert (err.value.line, err.value.token) == (1, f"N={n}")
+
     def test_rational_value_past_float_range_parses(self):
         s = Series(1, 1, {(1,): Fraction(10**400, 3)})
         assert parse_series(format_series(s)) == s
