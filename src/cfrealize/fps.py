@@ -261,7 +261,11 @@ _SHUFFLE_CACHE: dict[tuple[Word, Word], dict[Word, int]] = {}
 
 def shuffle_counts(u: Word, v: Word) -> dict[Word, int]:
     """Multiset of interleavings of u and v as a map word -> multiplicity."""
-    u, v = tuple(u), tuple(v)
+    return dict(_shuffle_counts(tuple(u), tuple(v)))
+
+
+def _shuffle_counts(u: Word, v: Word) -> dict[Word, int]:
+    """``shuffle_counts`` through a memo whose dicts no caller may mutate."""
     if not u:
         return {v: 1}
     if not v:
@@ -271,10 +275,10 @@ def shuffle_counts(u: Word, v: Word) -> dict[Word, int]:
     if hit is not None:
         return hit
     out: dict[Word, int] = {}
-    for w, c in shuffle_counts(u[:-1], v).items():
+    for w, c in _shuffle_counts(u[:-1], v).items():
         w2 = w + (u[-1],)
         out[w2] = out.get(w2, 0) + c
-    for w, c in shuffle_counts(u, v[:-1]).items():
+    for w, c in _shuffle_counts(u, v[:-1]).items():
         w2 = w + (v[-1],)
         out[w2] = out.get(w2, 0) + c
     _SHUFFLE_CACHE[key] = out
@@ -289,7 +293,7 @@ def shuffle(u, v, m: int, mode: str = RATIONAL) -> Series:
     """
     u = check_word(u, m)
     v = check_word(v, m)
-    return Series(m, len(u) + len(v), shuffle_counts(u, v), mode)
+    return Series(m, len(u) + len(v), _shuffle_counts(u, v), mode)
 
 
 def to_float(r: Series) -> Series:
@@ -347,6 +351,10 @@ def parse_series(text: str) -> Series:
         n = int(head[2].removeprefix("N="))
     except ValueError:
         raise ParseError("malformed series header", line=1, token=lines[0]) from None
+    if m < 1:
+        raise ParseError(
+            "alphabet max letter in series header must be >= 1", line=1, token=head[1]
+        )
     if n < 0:
         raise ParseError("negative degree bound in series header", line=1, token=head[2])
     mode = head[3].removeprefix("mode=")

@@ -103,7 +103,7 @@ def rank_exact(h: HankelBlock) -> RankReport:
     if h.mode != RATIONAL:
         raise ModeMismatchError("exact rank requires a rational-mode block")
     d_r, d_c = len(h.row_words[-1]), len(h.col_words[-1])  # graded-lex: last is longest
-    rk = exactla.rank([list(row) for row in h.entries])
+    rk = exactla.rank(h.entries)
     return RankReport(rank=rk, mode="exact", truncation={"d_r": d_r, "d_c": d_c})
 
 

@@ -92,6 +92,19 @@ def verify_realization(model: BilinearModel, s: Series, n_max: int) -> Discrepan
     return DiscrepancyReport(max_abs=worst, worst_word=words_of_degree(s.m, k)[i], degree=n_max)
 
 
+def _coordinate_matrix(span: RowSpan, keys, column, escaped) -> tuple[tuple, ...]:
+    """Matrix whose j-th column holds the coordinates of ``column(keys[j])``
+    over the span's inserted vectors; raises ``escaped(key)`` for the first
+    column outside the span."""
+    cols = []
+    for key in keys:
+        coords = span.coords(column(key))
+        if coords is None:
+            raise escaped(key)
+        cols.append(coords)
+    return tuple(zip(*cols))
+
+
 def _empty_model(m: int) -> BilinearModel:
     return BilinearModel(0, m, (), tuple(() for _ in range(m + 1)), ())
 
@@ -166,18 +179,18 @@ def bilinear_realize(s: Series, n_budget: int | None = None) -> RealizationResul
     if dim == 0:
         model = _empty_model(s.m)
     else:
-        mats = []
-        for i in range(s.m + 1):
-            cols = []
-            for w in ((i,) + v for v in basis):
-                coords = span.coords(hankel_column(s, w, obs))
-                if coords is None:
-                    raise ShiftInconsistencyError(
-                        f"column of word {w} escapes the selected basis; "
-                        "the series is not rational at this truncation"
-                    )
-                cols.append(coords)
-            mats.append(tuple(tuple(cols[j][r] for j in range(dim)) for r in range(dim)))
+        mats = [
+            _coordinate_matrix(
+                span,
+                [(i,) + v for v in basis],
+                lambda w: hankel_column(s, w, obs),
+                lambda w: ShiftInconsistencyError(
+                    f"column of word {w} escapes the selected basis; "
+                    "the series is not rational at this truncation"
+                ),
+            )
+            for i in range(s.m + 1)
+        ]
         x0 = span.coords(empty_column)
         c = tuple(coefficient(s, v) for v in basis)
         model = BilinearModel(dim, s.m, tuple(x0), tuple(mats), c)
@@ -297,26 +310,24 @@ def linear_ho_kalman(markov, n_max: int) -> LinearRealization:
     if dim == 0:
         real = LinearRealization(0, m, (), (), ())
     else:
-        a_cols = []
-        for l, i in basis:
-            coords = span.coords(col(l + 1, i))
-            if coords is None:
-                raise RankExceededError(
-                    "shifted basis column escapes the span; the data is not "
-                    f"consistent with dimension <= {n_max}"
-                )
-            a_cols.append(coords)
-        a = tuple(tuple(a_cols[j][r] for j in range(dim)) for r in range(dim))
-        b_cols = []
-        for i in range(m):
-            coords = span.coords(col(0, i))
-            if coords is None:
-                raise RankExceededError(
-                    "input column escapes the span; the data is not consistent "
-                    f"with dimension <= {n_max}"
-                )
-            b_cols.append(coords)
-        b = tuple(tuple(b_cols[i][r] for i in range(m)) for r in range(dim))
+        a = _coordinate_matrix(
+            span,
+            basis,
+            lambda key: col(key[0] + 1, key[1]),
+            lambda _: RankExceededError(
+                "shifted basis column escapes the span; the data is not "
+                f"consistent with dimension <= {n_max}"
+            ),
+        )
+        b = _coordinate_matrix(
+            span,
+            range(m),
+            lambda i: col(0, i),
+            lambda _: RankExceededError(
+                "input column escapes the span; the data is not consistent "
+                f"with dimension <= {n_max}"
+            ),
+        )
         c = tuple(rows[l][i] for l, i in basis)
         real = LinearRealization(dim, m, a, b, c)
 

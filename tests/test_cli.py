@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import cfrealize
 from cfrealize import coefficient, read_series
 from cfrealize.cli import main
 from cfrealize.fps import MAX_WORDS, word_count
@@ -330,6 +332,11 @@ class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         model = tmp_path / "model.txt"
         model.write_text(DRIFT_MODEL)
+        # The child imports the same cfrealize as this process, however
+        # pytest found it.
+        package_root = str(Path(cfrealize.__file__).resolve().parent.parent)
+        path = [package_root, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         proc = subprocess.run(
             [
                 sys.executable,
@@ -345,5 +352,6 @@ class TestEntryPoint:
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr

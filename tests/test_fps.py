@@ -246,6 +246,12 @@ class TestShuffle:
         assert counts == shuffle_counts(v, u)
         assert counts == brute_interleavings(u, v)
 
+    def test_result_is_the_callers_own(self):
+        counts = shuffle_counts((0,), (1,))
+        counts.clear()
+        assert shuffle_counts((0,), (1,)) == {(0, 1): 1, (1, 0): 1}
+        assert shuffle((0,), (1,), 1) == Series(1, 2, {(0, 1): 1, (1, 0): 1})
+
     def test_associativity_small(self, rng):
         def shuffle_series(series, w, m):
             # extend the shuffle bilinearly to a series times a word
@@ -335,6 +341,12 @@ class TestSeriesFile:
         with pytest.raises(ParseError) as err:
             parse_series(f"cfseries m=1 N={n} mode=rational\n")
         assert (err.value.line, err.value.token) == (1, f"N={n}")
+
+    @pytest.mark.parametrize("header", ["m=0 N=0", "m=-2 N=1"])
+    def test_alphabet_below_one_names_header_token(self, header):
+        with pytest.raises(ParseError) as err:
+            parse_series(f"cfseries {header} mode=rational\n;1/1\n")
+        assert (err.value.line, err.value.token) == (1, header.split()[0])
 
     def test_rational_value_past_float_range_parses(self):
         s = Series(1, 1, {(1,): Fraction(10**400, 3)})

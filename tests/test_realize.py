@@ -166,6 +166,19 @@ class TestVerifyRealization:
         report = verify_realization(bad, s, 6)
         assert report.max_abs > 0
 
+    def test_perturbed_realized_matrix_detected(self, rng):
+        s = bilinear_coefficients(rand_bilinear(rng, 2, 1), 6)
+        model = bilinear_realize(s).model
+        assert model.n == 2
+        for i, mat in enumerate(model.mats):
+            for r in range(model.n):
+                for c in range(model.n):
+                    rows = [list(row) for row in mat]
+                    rows[r][c] += 1
+                    mats = model.mats[:i] + (tuple(map(tuple, rows)),) + model.mats[i + 1 :]
+                    bad = BilinearModel(model.n, model.m, model.x0, mats, model.c)
+                    assert verify_realization(bad, s, 6).max_abs > 0, (i, r, c)
+
     def test_linear_embedding_cross_check(self, rng):
         model = rand_bilinear(rng, 3, 1)
         s = cf_coefficients(linear_embedding(model), 6)
