@@ -23,6 +23,7 @@ operation is an error.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, product
@@ -322,21 +323,40 @@ def to_float(r: Series) -> Series:
 # Then one record per word of degree <= N in graded-lex order, that is the
 # levels one after another:
 #     <comma-joined letters>;<value>
-# The empty word is the empty string; rational values are n/d in lowest
-# terms, float values use repr() so they round-trip exactly and are finite.
+# The empty word is the empty string.  format_series writes every record in
+# canonical form: the letters exactly as above, then a rational value as n/d
+# in lowest terms (-?[0-9]+/[0-9]+) or a float value as its repr(), so values
+# round-trip exactly and are finite.  parse_series reads a canonical record
+# without parsing its word or calling Fraction(str).  Any other form still
+# parses: letters that int() accepts, in order, and a value that
+# Fraction(str) (rational mode) or float() (float mode) accepts.
+
+_CANONICAL_VALUE = re.compile(r"-?[0-9]+/[0-9]+")
+
+
+def _record_prefixes(m: int, n: int) -> list[str]:
+    """The prefix ``"<comma-joined letters>;"`` of every record of a degree-n
+    series file, in graded-lex order; each level extends the one before."""
+    digits = [str(c) for c in range(m + 1)]
+    level, texts = [""], [""]
+    for k in range(n):
+        level = digits if k == 0 else [t + "," + d for t in level for d in digits]
+        texts += level
+    return [t + ";" for t in texts]
 
 
 def format_series(r: Series) -> str:
-    lines = [f"cfseries m={r.m} N={r.max_degree} mode={r.mode}"]
-    for w, c in zip(words_up_to(r.m, r.max_degree), chain.from_iterable(r.levels)):
-        if r.mode == RATIONAL:
-            val = f"{c.numerator}/{c.denominator}"
-        elif math.isfinite(c):
-            val = repr(c)
-        else:
-            raise CFError(f"coefficient of word {w} is not finite: {c!r}")
-        lines.append(",".join(map(str, w)) + ";" + val)
-    return "\n".join(lines) + "\n"
+    values = list(chain.from_iterable(r.levels))
+    if r.mode == RATIONAL:
+        texts = ["%d/%d" % c.as_integer_ratio() for c in values]
+    elif all(map(math.isfinite, values)):
+        texts = list(map(repr, values))
+    else:
+        for w, c in zip(words_up_to(r.m, r.max_degree), values):
+            if not math.isfinite(c):
+                raise CFError(f"coefficient of word {w} is not finite: {c!r}")
+    records = map(str.__add__, _record_prefixes(r.m, r.max_degree), texts)
+    return "\n".join([f"cfseries m={r.m} N={r.max_degree} mode={r.mode}", *records]) + "\n"
 
 
 def parse_series(text: str) -> Series:
@@ -369,19 +389,37 @@ def parse_series(text: str) -> Series:
             f"header m={m}, N={n} does not match the {len(body)} records found",
             line=len(lines),
         )
+    zero = zero_scalar(mode)
+    expected = None  # words_up_to(m, n), listed at the first record without its prefix
     values = []
-    expected = words_up_to(m, n)
-    for k, ln in enumerate(body):
-        if ";" not in ln:
-            raise ParseError("missing ';' in series record", line=k + 2, token=ln)
-        wtxt, vtxt = ln.split(";", 1)
-        w = tuple(map(int, wtxt.split(","))) if wtxt else EMPTY_WORD
-        if w != expected[k]:
-            raise ParseError(
-                f"record out of order: expected word {expected[k]}", line=k + 2, token=wtxt
-            )
+    for k, (ln, prefix) in enumerate(zip(body, _record_prefixes(m, n))):
+        if ln.startswith(prefix):
+            vtxt = ln[len(prefix) :]
+        else:
+            if ";" not in ln:
+                raise ParseError("missing ';' in series record", line=k + 2, token=ln)
+            wtxt, vtxt = ln.split(";", 1)
+            try:
+                w = tuple(map(int, wtxt.split(","))) if wtxt else EMPTY_WORD
+            except ValueError:
+                raise ParseError(
+                    "malformed word in series record", line=k + 2, token=wtxt
+                ) from None
+            expected = expected or words_up_to(m, n)
+            if w != expected[k]:
+                raise ParseError(
+                    f"record out of order: expected word {expected[k]}", line=k + 2, token=wtxt
+                )
         try:
-            val = Fraction(vtxt) if mode == RATIONAL else float(vtxt)
+            if mode == FLOAT:
+                val = float(vtxt)
+            elif vtxt == "0/1":
+                val = zero
+            elif _CANONICAL_VALUE.fullmatch(vtxt):
+                num, den = vtxt.split("/")
+                val = Fraction(int(num), int(den))
+            else:
+                val = Fraction(vtxt)
         except (ValueError, ZeroDivisionError):
             raise ParseError("bad coefficient value", line=k + 2, token=vtxt) from None
         if mode == FLOAT and not math.isfinite(val):
@@ -392,8 +430,18 @@ def parse_series(text: str) -> Series:
 
 
 def read_series(path) -> Series:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_series(fh.read())
+    """Parse the series file at ``path``; ParseError naming the line of its
+    first non-ASCII byte, if it has one."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # The byte's line is the last line of the text that ends with it.
+        line = len((data[: exc.start] + b".").decode("ascii").splitlines())
+        byte = data[exc.start]
+        raise ParseError(f"non-ASCII byte 0x{byte:02x} in series file", line=line) from None
+    return parse_series(text)
 
 
 def word_count(m: int, n: int) -> int:

@@ -193,6 +193,26 @@ class TestRank:
         assert rc != 0
         assert "insufficient" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, capsys, newline):
+        lines = [b"cfseries m=1 N=1 mode=rational", b";0/1", b"0;1/2\xc3\xa9", b"1;0/1"]
+        series = tmp_path / "series.txt"
+        series.write_bytes(newline.join(lines) + newline)
+        rc = main(["rank", "--series", str(series), "--rows", "0", "--cols", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: non-ASCII byte 0xc3 in series file (line 3)\n"
+        )
+
+    def test_malformed_word_names_its_line(self, tmp_path, capsys):
+        text = "cfseries m=1 N=1 mode=rational\n;0/1\nx;1/2\n1;0/1\n"
+        series = write(tmp_path / "series.txt", text)
+        rc = main(["rank", "--series", series, "--rows", "0", "--cols", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: malformed word in series record near 'x' (line 3)\n"
+        )
+
 
 class TestRealize:
     def test_round_trip_through_files(self, tmp_path):

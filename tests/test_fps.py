@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -374,3 +375,104 @@ class TestSeriesFile:
             finally:
                 tracemalloc.stop()
             assert peak < 2**20
+
+
+def reference_format(s):
+    """The series file written word by word, as the format comment states it."""
+    lines = [f"cfseries m={s.m} N={s.max_degree} mode={s.mode}"]
+    for w, c in zip(words_up_to(s.m, s.max_degree), itertools.chain.from_iterable(s.levels)):
+        value = f"{c.numerator}/{c.denominator}" if s.mode == RATIONAL else repr(c)
+        lines.append(",".join(map(str, w)) + ";" + value)
+    return "\n".join(lines) + "\n"
+
+
+def dense_series(m, n, seed):
+    rng = random.Random(seed)
+
+    def value():
+        return Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**6))
+
+    return Series(m, n, levels=[[value() for _ in range((m + 1) ** k)] for k in range(n + 1)])
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=8)
+VALUE_TEXTS = st.one_of(
+    # the canonical form, in lowest terms or not, zero denominators included
+    st.builds("{}{}/{}".format, st.sampled_from(["", "-"]), DIGITS, DIGITS),
+    # near misses: signs, padding, underscores, Unicode digits, decimals,
+    # exponents, missing or signed parts
+    st.builds(
+        "{}{}{}{}{}{}".format,
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["", "-", "+", "--"]),
+        st.text("0123456789_١٢", max_size=4),
+        st.sampled_from(["/", "", ".", "e", "/-", "//", "/+", "/ ", " /"]),
+        st.text("0123456789_١٢", max_size=4),
+        st.sampled_from(["", " "]),
+    ),
+    st.sampled_from(
+        ["2/4", "-0/5", "+1/2", " 1/2 ", "1_0/2", "1.5", "1e3", "١/٢", "1/0",
+         "/2", "1/", "1/-2", "", "0/1", "1" * 4301 + "/1"]
+    ),
+)
+
+
+class TestSeriesRecords:
+    """parse_series reads canonical records without parsing their words and
+    takes every other record the long way; both give the same series and
+    the same errors."""
+
+    SERIES = Series(1, 2, {(0,): 1, (1,): Fraction(-1, 2), (0, 1): 3, (1, 1): Fraction(2, 3)})
+
+    @settings(max_examples=300, deadline=None)
+    @given(VALUE_TEXTS)
+    def test_value_parses_as_fraction_of_its_text(self, value):
+        text = format_series(Series.zero(1, 2)).replace("\n1,0;0/1\n", f"\n1,0;{value}\n")
+        try:
+            want = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ParseError) as err:
+                parse_series(text)
+            got = (err.value.message, err.value.line, err.value.token)
+            assert got == ("bad coefficient value", 7, value)
+        else:
+            assert parse_series(text) == Series(1, 2, {(1, 0): want})
+
+    @pytest.mark.parametrize(
+        "record, written", [("0;", " 0;"), ("1;", "+1;"), ("0,1;", "0,01;"), ("1,1;", "1, 1;")]
+    )
+    def test_word_text_int_accepts_still_parses(self, record, written):
+        text = format_series(self.SERIES).replace(f"\n{record}", f"\n{written}")
+        assert f"\n{written}" in text
+        assert parse_series(text) == self.SERIES
+
+    def test_out_of_order_record_names_expected_word(self):
+        text = format_series(self.SERIES).replace("\n0,1;", "\n1,0;", 1)
+        with pytest.raises(ParseError) as err:
+            parse_series(text)
+        got = (err.value.message, err.value.line, err.value.token)
+        assert got == ("record out of order: expected word (0, 1)", 6, "1,0")
+
+    @pytest.mark.parametrize("word", ["x", "1,", ",1", "0,,1", "1.0", "١,x"])
+    def test_malformed_word_names_line_and_token(self, word):
+        text = format_series(self.SERIES).replace("\n0,1;", f"\n{word};")
+        with pytest.raises(ParseError) as err:
+            parse_series(text)
+        got = (err.value.message, err.value.line, err.value.token)
+        assert got == ("malformed word in series record", 6, word)
+
+    @pytest.mark.parametrize(
+        "series",
+        [
+            dense_series(2, 8, 1),
+            to_float(dense_series(2, 8, 2)),
+            Series(2, 8, {(1,): 1, (2, 0, 1): Fraction(-3, 7), (0,) * 8: Fraction(10**30, 11)}),
+        ],
+        ids=["dense", "float", "sparse"],
+    )
+    def test_large_layout_byte_identical(self, series):
+        text = format_series(series)
+        assert text == reference_format(series)
+        back = parse_series(text)
+        assert back == series
+        assert format_series(back) == text
