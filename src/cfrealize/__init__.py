@@ -25,7 +25,6 @@ from .fps import (
     RATIONAL,
     Series,
     coefficient,
-    concat,
     hankel_column,
     read_series,
     series_linear_combine,

@@ -2,8 +2,9 @@
 
 Every command is a pure function of its input files, flags, and seed:
 repeated invocations produce byte-identical outputs.  Stochastic commands
-require an explicit --seed; there is no wall-clock default.  Reports always
-carry the truncation parameters and tolerances they were computed with.
+require an explicit --seed; there is no wall-clock default.  They sample all
+their noise in ``_study_path``.  Reports always carry the truncation
+parameters and tolerances they were computed with.
 """
 
 from __future__ import annotations
@@ -154,11 +155,16 @@ def cmd_realize(args) -> int:
     return 0
 
 
+def _study_path(args, m: int, scale: int = 1):
+    """The --reps replicates (R, J+1, m) of unit-covariance Brownian noise of
+    a study, on --grid * scale cells up to --horizon, seeded with --seed."""
+    grid = paths.make_grid(args.horizon, args.grid * scale)
+    return paths.sample_brownian(paths.QSpec.identity(m), grid, args.seed, args.reps)
+
+
 def _simulate_study(model, args):
-    """All --reps replicates of a study: the batched driving path (R, J+1, m)
-    and the simulated outputs (R, J+1)."""
-    grid = paths.make_grid(args.horizon, args.grid)
-    path = paths.sample_brownian(paths.QSpec.identity(model.m), grid, args.seed, args.reps)
+    """The study path of a model and its simulated outputs (R, J+1)."""
+    path = _study_path(args, model.m)
     if isinstance(model, BilinearModel):
         return path, paths.simulate_bilinear(model, path)
     return path, paths.simulate_analytic(model, path)
@@ -227,24 +233,16 @@ def cmd_ito_check(args) -> int:
     from .symdiff import MultiPoly
 
     _check_reps(args.reps)
-    q = paths.QSpec.identity(1)
     linear = dupire.MemorylessFunctional(MultiPoly.var(2, 2), 1)
     quad = dupire.MemorylessFunctional(MultiPoly.var(2, 2) * MultiPoly.var(2, 2), 1)
-    reports = []
-    linear_report = dupire.functional_ito_residual(
-        linear, q, paths.make_grid(args.horizon, args.grid), args.horizon, args.reps, args.seed
-    )
-    reports.append(linear_report.as_dict())
+    # The bumps restore every row exactly, so both checks share one path.
+    path = _study_path(args, 1)
+    linear_report = dupire.functional_ito_residual(linear, path, args.horizon)
+    reports = [linear_report.as_dict()]
     quad_rms = []
     for scale in (1, 2, 4):
-        rep = dupire.functional_ito_residual(
-            quad,
-            q,
-            paths.make_grid(args.horizon, args.grid * scale),
-            args.horizon,
-            args.reps,
-            args.seed,
-        )
+        scaled = path if scale == 1 else _study_path(args, 1, scale)
+        rep = dupire.functional_ito_residual(quad, scaled, args.horizon)
         reports.append(rep.as_dict())
         quad_rms.append(rep.rms)
     factors = [quad_rms[i] / quad_rms[i + 1] for i in range(len(quad_rms) - 1)]
@@ -267,8 +265,7 @@ def cmd_hijab_check(args) -> int:
     rms = []
     reports = []
     for scale in (1, 2):
-        grid = paths.make_grid(args.horizon, args.grid * scale)
-        rep = dupire.hijab_decomposition_check(model, grid, args.seed, replicates=args.reps)
+        rep = dupire.hijab_decomposition_check(model, _study_path(args, model.m, scale))
         reports.append(rep.as_dict())
         rms.append(rep.ito_rms)
     factor = rms[0] / rms[1] if rms[1] > 0 else float("inf")
@@ -292,8 +289,7 @@ def cmd_demo_zakai(args) -> int:
     block = hankel.hankel_build(s, args.deg // 2, args.deg - args.deg // 2)
     rank_report = hankel.rank_exact(block)
 
-    grid = paths.make_grid(args.horizon, args.grid)
-    path = paths.sample_brownian(paths.QSpec.identity(1), grid, args.seed, args.reps)
+    path = _study_path(args, model.m)
     sigma_phi, sigma_one = paths.zakai_readout(model, path)[:2]
     positivity_violations = int(np.count_nonzero(sigma_one <= 0))
     pi = paths.normalize_filter(sigma_phi, sigma_one)
@@ -301,7 +297,7 @@ def cmd_demo_zakai(args) -> int:
     pi_max = float(np.max(pi, initial=-np.inf))
     one_dev = float(np.max(np.abs(paths.normalize_filter(sigma_one, sigma_one) - 1.0), initial=0.0))
     columns = {**_path_columns(path), "sigma_phi": sigma_phi, "sigma_one": sigma_one, "pi": pi}
-    _write_replicates(args.out, grid, columns, min(args.reps, 4))
+    _write_replicates(args.out, path.grid, columns, min(args.reps, 4))
     summary = {
         "generator": generator,
         "obs": obs,
@@ -413,10 +409,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CFError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CFError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

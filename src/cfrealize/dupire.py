@@ -16,8 +16,8 @@ and assign the saved row back, also if the functional raises; no prefix of
 the path is copied (Dupire 2009; Cont & Fournie, arXiv:1002.2446).
 
 Paths may carry leading replicate axes, values (..., J+1, m); a functional
-then returns one value per replicate, and the residual studies sample all
-their replicates in one call and evaluate them together.
+then returns one value per replicate, and the residual studies evaluate
+together all replicates of the batched path their caller passes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .paths import QSpec, SamplePath, sample_brownian, simulate_analytic
+from .paths import SamplePath, simulate_analytic
 from .symdiff import AnalyticModel, MultiPoly, compile_float, lie_derivative
 
 
@@ -235,11 +235,8 @@ class ResidualReport:
 
 def functional_ito_residual(
     f: CausalFunctional,
-    q: QSpec,
-    grid,
+    path: SamplePath,
     t: float,
-    replicates: int,
-    seed: int,
     form: str = "ito",
     bump: float | None = None,
 ) -> ResidualReport:
@@ -249,16 +246,18 @@ def functional_ito_residual(
     The horizontal term uses left-point quadrature with one-cell forward
     differences; the Ito integral uses left-point increments with central
     vertical bumps; the quadratic-variation term pairs second vertical
-    derivatives with the left-endpoint covariance rate.  ``form="strat"``
-    checks the Stratonovich version instead: the stochastic term then uses
-    midpoint (trapezoidal) integrand values and no second-order term.  All
-    replicates are sampled in one call and carried along a leading axis.
+    derivatives with the left-endpoint covariance rate ``path.q``.  Any
+    continuous semimartingale input will do.  ``form="strat"`` checks the
+    Stratonovich version instead: the stochastic term then uses midpoint
+    (trapezoidal) integrand values and no second-order term.
     """
     if form not in ("ito", "strat"):
         raise ValueError(f"unknown form {form!r}")
-    grid = np.asarray(grid, dtype=float)
-    m = q.dim
-    path = sample_brownian(q, grid, seed, replicates)
+    if path.values.ndim != 3:
+        raise ValueError("residual study needs a batched path, values (R, J+1, m)")
+    if path.q is None:
+        raise ValueError("path records no covariance rate")
+    q, grid, m, replicates = path.q, path.grid, path.m, len(path.values)
     jt = path.index_of(t)
     h = np.broadcast_to(bump if bump is not None else default_bump(path), (replicates,))
     vals = path.values
@@ -295,8 +294,8 @@ def functional_ito_residual(
         functional=f.name,
         form=form,
         rms=float(np.sqrt(np.mean(residuals**2))),
-        grid_steps=grid.size - 1,
-        horizon=float(grid[-1]),
+        grid_steps=path.steps,
+        horizon=path.horizon,
         bump_min=bumps[0],
         bump_max=bumps[1],
         replicates=replicates,
@@ -319,32 +318,32 @@ class DecompositionReport:
         return asdict(self)
 
 
-def hijab_decomposition_check(
-    model: AnalyticModel, grid, seed: int, replicates: int = 100
-) -> DecompositionReport:
+def hijab_decomposition_check(model: AnalyticModel, path: SamplePath) -> DecompositionReport:
     """Verify both first-order integral decompositions of a single-noise
-    model output Y = h(X).
+    model output Y = h(X) along the replicates of ``path``.
 
     With Z0 = L_{g0} h (X) and Z1 = L_{g1} h (X), the Stratonovich pair
     reconstructs Y from Y(0) + int Z0 dt + int Z1 o dW (trapezoid), and the
     Ito pair replaces Z0 by Z0 + L_{g1} L_{g1} h / 2 evaluated along X with a
-    left-point stochastic integral.  Reports terminal RMS errors of both
-    reconstructions over replicates driven by unit-covariance noise, all
-    simulated in one batch.
+    left-point stochastic integral.  That correction assumes unit covariance,
+    so the path must record Q = 1.  Reports terminal RMS errors of both
+    reconstructions over the replicates, all simulated in one batch.
     """
     if model.m != 1:
         raise ValueError("decomposition check requires a single noise channel")
-    grid = np.asarray(grid, dtype=float)
+    if path.values.ndim != 3:
+        raise ValueError("decomposition check needs a batched path, values (R, J+1, m)")
+    if path.q is None or any(not np.array_equal(mat, [[1.0]]) for _, mat in path.q.pieces):
+        raise ValueError("decomposition check needs a path with covariance rate Q = 1")
     z0_poly = lie_derivative(model.fields[0], model.readout)
     z1_poly = lie_derivative(model.fields[1], model.readout)
     z11_poly = lie_derivative(model.fields[1], z1_poly)
     along = compile_float([model.readout, z0_poly, z1_poly, z11_poly])
 
-    path = sample_brownian(QSpec.identity(1), grid, seed, replicates)
     _, states = simulate_analytic(model, path, return_states=True)
     y, z0_t, z1_t, z11_t = np.moveaxis(along(states), -1, 0)  # each (R, J+1)
     zt0_t = z0_t + 0.5 * z11_t
-    dt = np.diff(grid)
+    dt = np.diff(path.grid)
     dw = np.diff(path.values[..., 0], axis=-1)
     strat = y[:, 0] + np.sum(0.5 * (z0_t[:, :-1] + z0_t[:, 1:]) * dt, axis=-1) + np.sum(
         0.5 * (z1_t[:, :-1] + z1_t[:, 1:]) * dw, axis=-1
@@ -355,16 +354,8 @@ def hijab_decomposition_check(
     return DecompositionReport(
         strat_rms=float(np.sqrt(np.mean(err_strat**2))),
         ito_rms=float(np.sqrt(np.mean(err_ito**2))),
-        grid_steps=grid.size - 1,
-        horizon=float(grid[-1]),
-        replicates=replicates,
+        grid_steps=path.steps,
+        horizon=path.horizon,
+        replicates=len(path.values),
     )
 
-
-def memoryless_from_state_poly(f: MultiPoly, m: int) -> MemorylessFunctional:
-    """Lift a polynomial in the path coordinates (no explicit time) to a
-    memoryless functional in (t, x)."""
-    lifted = MultiPoly(
-        m + 1, {(0,) + exps: c for exps, c in f.terms.items()}
-    )
-    return MemorylessFunctional(lifted, m)

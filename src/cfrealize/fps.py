@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, product
+from itertools import chain, islice, product
 from types import MappingProxyType
 
 from .errors import AlphabetError, CFError, DegreeError, ModeMismatchError, ParseError
@@ -79,11 +80,6 @@ def words_up_to(m: int, n: int) -> list[Word]:
     if n < 0:
         raise ValueError("degree bound must be nonnegative")
     return [w for d in range(n + 1) for w in words_of_degree(m, d)]
-
-
-def concat(u: Word, v: Word) -> Word:
-    """Concatenation of two words."""
-    return tuple(u) + tuple(v)
 
 
 def _coerce(value, mode):
@@ -348,7 +344,16 @@ def _record_prefixes(m: int, n: int) -> list[str]:
 def format_series(r: Series) -> str:
     values = list(chain.from_iterable(r.levels))
     if r.mode == RATIONAL:
-        texts = ["%d/%d" % c.as_integer_ratio() for c in values]
+        try:
+            texts = ["%d/%d" % c.as_integer_ratio() for c in values]
+        except ValueError:  # an integer past the interpreter's digit limit
+            for w, c in zip(words_up_to(r.m, r.max_degree), values):
+                try:
+                    "%d/%d" % c.as_integer_ratio()
+                except ValueError:
+                    limit = sys.get_int_max_str_digits()
+                    raise CFError(f"coefficient of word {w} has more than {limit} digits") from None
+            raise
     elif all(map(math.isfinite, values)):
         texts = list(map(repr, values))
     else:
@@ -389,6 +394,12 @@ def parse_series(text: str) -> Series:
             f"header m={m}, N={n} does not match the {len(body)} records found",
             line=len(lines),
         )
+
+    def record_error(k: int, message: str, token: str) -> ParseError:
+        # Blank lines are skipped, so record k's line is counted only here.
+        nonblank = (i for i, ln in enumerate(lines[1:], 2) if ln.strip())
+        return ParseError(message, line=next(islice(nonblank, k, None)), token=token)
+
     zero = zero_scalar(mode)
     expected = None  # words_up_to(m, n), listed at the first record without its prefix
     values = []
@@ -397,19 +408,15 @@ def parse_series(text: str) -> Series:
             vtxt = ln[len(prefix) :]
         else:
             if ";" not in ln:
-                raise ParseError("missing ';' in series record", line=k + 2, token=ln)
+                raise record_error(k, "missing ';' in series record", ln)
             wtxt, vtxt = ln.split(";", 1)
             try:
                 w = tuple(map(int, wtxt.split(","))) if wtxt else EMPTY_WORD
             except ValueError:
-                raise ParseError(
-                    "malformed word in series record", line=k + 2, token=wtxt
-                ) from None
+                raise record_error(k, "malformed word in series record", wtxt) from None
             expected = expected or words_up_to(m, n)
             if w != expected[k]:
-                raise ParseError(
-                    f"record out of order: expected word {expected[k]}", line=k + 2, token=wtxt
-                )
+                raise record_error(k, f"record out of order: expected word {expected[k]}", wtxt)
         try:
             if mode == FLOAT:
                 val = float(vtxt)
@@ -421,9 +428,9 @@ def parse_series(text: str) -> Series:
             else:
                 val = Fraction(vtxt)
         except (ValueError, ZeroDivisionError):
-            raise ParseError("bad coefficient value", line=k + 2, token=vtxt) from None
+            raise record_error(k, "bad coefficient value", vtxt) from None
         if mode == FLOAT and not math.isfinite(val):
-            raise ParseError("non-finite coefficient value", line=k + 2, token=vtxt)
+            raise record_error(k, "non-finite coefficient value", vtxt)
         values.append(val)
     levels = [values[word_count(m, k - 1) : word_count(m, k)] for k in range(n + 1)]
     return Series(m, n, mode=mode, levels=levels)

@@ -9,8 +9,6 @@ self-describing.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -214,21 +212,3 @@ def lie_rank(
         rank=rk, mode="numeric", truncation=truncation, tolerance=tol, singular_values=svals
     )
 
-
-def hankel_csv(h: HankelBlock) -> str:
-    """CSV text with word labels (letters comma-joined) on both axes."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-
-    def label(w: Word) -> str:
-        return ",".join(str(c) for c in w)
-
-    writer.writerow([""] + [label(v) for v in h.col_words])
-    for u, row in zip(h.row_words, h.entries):
-        writer.writerow([label(u)] + [str(x) for x in row])
-    return buf.getvalue()
-
-
-def hankel_rank_profile(s: Series, d_max: int) -> list[int]:
-    """Exact ranks of the square sections d = 0..d_max (diagnostic helper)."""
-    return [rank_exact(hankel_build(s, d, d)).rank for d in range(d_max + 1)]

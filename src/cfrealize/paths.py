@@ -24,6 +24,8 @@ Conventions shared by everything in this module:
   sampled with that seed; identical seeds and configuration give
   bit-identical output.  Study seeds that differ only in their low bits
   share streams: seeds 2 and 3 with two replicates both use generators 2, 3.
+* Studies take their path as an argument; the command line draws every
+  study's Brownian noise in one place.
 """
 
 from __future__ import annotations

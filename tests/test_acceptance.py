@@ -202,13 +202,15 @@ def test_criterion_6_functional_ito_residual():
     from cfrealize.dupire import MemorylessFunctional, functional_ito_residual
     from cfrealize.symdiff import parse_polynomial
 
-    q = cf.QSpec.identity(1)
+    def study(steps):
+        return cf.sample_brownian(cf.QSpec.identity(1), cf.make_grid(0.25, steps), 606, 200)
+
     w1 = MemorylessFunctional(parse_polynomial("x2", 2), 1)
-    linear = functional_ito_residual(w1, q, cf.make_grid(0.25, 512), 0.25, 200, 606)
+    linear = functional_ito_residual(w1, study(512), 0.25)
     w1sq = MemorylessFunctional(parse_polynomial("x2^2", 2), 1)
     rms = []
     for steps in (512, 1024, 2048):
-        rep = functional_ito_residual(w1sq, q, cf.make_grid(0.25, steps), 0.25, 200, 606)
+        rep = functional_ito_residual(w1sq, study(steps), 0.25)
         rms.append(rep.rms)
     factors = [rms[0] / rms[1], rms[1] / rms[2]]
     ok = linear.rms <= 1e-10 and all(f >= 1.2 for f in factors)
@@ -226,7 +228,8 @@ def test_criterion_7_first_order_decomposition():
     model = cf.parse_model("n = 1\nm = 1\nx0 = 0\ng0 = 0\ng1 = 1\nh = x1^2\n")
     rms = []
     for steps in (1024, 2048):
-        rep = hijab_decomposition_check(model, cf.make_grid(0.25, steps), 707, replicates=200)
+        path = cf.sample_brownian(cf.QSpec.identity(1), cf.make_grid(0.25, steps), 707, 200)
+        rep = hijab_decomposition_check(model, path)
         rms.append(rep.ito_rms)
     factor = rms[0] / rms[1]
     report(

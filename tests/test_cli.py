@@ -126,6 +126,17 @@ class TestBadCounts:
         assert "coefficient of word (0, 0, 0, 0, 0) is outside the float range" in err
         assert not out.exists()
 
+    def test_rational_past_digit_limit_names_word(self, tmp_path, capsys):
+        # A0 = 10^600: the coefficient of 0^8 is 10^4800, more digits than
+        # int-to-text conversion allows by default.
+        huge = "type = bilinear\nn = 1\nm = 1\nx0 = 1\nA0 = 1" + "0" * 600 + "\nA1 = 0\nC = 1\n"
+        model = write(tmp_path / "model.txt", huge)
+        out = tmp_path / "out"
+        assert main(["coeffs", "--model", model, "--deg", "8", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: coefficient of word (0, 0, 0, 0, 0, 0, 0, 0) has more than")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command",
         [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfrealize import QSpec, make_grid, parse_model, sample_brownian
+from cfrealize import QSpec, make_grid, parse_model, sample_brownian, sample_diffusion_input
 from cfrealize.dupire import (
     CausalFunctional,
     LinearFilterFunctional,
@@ -12,12 +12,11 @@ from cfrealize.dupire import (
     functional_ito_residual,
     hijab_decomposition_check,
     horizontal_derivative,
-    memoryless_from_state_poly,
     second_vertical_derivative,
     vertical_derivative,
 )
 from cfrealize.paths import SamplePath, replicate_seed
-from cfrealize.symdiff import MultiPoly, parse_polynomial
+from cfrealize.symdiff import MultiPoly, PolyVectorField, parse_polynomial
 
 
 def P(text, n):
@@ -26,6 +25,11 @@ def P(text, n):
 
 def brownian(steps=256, horizon=0.25, seed=1, m=1):
     return sample_brownian(QSpec.identity(m), make_grid(horizon, steps), seed)
+
+
+def study(steps, replicates, seed, q=None, horizon=0.25):
+    """A batched driving path, as a study samples it."""
+    return sample_brownian(q or QSpec.identity(1), make_grid(horizon, steps), seed, replicates)
 
 
 # registered functionals, one of each flavor
@@ -187,9 +191,8 @@ def ref_second(f, path, j, ci, cj, h):
     return (pp - pm - mp + mm) / (4.0 * h * h)
 
 
-def ref_residual_rms(f, q, grid, t, replicates, seed, form, bump):
-    m = q.dim
-    path = sample_brownian(q, grid, seed, replicates)
+def ref_residual_rms(f, path, t, form, bump):
+    q, grid, m, replicates = path.q, path.grid, path.m, len(path.values)
     jt = path.index_of(t)
     h = np.broadcast_to(bump if bump is not None else default_bump(path), (replicates,))
     vals = path.values
@@ -263,10 +266,12 @@ class TestInPlaceMatchesCopies:
     @pytest.mark.parametrize("bump", [None, 1e-3])
     def test_residual_bit_equal(self, m, form, bump):
         q = QSpec.identity(m) if m == 1 else QSpec.constant([[2.0, 0.5], [0.5, 1.0]])
-        grid = make_grid(0.5, 24)
+        path = study(24, 4, 31, q, horizon=0.5)
+        before = path.values.copy()
         for f in registered(m):
-            got = functional_ito_residual(f, q, grid, 0.375, 4, 31, form=form, bump=bump)
-            assert got.rms == ref_residual_rms(f, q, grid, 0.375, 4, 31, form, bump)
+            got = functional_ito_residual(f, path, 0.375, form=form, bump=bump)
+            assert bit_equal(path.values, before)
+            assert got.rms == ref_residual_rms(f, path, 0.375, form, bump)
 
 
 class RaiseOnCall(CausalFunctional):
@@ -334,17 +339,13 @@ class TestCausality:
 
 class TestResiduals:
     def test_linear_functional_residual_at_rounding(self):
-        rep = functional_ito_residual(
-            w1(), QSpec.identity(1), make_grid(0.25, 256), 0.25, 20, 5
-        )
+        rep = functional_ito_residual(w1(), study(256, 20, 5), 0.25)
         assert rep.rms <= 1e-10
 
     def test_quadratic_residual_decays(self):
         rms = []
         for steps in (128, 256, 512):
-            rep = functional_ito_residual(
-                w1_squared(), QSpec.identity(1), make_grid(0.25, steps), 0.25, 60, 6
-            )
+            rep = functional_ito_residual(w1_squared(), study(steps, 60, 6), 0.25)
             rms.append(rep.rms)
         assert rms[0] / rms[1] >= 1.2
         assert rms[1] / rms[2] >= 1.2
@@ -352,7 +353,7 @@ class TestResiduals:
     def test_quadratic_residual_matches_known_identity(self):
         # residual for w^2 under unit covariance is sum((dW)^2 - dt)
         grid = make_grid(0.25, 128)
-        rep = functional_ito_residual(w1_squared(), QSpec.identity(1), grid, 0.25, 1, 7)
+        rep = functional_ito_residual(w1_squared(), study(128, 1, 7), 0.25)
         path = sample_brownian(QSpec.identity(1), grid, replicate_seed(7, 0))
         dw = np.diff(path.values[:, 0])
         expected = np.sum(dw**2 - np.diff(grid))
@@ -362,16 +363,12 @@ class TestResiduals:
         f = LinearFilterFunctional(P("1 - x1", 1), 1)
         rms = []
         for steps in (128, 256):
-            rep = functional_ito_residual(
-                f, QSpec.identity(1), make_grid(0.25, steps), 0.25, 40, 8
-            )
+            rep = functional_ito_residual(f, study(steps, 40, 8), 0.25)
             rms.append(rep.rms)
         assert rms[0] / rms[1] >= 1.2
 
     def test_stratonovich_form_quadratic_telescopes(self):
-        rep = functional_ito_residual(
-            w1_squared(), QSpec.identity(1), make_grid(0.25, 256), 0.25, 20, 9, form="strat"
-        )
+        rep = functional_ito_residual(w1_squared(), study(256, 20, 9), 0.25, form="strat")
         assert rep.rms <= 1e-12
 
     def test_bump_range_over_replicates(self):
@@ -379,28 +376,51 @@ class TestResiduals:
         # Q = 16 on [0, 1] the amplitudes exceed 1 and differ.
         q = QSpec.constant([[16.0]])
         grid = make_grid(1.0, 32)
-        rep = functional_ito_residual(w1_squared(), q, grid, 1.0, 8, 21)
+        path = study(32, 8, 21, q, horizon=1.0)
+        rep = functional_ito_residual(w1_squared(), path, 1.0)
         bumps = [default_bump(sample_brownian(q, grid, replicate_seed(21, k))) for k in range(8)]
         assert rep.bump_min == min(bumps) and rep.bump_max == max(bumps)
         assert rep.bump_min < rep.bump_max
         assert rep.as_dict()["bump_max"] == rep.bump_max
-        fixed = functional_ito_residual(w1_squared(), q, grid, 1.0, 8, 21, bump=1e-3)
+        fixed = functional_ito_residual(w1_squared(), path, 1.0, bump=1e-3)
         assert fixed.bump_min == fixed.bump_max == 1e-3
 
     def test_nonunit_covariance(self):
         rms = []
         for steps in (128, 256):
             rep = functional_ito_residual(
-                w1_squared(), QSpec.constant([[2.0]]), make_grid(0.25, steps), 0.25, 40, 10
+                w1_squared(), study(steps, 40, 10, QSpec.constant([[2.0]])), 0.25
             )
             rms.append(rep.rms)
         assert rms[0] / rms[1] >= 1.2
+
+    def test_ornstein_uhlenbeck_input(self):
+        # A semimartingale input with drift: dX = -X dt + dB.  The identity
+        # holds along X with d[X] = dt; the linear functional stays exact.
+        drift = PolyVectorField((parse_polynomial("-x1", 1),))
+
+        def ou(steps):
+            return sample_diffusion_input(drift, [[1.0]], make_grid(0.25, steps), 14, 200)
+
+        assert functional_ito_residual(w1(), ou(64), 0.25).rms <= 1e-10
+        rms = [functional_ito_residual(w1_squared(), ou(j), 0.25).rms for j in (64, 128, 256)]
+        assert rms[0] / rms[1] >= 1.2
+        assert rms[1] / rms[2] >= 1.2
+
+    def test_rejects_unbatched_path(self):
+        with pytest.raises(ValueError, match="batched"):
+            functional_ito_residual(w1_squared(), brownian(steps=16), 0.25)
+
+    def test_rejects_path_without_covariance_rate(self):
+        path = study(16, 2, 1)
+        with pytest.raises(ValueError, match="covariance rate"):
+            functional_ito_residual(w1_squared(), SamplePath(path.grid, path.values), 0.25)
 
 
 class TestHijabDecomposition:
     def test_linear_model_exact_both_ways(self):
         model = parse_model("n = 1\nm = 1\nx0 = 2\ng0 = 3\ng1 = -1\nh = x1\n")
-        rep = hijab_decomposition_check(model, make_grid(0.25, 128), 11, replicates=20)
+        rep = hijab_decomposition_check(model, study(128, 20, 11))
         assert rep.strat_rms <= 1e-12
         assert rep.ito_rms <= 1e-12
 
@@ -409,7 +429,7 @@ class TestHijabDecomposition:
         # exactly t + 2 * leftpoint(W dW) per path
         model = parse_model("n = 1\nm = 1\nx0 = 0\ng0 = 0\ng1 = 1\nh = x1^2\n")
         grid = make_grid(0.25, 256)
-        rep = hijab_decomposition_check(model, grid, 12, replicates=1)
+        rep = hijab_decomposition_check(model, study(256, 1, 12))
         path = sample_brownian(QSpec.identity(1), grid, replicate_seed(12, 0))
         w = path.values[:, 0]
         recon = 0.25 + 2 * np.sum(w[:-1] * np.diff(w))
@@ -419,7 +439,7 @@ class TestHijabDecomposition:
         model = parse_model("n = 1\nm = 1\nx0 = 1/2\ng0 = x1\ng1 = 1\nh = x1^2\n")
         rms = []
         for steps in (256, 512):
-            rep = hijab_decomposition_check(model, make_grid(0.25, steps), 13, replicates=60)
+            rep = hijab_decomposition_check(model, study(steps, 60, 13))
             rms.append(rep.ito_rms)
         assert rms[0] / rms[1] >= 1.2
 
@@ -428,11 +448,14 @@ class TestHijabDecomposition:
             "n = 1\nm = 2\nx0 = 0\ng0 = 0\ng1 = 1\ng2 = 1\nh = x1\n"
         )
         with pytest.raises(ValueError):
-            hijab_decomposition_check(model, make_grid(0.25, 16), 1)
+            hijab_decomposition_check(model, study(16, 100, 1, QSpec.identity(2)))
 
+    def test_rejects_unbatched_path(self):
+        model = parse_model("n = 1\nm = 1\nx0 = 0\ng0 = 0\ng1 = 1\nh = x1^2\n")
+        with pytest.raises(ValueError, match="batched"):
+            hijab_decomposition_check(model, brownian(steps=16))
 
-class TestHelpers:
-    def test_memoryless_from_state_poly(self):
-        f = memoryless_from_state_poly(P("x1^2", 1), 1)
-        path = brownian()
-        assert f.value(path.grid, path.values, 10) == pytest.approx(path.values[10, 0] ** 2)
+    def test_requires_unit_covariance(self):
+        model = parse_model("n = 1\nm = 1\nx0 = 0\ng0 = 0\ng1 = 1\nh = x1^2\n")
+        with pytest.raises(ValueError, match="Q = 1"):
+            hijab_decomposition_check(model, study(16, 2, 1, QSpec.constant([[2.0]])))

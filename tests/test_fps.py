@@ -15,7 +15,6 @@ from cfrealize import (
     ParseError,
     Series,
     coefficient,
-    concat,
     hankel_column,
     series_linear_combine,
     series_product,
@@ -81,11 +80,6 @@ class TestWords:
             for n in range(5):
                 assert len(words_up_to(m, n)) == word_count(m, n)
 
-    def test_concat_examples(self):
-        assert concat((), (1, 0)) == (1, 0)
-        assert concat((0,), (1,)) == (0, 1)
-        assert concat((1, 2), (0,)) == (1, 2, 0)
-
     def test_word_index_inverts_listing(self):
         for m in (1, 2, 3):
             for d in range(4):
@@ -96,13 +90,7 @@ class TestWords:
 
     @given(words_strategy, words_strategy)
     def test_word_index_of_concatenation(self, u, v):
-        assert word_index(concat(u, v), 2) == word_index(u, 2) * 3 ** len(v) + word_index(v, 2)
-
-    @given(words_strategy, words_strategy, words_strategy)
-    def test_concat_associative_with_unit(self, u, v, w):
-        assert concat(concat(u, v), w) == concat(u, concat(v, w))
-        assert concat((), u) == u
-        assert concat(u, ()) == u
+        assert word_index(u + v, 2) == word_index(u, 2) * 3 ** len(v) + word_index(v, 2)
 
 
 def z(letter, m=1, n=4):
@@ -337,6 +325,13 @@ class TestSeriesFile:
         with pytest.raises(CFError, match=r"word \(1, 0\) is not finite"):
             format_series(s)
 
+    def test_format_rejects_rational_past_digit_limit_naming_first_word(self):
+        # 10^5000 has more digits than int-to-text conversion allows by default.
+        huge = Fraction(10) ** 5000
+        s = Series(1, 2, {(0,): 1, (0, 1): huge, (1, 1): 1 / huge})
+        with pytest.raises(CFError, match=r"word \(0, 1\) has more than \d+ digits"):
+            format_series(s)
+
     @pytest.mark.parametrize("n", [-1, -7])
     def test_negative_degree_bound_names_header_token(self, n):
         with pytest.raises(ParseError) as err:
@@ -460,6 +455,22 @@ class TestSeriesRecords:
             parse_series(text)
         got = (err.value.message, err.value.line, err.value.token)
         assert got == ("malformed word in series record", 6, word)
+
+    @pytest.mark.parametrize(
+        "record, message, token",
+        [
+            ("0,1;x", "bad coefficient value", "x"),
+            ("0,,1;3/1", "malformed word in series record", "0,,1"),
+            ("1,0;3/1", "record out of order: expected word (0, 1)", "1,0"),
+        ],
+    )
+    def test_errors_after_blank_lines_name_physical_line(self, record, message, token):
+        lines = format_series(self.SERIES).splitlines()
+        # Blank lines 2, 3 and 8; the faulty record replaces word (0, 1), on line 9.
+        text = "\n".join([lines[0], "", "  ", *lines[1:5], "\t", record, *lines[6:]]) + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_series(text)
+        assert (err.value.message, err.value.line, err.value.token) == (message, 9, token)
 
     @pytest.mark.parametrize(
         "series",

@@ -23,7 +23,6 @@ from cfrealize import (
     to_float,
     words_up_to,
 )
-from cfrealize.hankel import hankel_csv, hankel_rank_profile
 from conftest import rand_bilinear
 
 
@@ -89,7 +88,7 @@ class TestRankExact:
 
     def test_monotone_in_block_size(self, rng):
         s = bilinear_coefficients(rand_bilinear(rng, 3, 1), 6)
-        profile = hankel_rank_profile(s, 3)
+        profile = [rank_exact(hankel_build(s, d, d)).rank for d in range(4)]
         assert all(a <= b for a, b in zip(profile, profile[1:]))
 
     def test_report_carries_truncation(self):
@@ -200,17 +199,3 @@ class TestLieRank:
         with pytest.raises(DegreeError):
             lie_rank(drift_series(4), 3, 3)
 
-
-class TestCsvExport:
-    def test_labels_and_shape(self):
-        text = hankel_csv(hankel_build(drift_series(), 1, 1))
-        lines = text.strip().splitlines()
-        assert len(lines) == 4  # header + 3 word rows
-        assert lines[0] == ",,0,1"  # empty-word column label is empty
-        assert lines[1] == ",0,1,0"  # empty-word row: s(0)=1, rest 0
-        assert lines[2].startswith("0,")
-
-    def test_multiletter_labels_quoted(self, rng):
-        block = hankel_build(bilinear_coefficients(rand_bilinear(rng, 1, 1), 4), 2, 2)
-        header = hankel_csv(block).splitlines()[0]
-        assert '"0,0"' in header and '"1,1"' in header
