@@ -64,6 +64,7 @@ from .paths import (
     sample_diffusion_input,
     simulate_analytic,
     simulate_bilinear,
+    simulate_states,
     zakai_build,
 )
 from .realize import (

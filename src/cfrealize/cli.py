@@ -19,7 +19,15 @@ import numpy as np
 
 from . import dupire, hankel, paths, realize
 from .errors import CFError
-from .fps import RATIONAL, check_word_count, format_series, read_series, to_float
+from .fps import (
+    MAX_CELLS,
+    RATIONAL,
+    check_word_count,
+    format_series,
+    read_series,
+    to_float,
+    word_count,
+)
 from .symdiff import (
     AnalyticModel,
     BilinearModel,
@@ -65,10 +73,19 @@ def _check_word_count(m: int, flag: str, degree: int | None) -> None:
         check_word_count(m, degree, flag)
 
 
-def _check_reps(reps: int) -> None:
-    """Reject a replicate count below 1, before anything is sampled."""
-    if reps < 1:
-        raise CFError(f"--reps must be at least 1, got {reps}")
+def _check_cells(cells: int, flags: str) -> None:
+    if cells > MAX_CELLS:
+        raise CFError(f"{flags} ask for {cells} float cells, above the limit of {MAX_CELLS}")
+
+
+def _check_study(args, width: int, scale: int = 1) -> None:
+    """Reject a study before anything is built or sampled: a replicate count
+    below 1, or paths and states of --reps x (--grid * scale + 1) x width
+    cells past MAX_CELLS."""
+    if args.reps < 1:
+        raise CFError(f"--reps must be at least 1, got {args.reps}")
+    cells = args.reps * (args.grid * scale + 1) * width
+    _check_cells(cells, f"--reps {args.reps} and --grid {args.grid}")
 
 
 def _series_coefficients(model, deg: int):
@@ -78,12 +95,9 @@ def _series_coefficients(model, deg: int):
 
 
 def _trajectory_csv(grid, columns: dict[str, np.ndarray]) -> str:
-    names = ["t"] + list(columns)
-    lines = [",".join(names)]
-    for j in range(len(grid)):
-        row = [repr(float(grid[j]))] + [repr(float(v[j])) for v in columns.values()]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    cols = [grid.tolist(), *(v.tolist() for v in columns.values())]
+    rows = (",".join(map(repr, row)) for row in zip(*cols))
+    return "\n".join([",".join(["t", *columns]), *rows]) + "\n"
 
 
 def _write_replicates(out: str, grid, columns: dict[str, np.ndarray], count: int) -> None:
@@ -175,8 +189,8 @@ def _path_columns(path) -> dict[str, np.ndarray]:
 
 
 def cmd_simulate(args) -> int:
-    _check_reps(args.reps)
     model = read_model(args.model)
+    _check_study(args, max(model.m, model.n))
     path, y = _simulate_study(model, args)
     _write_replicates(args.out, path.grid, {**_path_columns(path), "Y_sim": y}, args.reps)
     terminal = y[:, -1].tolist()
@@ -194,21 +208,22 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _check_reps(args.reps)
     model = read_model(args.model)
     _check_word_count(model.m, "--deg", args.deg)
+    _check_study(args, max(model.m, model.n))
+    table_cells = word_count(model.m, args.deg) * (args.grid + 1)
+    _check_cells(table_cells, f"--deg {args.deg} and --grid {args.grid}")
     s = to_float(_series_coefficients(model, args.deg))
     path, y = _simulate_study(model, args)
     errors = {d: [] for d in range(1, args.deg + 1)}
     ycf = np.empty_like(y)
     for rep in range(args.reps):
-        # One table per replicate: a stacked degree-6 table would hold 127
-        # trajectories of every replicate at once.
-        table = paths.iterated_stratonovich(path.replicate(rep), args.deg)
-        ycf[rep] = paths.cf_trajectory(s, table)
+        # One table per replicate, dropped before the next is built: a stacked
+        # degree-6 table would hold 127 trajectories of every replicate at once.
+        sums = paths.cf_trajectory(s, paths.iterated_stratonovich(path.replicate(rep), args.deg))
+        ycf[rep] = sums[-1]
         for d in errors:
-            yd = paths.cf_trajectory(s, table, max_degree=d)
-            errors[d].append(abs(float(yd[-1]) - float(y[rep, -1])))
+            errors[d].append(abs(float(sums[d, -1]) - float(y[rep, -1])))
     columns = {**_path_columns(path), "Y_sim": y, "Y_cf": ycf}
     _write_replicates(args.out, path.grid, columns, args.reps)
     summary = {
@@ -232,7 +247,7 @@ DECAY_FACTOR = 1.2
 def cmd_ito_check(args) -> int:
     from .symdiff import MultiPoly
 
-    _check_reps(args.reps)
+    _check_study(args, 1, scale=4)
     linear = dupire.MemorylessFunctional(MultiPoly.var(2, 2), 1)
     quad = dupire.MemorylessFunctional(MultiPoly.var(2, 2) * MultiPoly.var(2, 2), 1)
     # The bumps restore every row exactly, so both checks share one path.
@@ -258,10 +273,10 @@ def cmd_ito_check(args) -> int:
 
 
 def cmd_hijab_check(args) -> int:
-    _check_reps(args.reps)
     model = read_model(args.model)
     if not isinstance(model, AnalyticModel):
         raise CFError("decomposition check needs an analytic model")
+    _check_study(args, max(model.m, model.n), scale=2)
     rms = []
     reports = []
     for scale in (1, 2):
@@ -276,12 +291,12 @@ def cmd_hijab_check(args) -> int:
 
 
 def cmd_demo_zakai(args) -> int:
-    _check_reps(args.reps)
     generator = [[-1, 1], [1, -1]]
     obs = [0, 1]
     init = ["1/2", "1/2"]
     phi_indicator = [0, 1]
     model = paths.zakai_build(generator, obs, phi_indicator, init)
+    _check_study(args, max(model.m, model.n))
     _check_word_count(model.m, "--deg", args.deg)
     _atomic_write(os.path.join(args.out, "model.txt"), format_model(model))
 
@@ -290,7 +305,7 @@ def cmd_demo_zakai(args) -> int:
     rank_report = hankel.rank_exact(block)
 
     path = _study_path(args, model.m)
-    sigma_phi, sigma_one = paths.zakai_readout(model, path)[:2]
+    sigma_phi, sigma_one = paths.zakai_readout(model, path)
     positivity_violations = int(np.count_nonzero(sigma_one <= 0))
     pi = paths.normalize_filter(sigma_phi, sigma_one)
     pi_min = float(np.min(pi, initial=np.inf))

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .paths import SamplePath, simulate_analytic
+from .paths import SamplePath, simulate_states
 from .symdiff import AnalyticModel, MultiPoly, compile_float, lie_derivative
 
 
@@ -340,7 +340,7 @@ def hijab_decomposition_check(model: AnalyticModel, path: SamplePath) -> Decompo
     z11_poly = lie_derivative(model.fields[1], z1_poly)
     along = compile_float([model.readout, z0_poly, z1_poly, z11_poly])
 
-    _, states = simulate_analytic(model, path, return_states=True)
+    states = simulate_states(model, path)
     y, z0_t, z1_t, z11_t = np.moveaxis(along(states), -1, 0)  # each (R, J+1)
     zt0_t = z0_t + 0.5 * z11_t
     dt = np.diff(path.grid)

@@ -40,6 +40,8 @@ RATIONAL = "rational"
 FLOAT = "float"
 
 MAX_WORDS = 10**6  # levels are dense: the most words a series (or degree flag) may span
+# The most floats (80 MB) a study's paths, states or one integral table may hold.
+MAX_CELLS = 10**7
 
 
 def word_key(w: Word):
@@ -436,19 +438,23 @@ def parse_series(text: str) -> Series:
     return Series(m, n, mode=mode, levels=levels)
 
 
-def read_series(path) -> Series:
-    """Parse the series file at ``path``; ParseError naming the line of its
-    first non-ASCII byte, if it has one."""
+def read_ascii(path, kind: str) -> str:
+    """Text of the ASCII file at ``path``; ParseError naming the physical
+    line of its first non-ASCII byte, if it has one, and the file's ``kind``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("ascii")
+        return data.decode("ascii")
     except UnicodeDecodeError as exc:
         # The byte's line is the last line of the text that ends with it.
         line = len((data[: exc.start] + b".").decode("ascii").splitlines())
         byte = data[exc.start]
-        raise ParseError(f"non-ASCII byte 0x{byte:02x} in series file", line=line) from None
-    return parse_series(text)
+        raise ParseError(f"non-ASCII byte 0x{byte:02x} in {kind} file", line=line) from None
+
+
+def read_series(path) -> Series:
+    """Parse the series file at ``path``."""
+    return parse_series(read_ascii(path, "series"))
 
 
 def word_count(m: int, n: int) -> int:

@@ -10,7 +10,7 @@ Lie polynomial as a :class:`~cfrealize.fps.Series` with integer coefficients.
 from __future__ import annotations
 
 from .errors import AlphabetError, DegreeError
-from .fps import RATIONAL, Series, check_word, series_linear_combine, series_product, word_key
+from .fps import Series, check_word, word_key
 
 # A bracket tree: either an int leaf or a pair (left, right) of bracket trees.
 BracketTree = object
@@ -98,11 +98,16 @@ def expand_bracket(tree: BracketTree, m: int, max_degree: int | None = None) -> 
             f"bracket of degree {len(leaves)} does not fit truncation degree {max_degree}"
         )
 
-    def build(t) -> Series:
+    def build(t) -> dict:
+        """Word -> int coefficients of the expansion of t."""
         if isinstance(t, int):
-            return Series.monomial(m, max_degree, (t,), 1, RATIONAL)
-        left, right = t
-        lp, rp = build(left), build(right)
-        return series_linear_combine(1, series_product(lp, rp), -1, series_product(rp, lp))
+            return {(t,): 1}
+        left, right = build(t[0]), build(t[1])
+        out = {}
+        for u, a in left.items():
+            for v, b in right.items():
+                out[u + v] = out.get(u + v, 0) + a * b
+                out[v + u] = out.get(v + u, 0) - a * b
+        return out
 
-    return build(tree)
+    return Series(m, max_degree, build(tree))

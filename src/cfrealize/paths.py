@@ -16,9 +16,10 @@ Conventions shared by everything in this module:
   the trapezoidal rule, which converges to the Stratonovich value.
 * An integral table holds level k as one ((m+1)^k, J+1) array, the word w's
   trajectory in row ``word_index(w, m)`` (the layout of :mod:`cfrealize.fps`).
-* Model simulation uses the Heun predictor-corrector scheme on the same
-  increment stream as the integral tables, so series-vs-simulation
-  comparisons are pathwise, not merely in distribution.
+* One integrator, ``_integrate``, steps every state: models run the Heun
+  predictor-corrector scheme on the same increment stream as the integral
+  tables, so series-vs-simulation comparisons are pathwise, not merely in
+  distribution, and a diffusion input is the Euler-Ito state of a model.
 * Replicate k of a study seeded with s is drawn from its own generator,
   seeded ``replicate_seed(s, k) = s ^ k``, and equals the single path
   sampled with that seed; identical seeds and configuration give
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .fps import Series, word_index
 from .symdiff import (
     AnalyticModel,
     BilinearModel,
+    MultiPoly,
     PolyVectorField,
     compile_float,
     linear_embedding,
@@ -215,7 +217,9 @@ def sample_diffusion_input(
 ) -> SamplePath:
     """Euler-Maruyama path of dW' = drift(W') dt + sigma dB, started at the
     origin, returned as a driving path with covariance rate sigma sigma^T.
-    ``replicates`` adds a leading replicate axis as in ``sample_brownian``."""
+    ``replicates`` adds a leading replicate axis as in ``sample_brownian``.
+    It is the Euler-Ito state of the model x0 = 0, g0 = drift, g_i = column
+    i of sigma; constant noise fields have no Ito correction."""
     sigma = np.asarray(sigma, dtype=float)
     m = sigma.shape[0]
     if sigma.shape != (m, m):
@@ -224,16 +228,11 @@ def sample_diffusion_input(
         raise ValueError("sigma must be invertible")
     if drift.n != m:
         raise ValueError("drift field dimension must match sigma")
-    q = QSpec.constant(sigma @ sigma.T)
-    grid = np.asarray(grid, dtype=float)
-    dt = np.diff(grid)
-    noise = _normal_draws(seed, replicates, (dt.size, m)) * np.sqrt(dt)[:, None] @ sigma.T
-    b = compile_float(drift.components)
-    values = np.zeros(noise.shape[:-2] + (grid.size, m))
-    for j in range(dt.size):
-        x = values[..., j, :]
-        values[..., j + 1, :] = x + b(x) * dt[j] + noise[..., j, :]
-    return SamplePath(grid, values, q)
+    cols = [PolyVectorField(tuple(MultiPoly.const(m, v) for v in c)) for c in sigma.T.tolist()]
+    model = AnalyticModel(m, m, (0,) * m, (drift, *cols), MultiPoly.zero(m))
+    noise = sample_brownian(QSpec.identity(m), grid, seed, replicates)
+    states = simulate_states(model, noise, method="euler_ito")
+    return SamplePath(noise.grid, states, QSpec.constant(sigma @ sigma.T))
 
 
 @dataclass(frozen=True)
@@ -297,23 +296,23 @@ def iterated_stratonovich(path: SamplePath, degree: int) -> IteratedIntegralTabl
     return IteratedIntegralTable(path.m, degree, path.grid, levels)
 
 
-def cf_trajectory(s: Series, table: IteratedIntegralTable, max_degree: int | None = None) -> np.ndarray:
-    """Trajectory of the truncated series along the whole grid.
-
-    ``max_degree`` optionally restricts the sum to words of at most that
-    degree (useful for truncation-error studies on one table).  Terms are
-    added in graded-lex order, skipping zero coefficients.
+def cf_trajectory(s: Series, table: IteratedIntegralTable) -> np.ndarray:
+    """Running sums of the truncated series along the whole grid, one row
+    per level: row d, of shape (s.max_degree + 1, J+1), sums the words of
+    degree at most d, so row -1 is the whole series.  Terms are added in
+    graded-lex order, skipping zero coefficients, in one walk.
     """
     if s.m != table.m:
         raise ValueError(f"alphabet mismatch: series m={s.m}, table m={table.m}")
-    limit = s.max_degree if max_degree is None else min(max_degree, s.max_degree)
-    if table.degree < limit:
-        raise DegreeError(f"table degree {table.degree} below requested degree {limit}")
-    out = np.zeros(table.grid.size)
-    rows = chain.from_iterable(table.levels)
-    for c, row in zip(chain.from_iterable(s.levels[: limit + 1]), rows):
-        if c:
-            out += float(c) * row
+    if table.degree < s.max_degree:
+        raise DegreeError(f"table degree {table.degree} below requested degree {s.max_degree}")
+    out = np.empty((s.max_degree + 1, table.grid.size))
+    total = np.zeros(table.grid.size)
+    for level, rows, row_out in zip(s.levels, table.levels, out):
+        for c, row in zip(level, rows):
+            if c:
+                total += float(c) * row
+        row_out[:] = total
     return out
 
 
@@ -373,11 +372,9 @@ def _ito_fields(model: AnalyticModel, path: SamplePath):
     return [(stratonovich_to_ito_drift(model, r), *model.fields[1:]) for r in rates], piece
 
 
-def simulate_analytic(
-    model: AnalyticModel, path: SamplePath, method: str = "heun", return_states: bool = False
-):
-    """Output trajectory (..., J+1) of an analytic model driven by the given
-    path (values (..., J+1, m), one trajectory per replicate).
+def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun") -> np.ndarray:
+    """States (..., J+1, n) of an analytic model driven by the given path
+    (values (..., J+1, m), one state trajectory per replicate).
 
     ``method="heun"`` integrates the Stratonovich dynamics with the Heun
     predictor-corrector scheme on the path's own increments;
@@ -385,7 +382,6 @@ def simulate_analytic(
     Euler-Maruyama for cross-validation, converting with the path's
     covariance rate piece by piece, else with the identity.  A state past
     ``DIVERGENCE_GUARD`` in absolute value raises ``DivergenceError``.
-    ``return_states`` also returns the states (..., J+1, n).
     """
     if model.m != path.m:
         raise ValueError(f"model has m={model.m} channels, path has {path.m}")
@@ -395,17 +391,18 @@ def simulate_analytic(
         fields, piece = _ito_fields(model, path)
     else:
         raise ValueError(f"unknown method {method!r}")
-    states = _integrate(model, path, fields, piece, heun=method == "heun")
-    y = compile_float(model.readout)(states)
-    if return_states:
-        return y, states
-    return y
+    return _integrate(model, path, fields, piece, heun=method == "heun")
 
 
-def simulate_bilinear(model: BilinearModel, path: SamplePath, return_states: bool = False):
+def simulate_analytic(model: AnalyticModel, path: SamplePath, method: str = "heun") -> np.ndarray:
+    """Output trajectory (..., J+1): the readout of ``simulate_states``."""
+    return compile_float(model.readout)(simulate_states(model, path, method))
+
+
+def simulate_bilinear(model: BilinearModel, path: SamplePath) -> np.ndarray:
     """Output trajectory of a bilinear model, via the linear-field embedding
     (identical arithmetic to Heun ``simulate_analytic`` on that embedding)."""
-    return simulate_analytic(linear_embedding(model), path, return_states=return_states)
+    return simulate_analytic(linear_embedding(model), path)
 
 
 # -- finite-state filtering demo ---------------------------------------------
@@ -469,10 +466,8 @@ def normalize_filter(sigma_phi: np.ndarray, sigma_one: np.ndarray) -> np.ndarray
 
 def zakai_readout(model: BilinearModel, path: SamplePath):
     """Simulate a filter model along every replicate of the path; returns
-    (sigma_phi, sigma_one, states), shaped (..., J+1), (..., J+1) and
-    (..., J+1, n)."""
-    _, states = simulate_bilinear(model, path, return_states=True)
+    (sigma_phi, sigma_one), each (..., J+1): the states of its linear
+    embedding against phi and against the all-ones vector."""
+    states = simulate_states(linear_embedding(model), path)
     phi = np.array([float(v) for v in model.c])
-    sigma_phi = states @ phi
-    sigma_one = states @ np.ones(model.n)
-    return sigma_phi, sigma_one, states
+    return states @ phi, states @ np.ones(model.n)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AlphabetError, MonomialBudgetError, ParseError
 from .exactla import over_common_denominator
-from .fps import RATIONAL, Series
+from .fps import RATIONAL, Series, read_ascii
 
 Exponents = tuple[int, ...]
 
@@ -849,5 +849,5 @@ def format_model(model) -> str:
 
 
 def read_model(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_model(fh.read())
+    """Parse the model file at ``path``."""
+    return parse_model(read_ascii(path, "model"))

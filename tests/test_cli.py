@@ -9,8 +9,8 @@ import pytest
 
 import cfrealize
 from cfrealize import coefficient, read_series
-from cfrealize.cli import main
-from cfrealize.fps import MAX_WORDS, word_count
+from cfrealize.cli import build_parser, main
+from cfrealize.fps import MAX_CELLS, MAX_WORDS, word_count
 
 DRIFT_MODEL = "n = 1\nm = 1\nx0 = 0\ng0 = 1\ng1 = 0\nh = x1\n"
 SCALAR_BILINEAR = (
@@ -61,6 +61,22 @@ class TestCoeffs:
         err = capsys.readouterr().err
         assert "q" in err
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, capsys, newline):
+        lines = [b"n = 1", b"m = 1", b"x0 = 0", b"g0 = 1", b"g1 = 0", b"h = x1"]
+        model = tmp_path / "model.txt"
+        model.write_bytes(newline.join(lines) + newline)
+        out = tmp_path / "out"
+        assert main(["coeffs", "--model", str(model), "--deg", "2", "--out", str(out)]) == 0
+        assert read_series(out / "series.txt").coeffs == {(0,): 1}
+        lines[4] += b"  # caf\xc3\xa9"
+        model.write_bytes(newline.join(lines) + newline)
+        capsys.readouterr()
+        bad = tmp_path / "bad"
+        assert main(["coeffs", "--model", str(model), "--deg", "2", "--out", str(bad)]) == 1
+        assert capsys.readouterr().err == "error: non-ASCII byte 0xc3 in model file (line 5)\n"
+        assert not bad.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         model = write(tmp_path / "model.txt", SCALAR_BILINEAR)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -107,6 +123,40 @@ class TestOversizedFlags:
         assert rc == 1 and peak < 2**20
         assert word_count(2, 13) > MAX_WORDS
         assert str(word_count(2, 13)) in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["compare", "--model", "M", "--deg", "16"], "--deg 16 and --grid 4096"),
+            (["simulate", "--model", "M", "--reps", "100000"], "--reps 100000 and --grid 4096"),
+            (["simulate", "--model", "M", "--grid", "1000000000"], "--reps 1 and --grid 1000000000"),
+        ],
+    )
+    def test_oversized_study_fails_before_sampling(self, tmp_path, capsys, argv, flags):
+        # compare --deg 16 on m = 1 passes the word limit, but its integral
+        # table would hold 131 071 x 4 097 floats
+        assert word_count(1, 16) <= MAX_WORDS
+        model = write(tmp_path / "model.txt", QUADRATIC_MODEL)
+        out = tmp_path / "out"
+        argv = [model if a == "M" else a for a in argv]
+        rc, peak = self.run_traced(argv + ["--seed", "1", "--out", str(out)])
+        assert rc == 1 and peak < 2**20
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags} ask for ")
+        assert err.endswith(f"float cells, above the limit of {MAX_CELLS}\n")
+        assert not out.exists()
+
+    def test_default_studies_within_cell_limit(self):
+        # the largest default study: demo-zakai, 200 x 4 097 states of n = 2
+        parser = build_parser()
+        args = parser.parse_args(["demo-zakai", "--seed", "1", "--out", "o"])
+        assert args.reps * (args.grid + 1) * 2 <= MAX_CELLS
+        args = parser.parse_args(["compare", "--model", "M", "--deg", "6", "--seed", "1", "--out", "o"])
+        assert word_count(2, 6) * (args.grid + 1) <= MAX_CELLS
+        for argv, scale in ((["ito-check"], 4), (["hijab-check", "--model", "M"], 2)):
+            args = parser.parse_args(argv + ["--seed", "1"])
+            assert args.reps * (args.grid * scale + 1) * 2 <= MAX_CELLS
 
 
 class TestBadCounts:

@@ -1,4 +1,5 @@
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from cfrealize import (
     shuffle,
     simulate_analytic,
     simulate_bilinear,
+    simulate_states,
     to_float,
     words_up_to,
     zakai_build,
@@ -33,6 +35,7 @@ from cfrealize.symdiff import (
     MultiPoly,
     PolyVectorField,
     bilinear_coefficients,
+    compile_float,
     lie_derivative,
     linear_embedding,
     parse_polynomial,
@@ -114,7 +117,49 @@ class TestSampleBrownian:
         assert not np.array_equal(a.values, c.values)
 
 
+def euler_diffusion_reference(drift, sigma, grid, seed, replicates=None):
+    """The Euler-Maruyama loop of dW' = drift(W') dt + sigma dB that
+    sample_diffusion_input ran on its own draws before it used the model
+    integrator: values (..., J+1, m)."""
+    sigma = np.asarray(sigma, dtype=float)
+    m = sigma.shape[0]
+    dt = np.diff(grid)
+    seeds = [seed] if replicates is None else [replicate_seed(seed, k) for k in range(replicates)]
+    draws = np.array([np.random.default_rng(k).standard_normal((dt.size, m)) for k in seeds])
+    noise = draws * np.sqrt(dt)[:, None] @ sigma.T
+    b = compile_float(drift.components)
+    values = np.zeros(noise.shape[:-2] + (grid.size, m))
+    for j in range(dt.size):
+        x = values[..., j, :]
+        values[..., j + 1, :] = x + b(x) * dt[j] + noise[..., j, :]
+    return values[0] if replicates is None else values
+
+
 class TestSampleDiffusionInput:
+    @pytest.mark.parametrize(
+        "components, sigma, replicates",
+        [
+            (["-x1 + 1/2*x1^2"], [[0.8]], None),
+            (["-x1 + 1/2*x1^2"], [[0.8]], 4),
+            (["-x1 + x2^2", "x1 - 1/2*x2"], [[1.0, 0.2], [0.1, 0.7]], 5),
+        ],
+    )
+    def test_matches_euler_reference(self, components, sigma, replicates):
+        m = len(components)
+        drift = PolyVectorField(tuple(parse_polynomial(c, m) for c in components))
+        grid = make_grid(0.5, 128)
+        path = sample_diffusion_input(drift, sigma, grid, 41, replicates)
+        want = euler_diffusion_reference(drift, sigma, grid, 41, replicates)
+        assert path.values.shape == want.shape
+        np.testing.assert_allclose(path.values, want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(path.q.at(0.0), np.asarray(sigma) @ np.asarray(sigma).T)
+
+    def test_exploding_drift_trips_divergence_guard(self):
+        # dW' = (1 + W'^2) dt + dB leaves every bound before t = pi/2
+        drift = PolyVectorField((parse_polynomial("1 + x1^2", 1),))
+        with pytest.raises(DivergenceError):
+            sample_diffusion_input(drift, [[1.0]], make_grid(4.0, 400), 3, 2)
+
     def test_zero_drift_reduces_to_brownian_statistics(self):
         drift = PolyVectorField((MultiPoly.zero(1),))
         grid = make_grid(0.2, 4)
@@ -250,7 +295,7 @@ class TestCfEvaluate:
         s = to_float(cf_coefficients(model, 3))
         path = sample_brownian(QSpec.identity(1), make_grid(0.25, 32), 2)
         table = iterated_stratonovich(path, 3)
-        assert cf_trajectory(s, table)[path.index_of(0.25)] == pytest.approx(0.25, abs=1e-14)
+        assert cf_trajectory(s, table)[-1, path.index_of(0.25)] == pytest.approx(0.25, abs=1e-14)
 
     def test_single_noise_letter(self):
         from cfrealize import Series
@@ -258,7 +303,7 @@ class TestCfEvaluate:
         s = to_float(Series(1, 1, {(1,): 1}))
         path = sample_brownian(QSpec.identity(1), make_grid(0.25, 32), 3)
         table = iterated_stratonovich(path, 1)
-        assert cf_trajectory(s, table)[path.index_of(0.25)] == pytest.approx(path.values[-1, 0])
+        assert cf_trajectory(s, table)[-1, path.index_of(0.25)] == pytest.approx(path.values[-1, 0])
 
     def test_squared_noise(self):
         model = parse_model("n = 1\nm = 1\nx0 = 0\ng0 = 0\ng1 = 1\nh = x1^2\n")
@@ -266,14 +311,40 @@ class TestCfEvaluate:
         path = sample_brownian(QSpec.identity(1), make_grid(0.25, 512), 4)
         table = iterated_stratonovich(path, 2)
         w = path.values[-1, 0]
-        assert cf_trajectory(s, table)[path.index_of(0.25)] == pytest.approx(w * w, abs=1e-10)
+        assert cf_trajectory(s, table)[-1, path.index_of(0.25)] == pytest.approx(w * w, abs=1e-10)
+
+    def test_rows_match_per_degree_walks(self):
+        # the walk per truncation degree that one running-sum walk replaced
+        def walk_to_degree(s, table, degree):
+            out = np.zeros(table.grid.size)
+            rows = chain.from_iterable(table.levels)
+            for c, row in zip(chain.from_iterable(s.levels[: degree + 1]), rows):
+                if c:
+                    out += float(c) * row
+            return out
+
+        models = [
+            ("n = 1\nm = 1\nx0 = 1/2\ng0 = x1\ng1 = 1\nh = x1^2\n", 6),
+            ("n = 2\nm = 2\nx0 = 1, -1/3\ng0 = x2, -x1 + 1/2*x1*x2\n"
+             "g1 = 1/2*x1, 1\ng2 = 1/4*x2^2, 1/3*x1\nh = x1^2 - x2\n", 4),
+        ]
+        for text, degree in models:
+            model = parse_model(text)
+            s = to_float(cf_coefficients(model, degree))
+            assert not all(chain.from_iterable(s.levels))  # zero terms are skipped
+            path = sample_brownian(QSpec.identity(model.m), make_grid(0.25, 64), 22)
+            table = iterated_stratonovich(path, degree + 1)
+            sums = cf_trajectory(s, table)
+            assert sums.shape == (degree + 1, 65)
+            for d in range(degree + 1):
+                assert sums[d].tobytes() == walk_to_degree(s, table, d).tobytes()
 
     def test_degree_mismatch(self):
         model = parse_model("n = 1\nm = 1\nx0 = 0\ng0 = 1\ng1 = 0\nh = x1\n")
         s = to_float(cf_coefficients(model, 3))
         path = sample_brownian(QSpec.identity(1), make_grid(0.25, 8), 2)
         with pytest.raises(DegreeError):
-            cf_trajectory(s, iterated_stratonovich(path, 2))[path.index_of(0.25)]
+            cf_trajectory(s, iterated_stratonovich(path, 2))[-1, path.index_of(0.25)]
 
 
 class TestSimulateAnalytic:
@@ -324,10 +395,12 @@ class TestSimulateAnalytic:
         q = QSpec([(0.0, [[1.0, 0.2], [0.2, 2.0]]), (0.1, [[3.0, 0.0], [0.0, 0.5]])])
         batch = sample_brownian(q, make_grid(0.25, 256), 9, 5)
         for method in ("heun", "euler_ito"):
-            y, states = simulate_analytic(model, batch, method=method, return_states=True)
+            y = simulate_analytic(model, batch, method=method)
+            states = simulate_states(model, batch, method=method)
             assert y.shape == (5, 257) and states.shape == (5, 257, 2)
             for k in range(5):
-                yk, sk = simulate_analytic(model, batch.replicate(k), method=method, return_states=True)
+                yk = simulate_analytic(model, batch.replicate(k), method=method)
+                sk = simulate_states(model, batch.replicate(k), method=method)
                 np.testing.assert_allclose(y[k], yk, rtol=1e-13, atol=1e-15)
                 np.testing.assert_allclose(states[k], sk, rtol=1e-13, atol=1e-15)
 
@@ -402,7 +475,8 @@ class TestOrderingConsistency:
         # reproduce the output pathwise, pinning the word/integral ordering
         model = parse_model("n = 1\nm = 1\nx0 = 1/2\ng0 = x1\ng1 = 1\nh = x1^2\n")
         path = sample_brownian(QSpec.identity(1), make_grid(0.25, 2048), 13)
-        y, states = simulate_analytic(model, path, return_states=True)
+        y = simulate_analytic(model, path)
+        states = simulate_states(model, path)
         s = cf_coefficients(model, 1)
 
         phis = {}
@@ -441,8 +515,9 @@ class TestOrderingConsistency:
         ys = simulate_analytic(model, paths)[:, -1]
         for k, y in enumerate(ys):
             table = iterated_stratonovich(paths.replicate(k), 6)
+            sums = cf_trajectory(s, table)
             for n in meds:
-                meds[n].append(abs(cf_trajectory(s, table, max_degree=n)[-1] - y))
+                meds[n].append(abs(sums[n, -1] - y))
         m2, m4, m6 = (float(np.median(meds[n])) for n in (2, 4, 6))
         assert m2 >= m4 >= m6
 
@@ -457,7 +532,7 @@ class TestZakai:
     def test_positivity_and_rank_bound(self):
         model = zakai_build([[-1, 1], [1, -1]], [0, 1], [1, 1], ["1/2", "1/2"])
         path = sample_brownian(QSpec.identity(1), make_grid(0.25, 1024), 16, 20)
-        sigma_phi, sigma_one, _ = zakai_readout(model, path)
+        sigma_phi, sigma_one = zakai_readout(model, path)
         assert sigma_one.shape == (20, 1025)
         assert np.all(sigma_one > 0)
         s = bilinear_coefficients(model, 6)
@@ -480,14 +555,14 @@ class TestNormalizeFilter:
     def test_indicator_stays_in_unit_interval(self):
         model = zakai_build([[-1, 1], [1, -1]], [0, 1], [0, 1], ["1/2", "1/2"])
         path = sample_brownian(QSpec.identity(1), make_grid(0.25, 1024), 17)
-        sigma_phi, sigma_one, _ = zakai_readout(model, path)
+        sigma_phi, sigma_one = zakai_readout(model, path)
         pi = normalize_filter(sigma_phi, sigma_one)
         assert np.all(pi >= 0.0) and np.all(pi <= 1.0)
 
     def test_symmetric_chain_stays_at_half(self):
         model = zakai_build([[-1, 1], [1, -1]], [0, 0], [0, 1], ["1/2", "1/2"])
         path = sample_brownian(QSpec.identity(1), make_grid(0.25, 256), 18)
-        sigma_phi, sigma_one, _ = zakai_readout(model, path)
+        sigma_phi, sigma_one = zakai_readout(model, path)
         pi = normalize_filter(sigma_phi, sigma_one)
         assert np.max(np.abs(pi - 0.5)) <= 1e-12
 
