@@ -15,22 +15,30 @@ column [s(u.v) for |u| = a] is a strided slice of level a + |v|.
 A :class:`Series` assigns a scalar coefficient to every word up to a fixed
 truncation degree.  Coefficients beyond the truncation degree are unknown
 (not zero); asking for one raises :class:`~cfrealize.errors.DegreeError`.
-Two scalar modes exist: exact rationals (`fractions.Fraction`, the default
-for all algebra) and doubles (for simulation output).  Mixing modes in one
-operation is an error.
+Two scalar modes exist: exact rationals (the default for all algebra) and
+doubles (for simulation output).  Mixing modes in one operation is an error.
+
+A rational level is stored as one tuple of integer numerators over one
+positive denominator, ``levels[k]`` over ``dens[k]``, kept canonical: the
+gcd of the numerators and the denominator is 1, so equal series have equal
+levels.  The exact layer works on these integers; `fractions.Fraction`
+values are built only on demand (:func:`coefficient`, ``Series.coeffs``).
+A float level holds the doubles themselves, over denominator 1.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, islice, product
+from itertools import chain, islice, product, repeat
 from types import MappingProxyType
 
 from .errors import AlphabetError, CFError, DegreeError, ModeMismatchError, ParseError
+from .exactla import over_common_denominator
 
 Word = tuple[int, ...]
 
@@ -42,6 +50,10 @@ FLOAT = "float"
 MAX_WORDS = 10**6  # levels are dense: the most words a series (or degree flag) may span
 # The most floats (80 MB) a study's paths, states or one integral table may hold.
 MAX_CELLS = 10**7
+# The most bits (80 MB) a rational level's numerators may span over its common
+# denominator: a file whose denominators share no factors would otherwise ask
+# for their product on every record of the level.
+MAX_LEVEL_BITS = 64 * MAX_CELLS
 
 
 def word_key(w: Word):
@@ -94,8 +106,17 @@ def _coerce(value, mode):
     raise ValueError(f"unknown scalar mode {mode!r}")
 
 
-def zero_scalar(mode):
-    return Fraction(0) if mode == RATIONAL else 0.0
+def _canonical_level(level, den) -> tuple[tuple[int, ...], int]:
+    """A rational level's integer numerators and positive denominator,
+    divided by their gcd."""
+    try:
+        nums, den = tuple(map(operator.index, level)), operator.index(den)
+    except TypeError:
+        raise ModeMismatchError("a rational level holds integers over an integer") from None
+    if den < 1:
+        raise ValueError(f"level denominator must be positive, got {den}")
+    g = math.gcd(*nums, den)
+    return (nums, den) if g == 1 else (tuple([c // g for c in nums]), den // g)
 
 
 class Series:
@@ -105,16 +126,22 @@ class Series:
         m: largest letter of the alphabet (alphabet size is m + 1).
         max_degree: validity degree; coefficients of longer words are unknown.
         mode: ``"rational"`` or ``"float"``.
-        levels: ``levels[k]`` holds the coefficients of the words of degree
-            k, w's at ``word_index(w, m)``; given as is, or built from
-            ``coeffs``, a map word -> scalar (absent words are zero).
+        levels: ``levels[k]`` holds the words of degree k, w's at
+            ``word_index(w, m)``: integer numerators over ``dens[k]`` in
+            rational mode, doubles in float mode.
+        dens: the positive denominator of each level; 1 in float mode.
 
-    Instances are treated as immutable; operations return new series.
+    Built from ``coeffs``, a map word -> scalar (absent words are zero), or
+    from ``levels`` and ``dens`` as above (``dens`` defaults to all 1);
+    rational levels are reduced to the canonical form.  Instances are
+    treated as immutable; operations return new series.
     """
 
-    __slots__ = ("m", "max_degree", "mode", "levels")
+    __slots__ = ("m", "max_degree", "mode", "levels", "dens")
 
-    def __init__(self, m: int, max_degree: int, coeffs=None, mode: str = RATIONAL, levels=None):
+    def __init__(
+        self, m: int, max_degree: int, coeffs=None, mode: str = RATIONAL, levels=None, dens=None
+    ):
         if m < 1:
             raise AlphabetError(f"alphabet max letter must be >= 1, got m={m}")
         if max_degree < 0:
@@ -125,26 +152,45 @@ class Series:
         self.m = m
         self.max_degree = max_degree
         self.mode = mode
-        scalar_type = Fraction if mode == RATIONAL else float
-        zero = zero_scalar(mode)
-        if levels is None:
-            levels = [[zero] * (m + 1) ** k for k in range(max_degree + 1)]
+        sizes = [(m + 1) ** k for k in range(max_degree + 1)]
+        if levels is None and dens is None:
+            levels = [[0] * size for size in sizes]
             for w, c in (coeffs or {}).items():
                 w = check_word(w, m)
                 if len(w) > max_degree:
                     raise DegreeError(
                         f"word {w} of degree {len(w)} exceeds truncation degree {max_degree}"
                     )
-                levels[len(w)][word_index(w, m)] = c
-        elif coeffs or list(map(len, levels)) != [(m + 1) ** k for k in range(max_degree + 1)]:
+                levels[len(w)][word_index(w, m)] = _coerce(c, mode)
+            if mode == RATIONAL:
+                # Over the lcm of the values' reduced denominators, a level is canonical.
+                levels, dens = zip(*map(over_common_denominator, levels))
+                self.levels, self.dens = tuple(map(tuple, levels)), dens
+                return
+        elif coeffs or levels is None or list(map(len, levels)) != sizes:
             raise ValueError(f"need levels of (m+1)^k scalars, k = 0..{max_degree}, and no map")
-        # A zero of either sign is stored as the mode's zero.
-        self.levels = tuple(
-            tuple([(c if type(c) is scalar_type else _coerce(c, mode)) or zero for c in level])
-            for level in levels
-        )
+        dens = (1,) * len(sizes) if dens is None else tuple(dens)
+        if len(dens) != len(sizes) or (mode == FLOAT and set(dens) != {1}):
+            raise ValueError("need one denominator per level, each 1 in float mode")
+        if mode == RATIONAL:
+            self.levels, self.dens = map(tuple, zip(*map(_canonical_level, levels, dens)))
+        else:
+            # A zero of either sign is stored as 0.0.
+            self.levels = tuple(
+                tuple([(c if type(c) is float else float(c)) or 0.0 for c in level])
+                for level in levels
+            )
+            self.dens = dens
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, m: int, max_degree: int, levels, dens) -> "Series":
+        """A rational series from levels already canonical, taken unchecked:
+        checking costs a gcd per word as long as the level's denominator."""
+        s = cls.__new__(cls)
+        s.m, s.max_degree, s.mode, s.levels, s.dens = m, max_degree, RATIONAL, levels, dens
+        return s
 
     @classmethod
     def zero(cls, m: int, max_degree: int, mode: str = RATIONAL) -> "Series":
@@ -153,8 +199,7 @@ class Series:
     @classmethod
     def unit(cls, m: int, max_degree: int, mode: str = RATIONAL) -> "Series":
         """The multiplicative unit: coefficient 1 on the empty word."""
-        one = Fraction(1) if mode == RATIONAL else 1.0
-        return cls(m, max_degree, {EMPTY_WORD: one}, mode)
+        return cls(m, max_degree, {EMPTY_WORD: 1}, mode)
 
     @classmethod
     def monomial(cls, m: int, max_degree: int, w, coeff=1, mode: str = RATIONAL) -> "Series":
@@ -165,8 +210,17 @@ class Series:
     @property
     def coeffs(self) -> MappingProxyType:
         """Read-only map word -> scalar of the nonzero coefficients."""
-        pairs = zip(words_up_to(self.m, self.max_degree), chain.from_iterable(self.levels))
-        return MappingProxyType({w: c for w, c in pairs if c})
+        out = {}
+        for k, (level, den) in enumerate(zip(self.levels, self.dens)):
+            for w, c in zip(words_of_degree(self.m, k), level):
+                if c:
+                    out[w] = c if self.mode == FLOAT else Fraction(c, den)
+        return MappingProxyType(out)
+
+    @property
+    def den(self) -> int:
+        """Common denominator of every level: the lcm of ``dens``."""
+        return math.lcm(*self.dens)
 
     def degree(self) -> int:
         """Largest degree carrying a nonzero coefficient (0 for the zero series)."""
@@ -182,6 +236,7 @@ class Series:
             and self.max_degree == other.max_degree
             and self.mode == other.mode
             and self.levels == other.levels
+            and self.dens == other.dens
         )
 
     def __repr__(self):
@@ -197,7 +252,7 @@ def _check_pair(r: Series, s: Series):
 
 
 def coefficient(r: Series, w) -> object:
-    """Coefficient of word ``w`` in ``r``.
+    """Coefficient of word ``w`` in ``r``: a Fraction in rational mode.
 
     Requesting a word beyond the truncation degree is an error, which keeps
     "unknown" distinct from "zero".
@@ -207,52 +262,52 @@ def coefficient(r: Series, w) -> object:
         raise DegreeError(
             f"word of degree {len(w)} requested from series truncated at {r.max_degree}"
         )
-    return r.levels[len(w)][word_index(w, r.m)]
+    c = r.levels[len(w)][word_index(w, r.m)]
+    return c if r.mode == FLOAT else Fraction(c, r.dens[len(w)])
 
 
 def hankel_column(r: Series, v, d: int) -> list:
     """Hankel column [r(u.v) for u of degree <= d], u in graded-lex order:
-    one strided slice per level.  As with :func:`coefficient`, a product
-    word beyond the truncation degree is an error, not a zero."""
+    one strided slice per level.  Rational entries are integer numerators
+    over the series' common denominator ``r.den``, so every column of one
+    series shares it; float entries are the doubles.  As with
+    :func:`coefficient`, a product word beyond the truncation degree is an
+    error, not a zero."""
     if d + len(v) > r.max_degree:
         raise DegreeError(
             f"word of degree {d + len(v)} requested from series truncated at {r.max_degree}"
         )
     start, step = word_index(v, r.m), (r.m + 1) ** len(v)
-    return [c for a in range(d + 1) for c in r.levels[a + len(v)][start::step]]
+    den, span = r.den, slice(len(v), len(v) + d + 1)
+    scales = [den // level_den for level_den in r.dens[span]]
+    return [c * scale for level, scale in zip(r.levels[span], scales) for c in level[start::step]]
 
 
 def series_linear_combine(alpha, r: Series, beta, s: Series) -> Series:
     """alpha*r + beta*s, truncated to the smaller validity degree."""
     _check_pair(r, s)
     n = min(r.max_degree, s.max_degree)
-    alpha = _coerce(alpha, r.mode)
-    beta = _coerce(beta, r.mode)
-    levels = [[alpha * a + beta * b for a, b in zip(x, y)] for x, y in zip(r.levels, s.levels)]
-    return Series(r.m, n, mode=r.mode, levels=levels)
+    alpha, beta = _coerce(alpha, r.mode), _coerce(beta, r.mode)
+    rc, sc = r.coeffs, s.coeffs
+    combined = {w: alpha * rc.get(w, 0) + beta * sc.get(w, 0) for w in words_up_to(r.m, n)}
+    return Series(r.m, n, combined, r.mode)
 
 
 def series_product(r: Series, s: Series) -> Series:
     """Concatenation (Cauchy) product, truncated to the smaller validity degree.
 
     The coefficient of a word w is the sum of r(u)*s(v) over all splittings
-    w = u.v; the product is noncommutative.  Level k sums the outer products
-    of r's level a and s's level k - a.
+    w = u.v, taken in order of increasing |u|; the product is
+    noncommutative.
     """
     _check_pair(r, s)
     n = min(r.max_degree, s.max_degree)
-    levels = []
-    for k in range(n + 1):
-        out = [zero_scalar(r.mode)] * (r.m + 1) ** k
-        for a in range(k + 1):
-            right = s.levels[k - a]
-            for i, x in enumerate(r.levels[a]):
-                if x:
-                    for j, y in enumerate(right):
-                        if y:
-                            out[i * len(right) + j] += x * y
-        levels.append(out)
-    return Series(r.m, n, mode=r.mode, levels=levels)
+    out: dict[Word, object] = {}
+    for u, a in r.coeffs.items():
+        for v, b in s.coeffs.items():
+            if len(u) + len(v) <= n:
+                out[u + v] = out.get(u + v, 0) + a * b
+    return Series(r.m, n, out, r.mode)
 
 
 _SHUFFLE_CACHE: dict[tuple[Word, Word], dict[Word, int]] = {}
@@ -296,7 +351,9 @@ def shuffle(u, v, m: int, mode: str = RATIONAL) -> Series:
 
 
 def to_float(r: Series) -> Series:
-    """Cast a series to float mode (identity on float-mode input).
+    """Cast a series to float mode (identity on float-mode input); each
+    value is its numerator divided by its level's denominator, which rounds
+    as ``float(Fraction)`` does.
 
     Raises CFError naming the first word whose coefficient lies outside the
     float range.
@@ -304,7 +361,7 @@ def to_float(r: Series) -> Series:
     if r.mode == FLOAT:
         return r
     try:
-        levels = [[float(c) for c in level] for level in r.levels]
+        levels = [[c / den for c in level] for level, den in zip(r.levels, r.dens)]
     except OverflowError:
         for w, c in r.coeffs.items():
             try:
@@ -325,9 +382,13 @@ def to_float(r: Series) -> Series:
 # canonical form: the letters exactly as above, then a rational value as n/d
 # in lowest terms (-?[0-9]+/[0-9]+) or a float value as its repr(), so values
 # round-trip exactly and are finite.  parse_series reads a canonical record
-# without parsing its word or calling Fraction(str).  Any other form still
+# without parsing its word or calling Fraction(str), reduces n/d, and scales
+# each level's values to numerators over the lcm of their reduced d: the
+# canonical level layout.  Any other form still
 # parses: letters that int() accepts, in order, and a value that
-# Fraction(str) (rational mode) or float() (float mode) accepts.
+# Fraction(str) (rational mode) or float() (float mode) accepts.  Lines end
+# at \n, \r\n or \r; any other character str.splitlines breaks at (form
+# feed, vertical tab, \x1c-\x1e, ...) is a ParseError naming its line.
 
 _CANONICAL_VALUE = re.compile(r"-?[0-9]+/[0-9]+")
 
@@ -344,30 +405,33 @@ def _record_prefixes(m: int, n: int) -> list[str]:
 
 
 def format_series(r: Series) -> str:
-    values = list(chain.from_iterable(r.levels))
     if r.mode == RATIONAL:
+        texts = []
         try:
-            texts = ["%d/%d" % c.as_integer_ratio() for c in values]
+            for level, den in zip(r.levels, r.dens):
+                gcds = map(math.gcd, level, repeat(den))
+                texts += ["%d/%d" % (c // g, den // g) for c, g in zip(level, gcds)]
         except ValueError:  # an integer past the interpreter's digit limit
-            for w, c in zip(words_up_to(r.m, r.max_degree), values):
+            for w, c in r.coeffs.items():
                 try:
                     "%d/%d" % c.as_integer_ratio()
                 except ValueError:
                     limit = sys.get_int_max_str_digits()
                     raise CFError(f"coefficient of word {w} has more than {limit} digits") from None
             raise
-    elif all(map(math.isfinite, values)):
-        texts = list(map(repr, values))
     else:
-        for w, c in zip(words_up_to(r.m, r.max_degree), values):
-            if not math.isfinite(c):
-                raise CFError(f"coefficient of word {w} is not finite: {c!r}")
+        values = list(chain.from_iterable(r.levels))
+        if not all(map(math.isfinite, values)):
+            for w, c in zip(words_up_to(r.m, r.max_degree), values):
+                if not math.isfinite(c):
+                    raise CFError(f"coefficient of word {w} is not finite: {c!r}")
+        texts = list(map(repr, values))
     records = map(str.__add__, _record_prefixes(r.m, r.max_degree), texts)
     return "\n".join([f"cfseries m={r.m} N={r.max_degree} mode={r.mode}", *records]) + "\n"
 
 
 def parse_series(text: str) -> Series:
-    lines = text.splitlines()
+    lines = split_lines(text, "series")
     if not lines:
         raise ParseError("empty series file", line=1)
     head = lines[0].split()
@@ -402,9 +466,8 @@ def parse_series(text: str) -> Series:
         nonblank = (i for i, ln in enumerate(lines[1:], 2) if ln.strip())
         return ParseError(message, line=next(islice(nonblank, k, None)), token=token)
 
-    zero = zero_scalar(mode)
     expected = None  # words_up_to(m, n), listed at the first record without its prefix
-    values = []
+    values, dens = [], []  # each value is values[k] / dens[k]
     for k, (ln, prefix) in enumerate(zip(body, _record_prefixes(m, n))):
         if ln.startswith(prefix):
             vtxt = ln[len(prefix) :]
@@ -419,23 +482,63 @@ def parse_series(text: str) -> Series:
             expected = expected or words_up_to(m, n)
             if w != expected[k]:
                 raise record_error(k, f"record out of order: expected word {expected[k]}", wtxt)
+        den = 1
         try:
             if mode == FLOAT:
                 val = float(vtxt)
             elif vtxt == "0/1":
-                val = zero
+                val = 0
             elif _CANONICAL_VALUE.fullmatch(vtxt):
                 num, den = vtxt.split("/")
-                val = Fraction(int(num), int(den))
+                val, den = int(num), int(den)
+                if not den:
+                    raise ZeroDivisionError
             else:
-                val = Fraction(vtxt)
+                val, den = Fraction(vtxt).as_integer_ratio()
         except (ValueError, ZeroDivisionError):
             raise record_error(k, "bad coefficient value", vtxt) from None
         if mode == FLOAT and not math.isfinite(val):
             raise record_error(k, "non-finite coefficient value", vtxt)
         values.append(val)
-    levels = [values[word_count(m, k - 1) : word_count(m, k)] for k in range(n + 1)]
-    return Series(m, n, mode=mode, levels=levels)
+        dens.append(den)
+    parts = [slice(word_count(m, k - 1), word_count(m, k)) for k in range(n + 1)]
+    if mode == FLOAT:
+        return Series(m, n, mode=FLOAT, levels=[values[p] for p in parts])
+    gcds = list(map(math.gcd, values, dens))
+    if gcds.count(1) != len(gcds):  # records not in lowest terms
+        values = [c // g for c, g in zip(values, gcds)]
+        dens = [d // g for d, g in zip(dens, gcds)]
+    levels, level_dens = [], []
+    for k, p in enumerate(parts):
+        lcd = 1  # lcm of reduced denominators: the level comes out canonical
+        for d in set(dens[p]):
+            lcd = math.lcm(lcd, d)
+            if lcd.bit_length() * (p.stop - p.start) > MAX_LEVEL_BITS:
+                message = f"degree-{k} records need more than {MAX_LEVEL_BITS} bits"
+                raise record_error(dens.index(d, p.start), message + " over one denominator", str(d))
+        levels.append(tuple([c * (lcd // d) for c, d in zip(values[p], dens[p])]))
+        level_dens.append(lcd)
+    return Series._canonical(m, n, tuple(levels), tuple(level_dens))
+
+
+# Characters other than \n and \r that str.splitlines breaks lines at.
+_STRAY_BREAK = re.compile("[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+
+
+def split_lines(text: str, kind: str) -> list[str]:
+    """Lines of the text of a ``kind`` file, broken at \\n, \\r\\n and \\r
+    only, as an editor counts them; ParseError naming the line of the first
+    other character that ``str.splitlines`` would break at."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text ends with a line break, or is empty
+    stray = _STRAY_BREAK.search(text)
+    if stray:
+        line = len(split_lines(text[: stray.start()] + ".", kind))
+        raise ParseError(
+            f"line-break character 0x{ord(stray.group()):02x} in {kind} file", line=line
+        )
+    return lines
 
 
 def read_ascii(path, kind: str) -> str:
@@ -447,7 +550,7 @@ def read_ascii(path, kind: str) -> str:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
         # The byte's line is the last line of the text that ends with it.
-        line = len((data[: exc.start] + b".").decode("ascii").splitlines())
+        line = len(split_lines((data[: exc.start] + b".").decode("ascii"), kind))
         byte = data[exc.start]
         raise ParseError(f"non-ASCII byte 0x{byte:02x} in {kind} file", line=line) from None
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .fps import (
     to_float,
     word_count,
     word_index,
+    words_of_degree,
     words_up_to,
-    zero_scalar,
 )
 from .freelie import expand_bracket, lyndon_words, standard_bracketing
 
@@ -38,7 +39,9 @@ class HankelBlock:
     """Finite Hankel section: entry(u, v) = s(u.v) for the source series s.
 
     Rows are indexed by the words of degree <= d_r and columns by the words
-    of degree <= d_c, both in graded-lex order.
+    of degree <= d_c, both in graded-lex order.  Rational ``entries`` are
+    integer numerators over ``den``; float entries are the doubles (``den``
+    is 1).
     """
 
     m: int
@@ -46,14 +49,17 @@ class HankelBlock:
     col_words: tuple[Word, ...]
     entries: tuple  # tuple of row tuples
     mode: str
+    den: int
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_words), len(self.col_words))
 
     def entry(self, u: Word, v: Word):
+        """s(u.v): a Fraction in rational mode."""
         i, j = (word_count(self.m, len(w) - 1) + word_index(w, self.m) for w in (u, v))
-        return self.entries[i][j]
+        c = self.entries[i][j]
+        return c if self.mode == FLOAT else Fraction(c, self.den)
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,7 @@ def hankel_build(s: Series, d_r: int, d_c: int) -> HankelBlock:
         )
     cols = words_up_to(s.m, d_c)
     entries = tuple(zip(*(hankel_column(s, v, d_r) for v in cols)))
-    return HankelBlock(s.m, tuple(words_up_to(s.m, d_r)), tuple(cols), entries, s.mode)
+    return HankelBlock(s.m, tuple(words_up_to(s.m, d_r)), tuple(cols), entries, s.mode, s.den)
 
 
 def rank_exact(h: HankelBlock) -> RankReport:
@@ -155,7 +161,8 @@ def rank_numeric(h: HankelBlock, tol: float = DEFAULT_TOLERANCE, radius: float =
 def f_y_apply(s: Series, p: Series, n_obs: int) -> list:
     """Apply the series map to a polynomial p: the returned vector is indexed
     by the observation words w of degree <= n_obs (graded-lex) and holds
-    sum_v p(v) * s(w.v).
+    sum_v p(v) * s(w.v), in rational mode as integer numerators over
+    ``s.den * p.den``.
 
     The polynomial's word sits on the side whose operators act outermost
     under this toolkit's coefficient order (letters act innermost-first), so
@@ -173,9 +180,12 @@ def f_y_apply(s: Series, p: Series, n_obs: int) -> list:
         raise DegreeError(
             f"insufficient series degree: need {deg_p + n_obs}, have {s.max_degree}"
         )
-    out = [zero_scalar(s.mode)] * word_count(s.m, n_obs)
-    for v, cv in p.coeffs.items():
-        out = [acc + cv * x for acc, x in zip(out, hankel_column(s, v, n_obs))]
+    out = [0.0 if s.mode == FLOAT else 0] * word_count(s.m, n_obs)
+    for k, (level, den) in enumerate(zip(p.levels, p.dens)):
+        for v, cv in zip(words_of_degree(p.m, k), level):
+            if cv:
+                cv *= p.den // den
+                out = [acc + cv * x for acc, x in zip(out, hankel_column(s, v, n_obs))]
     return out
 
 

@@ -37,8 +37,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DegreeError, DivergenceError, PositivityError
-from .fps import Series, word_index
+from .errors import DegreeError, DivergenceError, ModeMismatchError, PositivityError
+from .fps import FLOAT, Series, word_index
 from .symdiff import (
     AnalyticModel,
     BilinearModel,
@@ -224,7 +224,7 @@ def sample_diffusion_input(
     m = sigma.shape[0]
     if sigma.shape != (m, m):
         raise ValueError("sigma must be square")
-    if abs(np.linalg.det(sigma)) < 1e-14:
+    if np.linalg.matrix_rank(sigma) < m:  # relative to sigma's largest singular value
         raise ValueError("sigma must be invertible")
     if drift.n != m:
         raise ValueError("drift field dimension must match sigma")
@@ -300,8 +300,11 @@ def cf_trajectory(s: Series, table: IteratedIntegralTable) -> np.ndarray:
     """Running sums of the truncated series along the whole grid, one row
     per level: row d, of shape (s.max_degree + 1, J+1), sums the words of
     degree at most d, so row -1 is the whole series.  Terms are added in
-    graded-lex order, skipping zero coefficients, in one walk.
+    graded-lex order, skipping zero coefficients, in one walk.  The series
+    must be in float mode (see ``to_float``).
     """
+    if s.mode != FLOAT:
+        raise ModeMismatchError("cf_trajectory needs a float-mode series; use to_float")
     if s.m != table.m:
         raise ValueError(f"alphabet mismatch: series m={s.m}, table m={table.m}")
     if table.degree < s.max_degree:
@@ -311,7 +314,7 @@ def cf_trajectory(s: Series, table: IteratedIntegralTable) -> np.ndarray:
     for level, rows, row_out in zip(s.levels, table.levels, out):
         for c, row in zip(level, rows):
             if c:
-                total += float(c) * row
+                total += c * row
         row_out[:] = total
     return out
 

@@ -36,8 +36,7 @@ from .fps import (
     coefficient,
     hankel_column,
     to_float,
-    words_of_degree,
-    zero_scalar,
+    words_up_to,
 )
 from .hankel import hankel_build, rank_exact
 from .symdiff import BilinearModel, bilinear_coefficients
@@ -76,7 +75,11 @@ class RealizationResult:
 
 def verify_realization(model: BilinearModel, s: Series, n_max: int) -> DiscrepancyReport:
     """Max absolute difference between the model's coefficients and s, over
-    all words of degree <= n_max."""
+    all words of degree <= n_max, and the first word attaining it (the empty
+    word if none differ).
+
+    Canonical levels are equal exactly when the coefficients are, so the
+    levels are compared as tuples; words are walked only on a mismatch."""
     if n_max > s.max_degree:
         raise DegreeError(f"series only valid to degree {s.max_degree}, asked {n_max}")
     if model.m != s.m:
@@ -84,12 +87,15 @@ def verify_realization(model: BilinearModel, s: Series, n_max: int) -> Discrepan
     got = bilinear_coefficients(model, n_max)
     if s.mode != RATIONAL:
         got = to_float(got)
-    worst, (k, i) = zero_scalar(s.mode), (0, 0)
-    for level, (got_level, want_level) in enumerate(zip(got.levels, s.levels)):
-        for index, (a, b) in enumerate(zip(got_level, want_level)):
-            if a != b and abs(a - b) > worst:
-                worst, k, i = abs(a - b), level, index
-    return DiscrepancyReport(max_abs=worst, worst_word=words_of_degree(s.m, k)[i], degree=n_max)
+    worst, worst_word = (Fraction(0) if s.mode == RATIONAL else 0.0), EMPTY_WORD
+    cut = slice(n_max + 1)
+    if (got.levels, got.dens) != (s.levels[cut], s.dens[cut]):
+        got_coeffs, want_coeffs = got.coeffs, s.coeffs
+        for w in words_up_to(s.m, n_max):
+            diff = abs(got_coeffs.get(w, 0) - want_coeffs.get(w, 0))
+            if diff > worst:
+                worst, worst_word = diff, w
+    return DiscrepancyReport(max_abs=worst, worst_word=worst_word, degree=n_max)
 
 
 def _coordinate_matrix(span: RowSpan, keys, column, escaped) -> tuple[tuple, ...]:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AlphabetError, MonomialBudgetError, ParseError
 from .exactla import over_common_denominator
-from .fps import RATIONAL, Series, read_ascii
+from .fps import RATIONAL, Series, read_ascii, split_lines
 
 Exponents = tuple[int, ...]
 
@@ -385,7 +385,8 @@ def cf_coefficients(model: AnalyticModel, n_max: int, term_budget: int = DEFAULT
     output's initial value).  The readout and fields are first rewritten exactly in
     y = x - x0, where a coefficient is the constant term of the iterated
     derivative.  The words are walked breadth-first, one Lie derivative per
-    word from its prefix's derivative, and held in the series' level order.
+    word from its prefix's derivative, and held in the series' level order;
+    each level is converted once to integer numerators over one denominator.
 
     Truncation is exact (Taylor-mode differentiation): a Lie derivative
     differentiates once and multiplies by field terms of degree >= 0, so it
@@ -410,7 +411,7 @@ def cf_coefficients(model: AnalyticModel, n_max: int, term_budget: int = DEFAULT
     ]
     origin = (0,) * model.n
     level = [_translate(model.readout, model.x0, n_max)]
-    levels = [[level[0].get(origin, 0)]]
+    levels = [over_common_denominator([level[0].get(origin, 0)])]
     for remaining in range(n_max - 1, -1, -1):
         held = sum(map(len, level))
         nxt = []
@@ -424,8 +425,9 @@ def cf_coefficients(model: AnalyticModel, n_max: int, term_budget: int = DEFAULT
                         f"iterated Lie derivatives exceed {term_budget} live monomials"
                     )
         level = nxt
-        levels.append([psi.get(origin, 0) for psi in level])
-    return Series(model.m, n_max, mode=RATIONAL, levels=levels)
+        levels.append(over_common_denominator([psi.get(origin, 0) for psi in level]))
+    nums, dens = zip(*levels)
+    return Series(model.m, n_max, mode=RATIONAL, levels=nums, dens=dens)
 
 
 def bilinear_coefficients(model: BilinearModel, n_max: int) -> Series:
@@ -437,7 +439,8 @@ def bilinear_coefficients(model: BilinearModel, n_max: int) -> Series:
     denominator, and level k is held as a ((m+1)^k, n) integer array whose
     row idx(w) * (m+1) + i is r_{w.i}; rows therefore come in the series'
     level order, and each level's coefficients are one integer mat-vec with
-    x0 over one per-level denominator, handed to the series as that level.
+    x0: the level's numerators, handed to the series with the level's
+    denominator.
     """
     if n_max < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -449,14 +452,14 @@ def bilinear_coefficients(model: BilinearModel, n_max: int) -> Series:
     x0 = np.array(x0, dtype=object)
     den *= den_x
     level = np.array(c, dtype=object).reshape(1, n)
-    levels = []
-    zero = Fraction(0)
+    levels, dens = [], []
     for k in range(n_max + 1):
         if k:
             level = np.stack([level @ a for a in mats], axis=1).reshape(len(level) * (m + 1), n)
             den *= den_a
-        levels.append([Fraction(num, den) if num else zero for num in (level @ x0).tolist()])
-    return Series(m, n_max, mode=RATIONAL, levels=levels)
+        levels.append((level @ x0).tolist())
+        dens.append(den)
+    return Series(m, n_max, mode=RATIONAL, levels=levels, dens=dens)
 
 
 def is_spd(q) -> bool:
@@ -726,7 +729,8 @@ def _parse_rational_list(text: str, line_no: int) -> list[Fraction]:
 def parse_model(text: str):
     """Parse a model file; returns an AnalyticModel or BilinearModel."""
     fields: dict[str, tuple[str, int]] = {}
-    for no, raw in enumerate(text.splitlines(), start=1):
+    lines = split_lines(text, "model")
+    for no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -785,8 +789,6 @@ def parse_model(text: str):
             key = next(iter(fields))
             raise ParseError(f"unknown key {key!r}", line=fields[key][1], token=key)
         return BilinearModel(n, m, tuple(x0), tuple(mats), tuple(c))
-
-    lines = text.splitlines()
 
     def polynomial(key: str, comp: str, no: int, column: int) -> MultiPoly:
         """Parse one polynomial that starts at ``column`` of line ``no``; an

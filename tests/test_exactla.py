@@ -142,3 +142,27 @@ class TestRowSpan:
         with pytest.raises(ValueError):
             span.coords(bad)
         assert span.dim == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_coords_between_inserts(self, data):
+        # Row expressions are built on the first coords call; rows inserted
+        # after it must get theirs on the next one.
+        length = data.draw(st.integers(1, 5))
+        vectors = rational_vectors(data, length, data.draw(st.integers(1, 8)))
+        span, inserted = RowSpan(length), []
+        for vec in vectors:
+            if span.add(vec):
+                inserted.append(vec)
+            for seen in inserted + [vec]:
+                got = span.coords(seen)
+                rebuilt = [sum(c * u[j] for c, u in zip(got, inserted)) for j in range(length)]
+                assert rebuilt == seen
+
+    def test_integer_vectors_over_one_denominator(self):
+        # Integer vectors are taken as they are; a rational query is one sixth
+        # of (5, 4), so its coordinates are one sixth of (5, 4)'s.
+        span = RowSpan(2)
+        assert span.add([1, 2]) and span.add([3, 0])
+        assert span.coords([5, 4]) == [2, 1]
+        assert span.coords([Fraction(5, 6), Fraction(2, 3)]) == [Fraction(1, 3), Fraction(1, 6)]

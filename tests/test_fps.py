@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import struct
 import tracemalloc
 from fractions import Fraction
 
@@ -14,20 +16,32 @@ from cfrealize import (
     ModeMismatchError,
     ParseError,
     Series,
+    QSpec,
+    cf_trajectory,
     coefficient,
+    expand_bracket,
     hankel_column,
+    iterated_stratonovich,
+    lyndon_words,
+    make_grid,
+    parse_model,
+    read_model,
+    sample_brownian,
     series_linear_combine,
     series_product,
     shuffle,
+    standard_bracketing,
     to_float,
     words_up_to,
 )
 from cfrealize.fps import (
     FLOAT,
+    MAX_LEVEL_BITS,
     MAX_WORDS,
     RATIONAL,
     format_series,
     parse_series,
+    read_series,
     shuffle_counts,
     word_count,
     word_index,
@@ -172,8 +186,9 @@ class TestLevels:
         s = Series(2, 2, {(1,): 3, (2, 0): Fraction(1, 2)})
         assert [len(level) for level in s.levels] == [1, 3, 9]
         assert s.levels[1] == (0, 3, 0)
-        assert s.levels[2][word_index((2, 0), 2)] == Fraction(1, 2)
-        assert Series(2, 2, levels=s.levels) == s
+        assert s.levels[2][word_index((2, 0), 2)] == 1 and s.dens == (1, 1, 2)
+        assert coefficient(s, (2, 0)) == Fraction(1, 2)
+        assert Series(2, 2, levels=s.levels, dens=s.dens) == s
         assert dict(s.coeffs) == {(1,): 3, (2, 0): Fraction(1, 2)}
         with pytest.raises(TypeError):
             s.coeffs[(0,)] = 1
@@ -266,7 +281,8 @@ class TestHankelColumn:
         s = Series(2, 4, {w: Fraction(len(w) + 1, sum(w) + 1) for w in words_up_to(2, 4)})
         rows, cols = words_up_to(2, 2), words_up_to(2, 1) + [[1, 2]]
         for v in cols:
-            assert hankel_column(s, v, 2) == [coefficient(s, u + tuple(v)) for u in rows]
+            column = [Fraction(c, s.den) for c in hankel_column(s, v, 2)]
+            assert column == [coefficient(s, u + tuple(v)) for u in rows]
         assert hankel_column(s, (1,), -1) == []
         assert [hankel_column(s, v, 2) for v in []] == []
 
@@ -375,7 +391,8 @@ class TestSeriesFile:
 def reference_format(s):
     """The series file written word by word, as the format comment states it."""
     lines = [f"cfseries m={s.m} N={s.max_degree} mode={s.mode}"]
-    for w, c in zip(words_up_to(s.m, s.max_degree), itertools.chain.from_iterable(s.levels)):
+    for w in words_up_to(s.m, s.max_degree):
+        c = coefficient(s, w)
         value = f"{c.numerator}/{c.denominator}" if s.mode == RATIONAL else repr(c)
         lines.append(",".join(map(str, w)) + ";" + value)
     return "\n".join(lines) + "\n"
@@ -387,7 +404,7 @@ def dense_series(m, n, seed):
     def value():
         return Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**6))
 
-    return Series(m, n, levels=[[value() for _ in range((m + 1) ** k)] for k in range(n + 1)])
+    return Series(m, n, {w: value() for w in words_up_to(m, n)})
 
 
 DIGITS = st.text("0123456789", min_size=1, max_size=8)
@@ -487,3 +504,224 @@ class TestSeriesRecords:
         back = parse_series(text)
         assert back == series
         assert format_series(back) == text
+
+
+# -- the integer level layout against a Fraction-only reference ---------------
+
+FRACTIONS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(max_denominator=12),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+
+
+@st.composite
+def coefficient_maps(draw, m=None):
+    """(m, N, word -> Fraction) with zeros, small and huge denominators."""
+    m = m or draw(st.integers(1, 2))
+    n = draw(st.integers(0, 3))
+    words = words_up_to(m, n)
+    return m, n, draw(st.dictionaries(st.sampled_from(words), FRACTIONS, max_size=len(words)))
+
+
+def reference_product(a, b, n):
+    out = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            if len(u) + len(v) <= n:
+                out[u + v] = out.get(u + v, 0) + x * y
+    return out
+
+
+def reference_bracket(tree):
+    if isinstance(tree, int):
+        return {(tree,): 1}
+    left, right = reference_bracket(tree[0]), reference_bracket(tree[1])
+    lr, rl = reference_product(left, right, 99), reference_product(right, left, 99)
+    return {w: lr.get(w, 0) - rl.get(w, 0) for w in {**lr, **rl}}
+
+
+def assert_canonical(s):
+    for level, den in zip(s.levels, s.dens):
+        assert type(den) is int and den >= 1
+        assert all(type(c) is int for c in level)
+        assert math.gcd(*level, den) == 1
+
+
+def assert_matches(s, ref):
+    """Every coefficient of s equals the reference map's (absent words are 0)."""
+    assert all(coefficient(s, w) == ref.get(w, 0) for w in words_up_to(s.m, s.max_degree))
+    assert dict(s.coeffs) == {w: c for w, c in ref.items() if c}
+
+
+def float_bits(x):
+    return struct.pack("<d", x)
+
+
+class TestLevelLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(coefficient_maps())
+    def test_canonical_levels_match_reference_and_round_trip(self, drawn):
+        m, n, ref = drawn
+        s = Series(m, n, ref)
+        assert_canonical(s)
+        assert_matches(s, ref)
+        assert parse_series(format_series(s)) == s
+        flt = to_float(s)
+        for w in words_up_to(m, n):
+            # float(Fraction) of a value below the float range may be -0.0;
+            # a float series stores every zero as 0.0.
+            want = float(ref.get(w, Fraction(0))) or 0.0
+            assert float_bits(coefficient(flt, w)) == float_bits(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coefficient_maps(), st.integers(2, 10**30))
+    def test_records_not_in_lowest_terms_parse_as_reduced(self, drawn, k):
+        m, n, ref = drawn
+        s = Series(m, n, ref)
+        head, *records = format_series(s).splitlines()
+        rewritten = []
+        for i, record in enumerate(records):
+            prefix, value = record.split(";")
+            num, den = map(int, value.split("/"))
+            variants = [
+                f"{num * k}/{den * k}",
+                f"+{num}/{den}" if num >= 0 else f"{num * 2}/{den * 2}",
+                "-0/5" if num == 0 else value,
+            ]
+            rewritten.append(f"{prefix};{variants[i % 3]}")
+        back = parse_series("\n".join([head, *rewritten]) + "\n")
+        assert back == s
+        assert_canonical(back)
+
+    @pytest.mark.parametrize("value", ["2/4", "-0/5", "+1/2", f"{3 * 10**60}/{6 * 10**60}"])
+    def test_non_lowest_record_examples(self, value):
+        want = Series.zero(1, 1) if value == "-0/5" else Series(1, 1, {(1,): Fraction(1, 2)})
+        text = f"cfseries m=1 N=1 mode=rational\n;0/1\n0;0/1\n1;{value}\n"
+        assert parse_series(text) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_product_and_shuffle_match_reference(self, data):
+        m, n, a = data.draw(coefficient_maps())
+        _, n2, b = data.draw(coefficient_maps(m=m))
+        got = series_product(Series(m, n, a), Series(m, n2, b))
+        assert_canonical(got)
+        assert_matches(got, reference_product(a, b, min(n, n2)))
+        u = data.draw(st.lists(st.integers(0, m), max_size=3).map(tuple))
+        v = data.draw(st.lists(st.integers(0, m), max_size=3).map(tuple))
+        got = shuffle(u, v, m)
+        assert_canonical(got)
+        assert_matches(got, brute_interleavings(u, v))
+
+    @pytest.mark.parametrize("m, n", [(1, 5), (2, 4)])
+    def test_expand_bracket_matches_reference(self, m, n):
+        for ell in lyndon_words(m, n):
+            tree = standard_bracketing(ell)
+            got = expand_bracket(tree, m)
+            assert_canonical(got)
+            assert_matches(got, reference_bracket(tree))
+
+    @pytest.mark.parametrize(
+        "value",
+        [Fraction(10**400 + 1, 10**399), Fraction(-1, 10**400), Fraction(2**1024 - 2**971),
+         Fraction(-(2**1074) + 1, 2**2148), Fraction(1, 3)],
+    )
+    def test_to_float_is_float_of_fraction(self, value):
+        s = Series(1, 2, {(0, 1): value, (1,): Fraction(7, 10**30)})
+        got = to_float(s)
+        assert float_bits(coefficient(got, (0, 1))) == float_bits(float(value) or 0.0)
+        assert coefficient(got, (1,)) == float(Fraction(7, 10**30))
+
+    @pytest.mark.parametrize("value", [Fraction(10**400, 3), Fraction(-(2**1024))])
+    def test_to_float_past_range_names_word(self, value):
+        s = Series(1, 2, {(0,): Fraction(1, 2), (1, 0): value, (1, 1): value})
+        with pytest.raises(CFError) as err:
+            to_float(s)
+        assert str(err.value) == "coefficient of word (1, 0) is outside the float range"
+
+    def test_unrelated_denominators_past_level_bound_fail_fast(self):
+        # 2^14 records of degree 14 over distinct odd ~60-bit denominators:
+        # one denominator for the level would have about a million bits,
+        # times 16 384 numerators.
+        words = words_up_to(1, 14)
+        records = [
+            ",".join(map(str, w)) + (f";1/{10**18 + 2 * i + 1}" if len(w) == 14 else ";0/1")
+            for i, w in enumerate(words)
+        ]
+        text = "\n".join(["cfseries m=1 N=14 mode=rational", *records]) + "\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                parse_series(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        message = f"degree-14 records need more than {MAX_LEVEL_BITS} bits over one denominator"
+        assert err.value.message == message
+        assert err.value.line > len(words) - 2**14
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize(
+        "levels", [[[1], [0.5, 1]], [[1.0], [0, 1]], [[1], [Fraction(1, 2), 0]]]
+    )
+    def test_non_integer_in_rational_level_raises(self, levels):
+        with pytest.raises(ModeMismatchError):
+            Series(1, 1, levels=levels)
+
+    def test_rational_series_in_cf_trajectory_raises(self):
+        path = sample_brownian(QSpec.identity(1), make_grid(0.25, 8), 1)
+        table = iterated_stratonovich(path, 2)
+        s = Series(1, 2, {(1,): Fraction(1, 3)})
+        with pytest.raises(ModeMismatchError):
+            cf_trajectory(s, table)
+        assert cf_trajectory(to_float(s), table)[-1] == pytest.approx(path.values[:, 0] / 3)
+
+
+# Characters str.splitlines breaks lines at besides \n, \r\n and \r.
+STRAY_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineBreaks:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("char", STRAY_BREAKS)
+    def test_series_text_names_editor_line(self, char, newline):
+        lines = format_series(TestSeriesRecords.SERIES).splitlines()
+        lines[3] = lines[3].replace(";", ";" + char)  # editor line 4
+        with pytest.raises(ParseError) as err:
+            parse_series(newline.join(lines) + newline)
+        assert (err.value.message, err.value.line) == (
+            f"line-break character 0x{ord(char):02x} in series file", 4)
+        assert parse_series(newline.join(format_series(TestSeriesRecords.SERIES).splitlines())) == (
+            TestSeriesRecords.SERIES)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("char", STRAY_BREAKS)
+    def test_model_text_names_editor_line(self, char, newline):
+        lines = ["n = 1", "m = 1", "x0 = 0", "g0 = 1", "g1 = 0", "h = x1"]
+        assert parse_model(newline.join(lines)).n == 1
+        broken = [lines[0] + char + lines[1], *lines[2:]]
+        with pytest.raises(ParseError) as err:
+            parse_model(newline.join(broken) + newline)
+        assert (err.value.message, err.value.line) == (
+            f"line-break character 0x{ord(char):02x} in model file", 1)
+        broken = [*lines[:4], lines[4] + char, lines[5]]
+        with pytest.raises(ParseError) as err:
+            parse_model(newline.join(broken) + newline)
+        assert err.value.line == 5
+
+    @pytest.mark.parametrize("kind", ["series", "model"])
+    def test_files_name_editor_line(self, tmp_path, kind):
+        text = (format_series(TestSeriesRecords.SERIES) if kind == "series"
+                else "n = 1\nm = 1\nx0 = 0\ng0 = 1\ng1 = 0\nh = x1\n")
+        lines = text.splitlines()
+        lines[2] += "\x0c"
+        path = tmp_path / "f.txt"
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode("ascii"))
+        with pytest.raises(ParseError) as err:
+            (read_series if kind == "series" else read_model)(path)
+        assert err.value.line == 3
+        path.write_bytes(("\r\n".join(lines[:2]) + "\r\n\xe9\r\n").encode("latin-1"))
+        with pytest.raises(ParseError) as err:
+            (read_series if kind == "series" else read_model)(path)
+        assert (err.value.message, err.value.line) == (f"non-ASCII byte 0xe9 in {kind} file", 3)

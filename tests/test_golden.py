@@ -3,7 +3,8 @@
 Exact outputs are contractually byte-identical across refactors and
 performance changes.  These SHA-256 digests pin ``series.txt`` (rational
 and float), ``rank.json``, ``model.txt`` and ``verify.json`` for one fixed
-bilinear and one fixed analytic model, and every file the Monte Carlo
+bilinear and one fixed analytic model, the exact files of one dense
+two-channel bilinear model at degree 8, and every file the Monte Carlo
 commands write at small grids and fixed seeds; a change that moves any byte
 of them has to say why and update the digest on purpose.
 """
@@ -80,6 +81,37 @@ def _artifacts(tmp_path, text):
 @pytest.mark.parametrize("name,text", [("bilinear", BILINEAR), ("analytic", ANALYTIC)])
 def test_exact_artifacts_match_golden_digests(tmp_path, capsys, name, text):
     assert _artifacts(tmp_path, text) == GOLDEN[name]
+
+
+# A dense three-state model on two noise channels at degree 8: 9 841 words,
+# every level with its own denominator, the benchmark's scale of exact data.
+DENSE = (
+    "type = bilinear\nn = 3\nm = 2\nx0 = 1, -1/2, 2/3\n"
+    "A0 = -1/2, 1/3, 0, 1, -3/4, 1/5, 2, 0, -1\n"
+    "A1 = 1/3, -1, 1/2, 0, 2/3, -1/4, 1, 1/6, 0\n"
+    "A2 = 0, 1/2, -2/5, 3/2, 0, 1, -1/3, 1/4, 1/2\n"
+    "C = 1, 1/2, -3\n"
+)
+
+GOLDEN_DENSE = {
+    "series.txt": "f7ddbfb3a59ec685b30c5ca9a45927435735120621627f267b2f5d3c46c0b69f",
+    "rank.json": "8981a77ce76a689bc5247ca497bf47919a10349085fb6ff2b7891d7c05affd00",
+    "model.txt": "d2d633e38037d0b0ddbb36d09c21f6fcced82edbec03431bbd5a3e5d08a7b16d",
+    "verify.json": "6d0abacf1b28930cbceffc82f1627cb99aac066608ec83531632f3e47afb70f2",
+}
+
+
+def test_dense_two_channel_artifacts_match_golden_digests(tmp_path, capsys):
+    model = tmp_path / "model_in.txt"
+    model.write_text(DENSE)
+    out = tmp_path / "out"
+    assert main(["coeffs", "--model", str(model), "--deg", "8", "--out", str(out)]) == 0
+    series = str(out / "series.txt")
+    rank = ["rank", "--series", series, "--rows", "4", "--cols", "4"]
+    assert main(rank + ["--bracket", "3", "--obs", "4", "--out", str(out)]) == 0
+    assert main(["realize", "--series", series, "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_DENSE}
+    assert digests == GOLDEN_DENSE
 
 
 # The Monte Carlo commands at small grids and fixed seeds.  Their float

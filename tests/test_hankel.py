@@ -3,10 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfrealize import (
+    AnalyticModel,
+    BilinearModel,
     DegreeError,
     ModeMismatchError,
+    MultiPoly,
+    PolyVectorField,
     Series,
     bilinear_coefficients,
     cf_coefficients,
@@ -15,8 +21,10 @@ from cfrealize import (
     lyndon_words,
     f_y_apply,
     hankel_build,
+    lie_derivative,
     lie_rank,
     parse_model,
+    poly_eval,
     rank_exact,
     rank_numeric,
     standard_bracketing,
@@ -65,7 +73,7 @@ class TestHankelBuild:
         block = hankel_build(s, 3, 3)
         for i, u in enumerate(block.row_words):
             for j, v in enumerate(block.col_words):
-                assert block.entries[i][j] == coefficient(s, u + v)
+                assert Fraction(block.entries[i][j], block.den) == coefficient(s, u + v)
 
 
 class TestRankExact:
@@ -199,3 +207,83 @@ class TestLieRank:
         with pytest.raises(DegreeError):
             lie_rank(drift_series(4), 3, 3)
 
+
+
+# -- integer outputs against a Fraction-only reference ------------------------
+
+FRAC = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+def reference_bilinear(model, w):
+    """C * A_{i1} * ... * A_{ik} * x0 in Fractions."""
+    row = list(model.c)
+    for i in w:
+        a = model.mats[i]
+        row = [sum(row[r] * a[r][j] for r in range(model.n)) for j in range(model.n)]
+    return sum(r * x for r, x in zip(row, model.x0))
+
+
+def reference_analytic(model, w):
+    """The readout's Lie derivatives along w (first letter first) at x0."""
+    phi = model.readout
+    for i in w:
+        phi = lie_derivative(model.fields[i], phi)
+    return poly_eval(phi, model.x0)
+
+
+def assert_canonical(s):
+    for level, den in zip(s.levels, s.dens):
+        assert den >= 1 and all(type(c) is int for c in level)
+        assert math.gcd(*level, den) == 1
+
+
+class TestIntegerLayoutOracles:
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_bilinear_series_hankel_and_f_y_match_reference(self, data):
+        n, m = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        mats = tuple(
+            tuple(tuple(data.draw(FRAC) for _ in range(n)) for _ in range(n)) for _ in range(m + 1)
+        )
+        x0 = tuple(data.draw(FRAC) for _ in range(n))
+        c = tuple(data.draw(FRAC) for _ in range(n))
+        model = BilinearModel(n, m, x0, mats, c)
+        s = bilinear_coefficients(model, 4)
+        assert_canonical(s)
+        ref = {w: reference_bilinear(model, w) for w in words_up_to(m, 4)}
+        assert all(coefficient(s, w) == ref[w] for w in ref)
+
+        block = hankel_build(s, 2, 2)
+        assert all(type(x) is int for row in block.entries for x in row)
+        for i, u in enumerate(block.row_words):
+            for j, v in enumerate(block.col_words):
+                assert Fraction(block.entries[i][j], block.den) == ref[u + v]
+                assert block.entry(u, v) == ref[u + v]
+
+        pmap = {w: data.draw(FRAC) for w in data.draw(st.lists(st.sampled_from(words_up_to(m, 2))))}
+        p = Series(m, 2, pmap)
+        vec = f_y_apply(s, p, 2)
+        assert all(type(x) is int for x in vec)
+        want = [
+            sum((cv * ref[w + v] for v, cv in pmap.items()), Fraction(0)) for w in words_up_to(m, 2)
+        ]
+        assert [Fraction(x, s.den * p.den) for x in vec] == want
+        flt = f_y_apply(to_float(s), to_float(p), 2)
+        assert flt == pytest.approx([float(x) for x in want], rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_cf_coefficients_match_reference(self, data):
+        n, m = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        terms = st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) <= 2), FRAC, max_size=3
+        )
+        fields = tuple(
+            PolyVectorField(tuple(MultiPoly(n, data.draw(terms)) for _ in range(n)))
+            for _ in range(m + 1)
+        )
+        readout = MultiPoly(n, data.draw(terms))
+        model = AnalyticModel(n, m, tuple(data.draw(FRAC) for _ in range(n)), fields, readout)
+        s = cf_coefficients(model, 3)
+        assert_canonical(s)
+        assert all(coefficient(s, w) == reference_analytic(model, w) for w in words_up_to(m, 3))

@@ -200,6 +200,27 @@ class TestSampleDiffusionInput:
         with pytest.raises(ValueError):
             sample_diffusion_input(drift, [[1.0, 0.0], [1.0, 0.0]], make_grid(1.0, 4), 0)
 
+    @pytest.mark.parametrize("scale", [1e-5, 1e5])
+    def test_invertibility_does_not_depend_on_scale(self, scale):
+        # det(1e-5 * I3) = 1e-15: an absolute threshold on det refuses it.
+        drift = PolyVectorField((MultiPoly.zero(3),) * 3)
+        path = sample_diffusion_input(drift, scale * np.eye(3), make_grid(1.0, 4), 0)
+        np.testing.assert_allclose(path.q.at(0.0), scale**2 * np.eye(3))
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            np.zeros((3, 3)),
+            np.diag([1.0, 1.0, 0.0]),
+            1e5 * np.array([[1.0, 2, 3], [2, 4, 6], [0, 1, 1]]),
+        ],
+        ids=["zero", "singular", "rank_deficient_1e5"],
+    )
+    def test_rejects_singular_sigma_at_any_scale(self, sigma):
+        drift = PolyVectorField((MultiPoly.zero(3),) * 3)
+        with pytest.raises(ValueError, match="sigma must be invertible"):
+            sample_diffusion_input(drift, sigma, make_grid(1.0, 4), 0)
+
 
 class TestIteratedIntegrals:
     def test_time_words_exact(self):

@@ -179,6 +179,16 @@ class TestVerifyRealization:
                     bad = BilinearModel(model.n, model.m, model.x0, mats, model.c)
                     assert verify_realization(bad, s, 6).max_abs > 0, (i, r, c)
 
+    def test_same_numerators_other_denominator_detected(self):
+        # Halving C keeps every odd numerator and doubles each level's
+        # denominator: the levels' numerators agree, the coefficients do not.
+        model = parse_model("n = 1\nm = 1\nx0 = 1\nA0 = 1\nA1 = 3\nC = 1\n")
+        s = bilinear_coefficients(model, 4)
+        half = BilinearModel(1, 1, model.x0, model.mats, (Fraction(1, 2),))
+        assert bilinear_coefficients(half, 4).levels == s.levels
+        report = verify_realization(half, s, 4)
+        assert (report.max_abs, report.worst_word) == (Fraction(81, 2), (1, 1, 1, 1))
+
     def test_linear_embedding_cross_check(self, rng):
         model = rand_bilinear(rng, 3, 1)
         s = cf_coefficients(linear_embedding(model), 6)
