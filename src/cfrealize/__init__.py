@@ -12,6 +12,7 @@ from .errors import (
     CFError,
     DegreeError,
     DivergenceError,
+    LevelSizeError,
     ModeMismatchError,
     MonomialBudgetError,
     ParseError,

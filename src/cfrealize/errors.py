@@ -17,6 +17,16 @@ class DegreeError(CFError):
     """A coefficient beyond the stored validity degree was requested."""
 
 
+class LevelSizeError(CFError):
+    """A rational series level would need more than ``fps.MAX_LEVEL_BITS``
+    bits of numerators over one denominator.  ``index`` is the position, in
+    the level of degree ``degree``, of the value that passed the bound."""
+
+    def __init__(self, message, degree, index):
+        super().__init__(message)
+        self.degree, self.index = degree, index
+
+
 class ParseError(CFError):
     """A model or series file failed to parse.
 

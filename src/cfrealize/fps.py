@@ -37,8 +37,14 @@ from functools import reduce
 from itertools import chain, islice, product, repeat
 from types import MappingProxyType
 
-from .errors import AlphabetError, CFError, DegreeError, ModeMismatchError, ParseError
-from .exactla import over_common_denominator
+from .errors import (
+    AlphabetError,
+    CFError,
+    DegreeError,
+    LevelSizeError,
+    ModeMismatchError,
+    ParseError,
+)
 
 Word = tuple[int, ...]
 
@@ -50,9 +56,9 @@ FLOAT = "float"
 MAX_WORDS = 10**6  # levels are dense: the most words a series (or degree flag) may span
 # The most floats (80 MB) a study's paths, states or one integral table may hold.
 MAX_CELLS = 10**7
-# The most bits (80 MB) a rational level's numerators may span over its common
-# denominator: a file whose denominators share no factors would otherwise ask
-# for their product on every record of the level.
+# The most bits (80 MB) a rational level's common denominator may take, counted
+# once per word of the level: values whose denominators share no factors would
+# otherwise carry their product in every numerator.
 MAX_LEVEL_BITS = 64 * MAX_CELLS
 
 
@@ -106,16 +112,38 @@ def _coerce(value, mode):
     raise ValueError(f"unknown scalar mode {mode!r}")
 
 
-def _canonical_level(level, den) -> tuple[tuple[int, ...], int]:
-    """A rational level's integer numerators and positive denominator,
-    divided by their gcd."""
+def _canonical_level(k: int, nums, dens) -> tuple[tuple[int, ...], int]:
+    """Rational level k as integer numerators over one positive denominator,
+    with gcd 1: value i is ``nums[i] / dens[i]`` for a list ``dens``, which
+    comes out over the lcm of the reduced denominators, or ``nums[i] / dens``
+    for one integer.  ModeMismatchError for a value that is not an integer;
+    LevelSizeError once the denominator's bits, counted once per value, pass
+    MAX_LEVEL_BITS."""
+    message = f"degree-{k} coefficients need more than {MAX_LEVEL_BITS} bits over one denominator"
     try:
-        nums, den = tuple(map(operator.index, level)), operator.index(den)
+        nums = tuple(map(operator.index, nums))
+        if isinstance(dens, list):
+            dens = list(map(operator.index, dens))
+            if len(dens) != len(nums) or min(dens) < 1:
+                raise ValueError(f"need one positive denominator per value of level {k}")
+            gcds = list(map(math.gcd, nums, dens))
+            if gcds.count(1) != len(gcds):  # values not in lowest terms
+                nums = [c // g for c, g in zip(nums, gcds)]
+                dens = [d // g for d, g in zip(dens, gcds)]
+            den = 1
+            for d in set(dens):
+                den = math.lcm(den, d)
+                if den.bit_length() * len(nums) > MAX_LEVEL_BITS:
+                    raise LevelSizeError(message, k, dens.index(d))
+            return tuple([c * (den // d) for c, d in zip(nums, dens)]), den
+        den = operator.index(dens)
     except TypeError:
         raise ModeMismatchError("a rational level holds integers over an integer") from None
     if den < 1:
         raise ValueError(f"level denominator must be positive, got {den}")
     g = math.gcd(*nums, den)
+    if (den // g).bit_length() * len(nums) > MAX_LEVEL_BITS:
+        raise LevelSizeError(message, k, 0)
     return (nums, den) if g == 1 else (tuple([c // g for c in nums]), den // g)
 
 
@@ -130,14 +158,17 @@ class Series:
             ``word_index(w, m)``: integer numerators over ``dens[k]`` in
             rational mode, doubles in float mode.
         dens: the positive denominator of each level; 1 in float mode.
+        den: the common denominator of every level, the lcm of ``dens``.
 
     Built from ``coeffs``, a map word -> scalar (absent words are zero), or
-    from ``levels`` and ``dens`` as above (``dens`` defaults to all 1);
-    rational levels are reduced to the canonical form.  Instances are
-    treated as immutable; operations return new series.
+    from ``levels`` and ``dens`` as above (``dens`` defaults to all 1); in
+    rational mode ``dens[k]`` may also list one positive denominator per
+    value of level k.  Rational levels are reduced to the canonical form;
+    one past MAX_LEVEL_BITS raises LevelSizeError.  Instances are treated
+    as immutable; operations return new series.
     """
 
-    __slots__ = ("m", "max_degree", "mode", "levels", "dens")
+    __slots__ = ("m", "max_degree", "mode", "levels", "dens", "den")
 
     def __init__(
         self, m: int, max_degree: int, coeffs=None, mode: str = RATIONAL, levels=None, dens=None
@@ -155,42 +186,38 @@ class Series:
         sizes = [(m + 1) ** k for k in range(max_degree + 1)]
         if levels is None and dens is None:
             levels = [[0] * size for size in sizes]
+            if mode == RATIONAL:
+                dens = [[1] * size for size in sizes]
             for w, c in (coeffs or {}).items():
                 w = check_word(w, m)
                 if len(w) > max_degree:
                     raise DegreeError(
                         f"word {w} of degree {len(w)} exceeds truncation degree {max_degree}"
                     )
-                levels[len(w)][word_index(w, m)] = _coerce(c, mode)
-            if mode == RATIONAL:
-                # Over the lcm of the values' reduced denominators, a level is canonical.
-                levels, dens = zip(*map(over_common_denominator, levels))
-                self.levels, self.dens = tuple(map(tuple, levels)), dens
-                return
+                c, i = _coerce(c, mode), word_index(w, m)
+                if mode == RATIONAL:
+                    levels[len(w)][i], dens[len(w)][i] = c.numerator, c.denominator
+                else:
+                    levels[len(w)][i] = c
         elif coeffs or levels is None or list(map(len, levels)) != sizes:
             raise ValueError(f"need levels of (m+1)^k scalars, k = 0..{max_degree}, and no map")
         dens = (1,) * len(sizes) if dens is None else tuple(dens)
-        if len(dens) != len(sizes) or (mode == FLOAT and set(dens) != {1}):
+        if len(dens) != len(sizes) or (mode == FLOAT and dens != (1,) * len(sizes)):
             raise ValueError("need one denominator per level, each 1 in float mode")
         if mode == RATIONAL:
-            self.levels, self.dens = map(tuple, zip(*map(_canonical_level, levels, dens)))
+            self.levels, self.dens = map(
+                tuple, zip(*map(_canonical_level, range(len(sizes)), levels, dens))
+            )
+            self.den = math.lcm(*self.dens)
         else:
             # A zero of either sign is stored as 0.0.
             self.levels = tuple(
                 tuple([(c if type(c) is float else float(c)) or 0.0 for c in level])
                 for level in levels
             )
-            self.dens = dens
+            self.dens, self.den = dens, 1
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def _canonical(cls, m: int, max_degree: int, levels, dens) -> "Series":
-        """A rational series from levels already canonical, taken unchecked:
-        checking costs a gcd per word as long as the level's denominator."""
-        s = cls.__new__(cls)
-        s.m, s.max_degree, s.mode, s.levels, s.dens = m, max_degree, RATIONAL, levels, dens
-        return s
 
     @classmethod
     def zero(cls, m: int, max_degree: int, mode: str = RATIONAL) -> "Series":
@@ -216,11 +243,6 @@ class Series:
                 if c:
                     out[w] = c if self.mode == FLOAT else Fraction(c, den)
         return MappingProxyType(out)
-
-    @property
-    def den(self) -> int:
-        """Common denominator of every level: the lcm of ``dens``."""
-        return math.lcm(*self.dens)
 
     def degree(self) -> int:
         """Largest degree carrying a nonzero coefficient (0 for the zero series)."""
@@ -303,8 +325,9 @@ def series_product(r: Series, s: Series) -> Series:
     _check_pair(r, s)
     n = min(r.max_degree, s.max_degree)
     out: dict[Word, object] = {}
+    sc = s.coeffs.items()
     for u, a in r.coeffs.items():
-        for v, b in s.coeffs.items():
+        for v, b in sc:
             if len(u) + len(v) <= n:
                 out[u + v] = out.get(u + v, 0) + a * b
     return Series(r.m, n, out, r.mode)
@@ -384,9 +407,12 @@ def to_float(r: Series) -> Series:
 # round-trip exactly and are finite.  parse_series reads a canonical record
 # without parsing its word or calling Fraction(str), reduces n/d, and scales
 # each level's values to numerators over the lcm of their reduced d: the
-# canonical level layout.  Any other form still
-# parses: letters that int() accepts, in order, and a value that
-# Fraction(str) (rational mode) or float() (float mode) accepts.  Lines end
+# canonical level layout.  Any other form still parses: letters that int()
+# accepts, in order, and a value that Fraction(str) (rational mode) or
+# float() (float mode) accepts.  A rational level whose lcm, counted once per
+# record of the level, has more than MAX_LEVEL_BITS bits is a ParseError
+# naming the record at which it passed that bound; Series refuses such a
+# level too, so every series format_series writes reads back.  Lines end
 # at \n, \r\n or \r; any other character str.splitlines breaks at (form
 # feed, vertical tab, \x1c-\x1e, ...) is a ParseError naming its line.
 
@@ -502,23 +528,14 @@ def parse_series(text: str) -> Series:
         values.append(val)
         dens.append(den)
     parts = [slice(word_count(m, k - 1), word_count(m, k)) for k in range(n + 1)]
+    levels = [values[p] for p in parts]
     if mode == FLOAT:
-        return Series(m, n, mode=FLOAT, levels=[values[p] for p in parts])
-    gcds = list(map(math.gcd, values, dens))
-    if gcds.count(1) != len(gcds):  # records not in lowest terms
-        values = [c // g for c, g in zip(values, gcds)]
-        dens = [d // g for d, g in zip(dens, gcds)]
-    levels, level_dens = [], []
-    for k, p in enumerate(parts):
-        lcd = 1  # lcm of reduced denominators: the level comes out canonical
-        for d in set(dens[p]):
-            lcd = math.lcm(lcd, d)
-            if lcd.bit_length() * (p.stop - p.start) > MAX_LEVEL_BITS:
-                message = f"degree-{k} records need more than {MAX_LEVEL_BITS} bits"
-                raise record_error(dens.index(d, p.start), message + " over one denominator", str(d))
-        levels.append(tuple([c * (lcd // d) for c, d in zip(values[p], dens[p])]))
-        level_dens.append(lcd)
-    return Series._canonical(m, n, tuple(levels), tuple(level_dens))
+        return Series(m, n, mode=FLOAT, levels=levels)
+    try:
+        return Series(m, n, mode=RATIONAL, levels=levels, dens=[dens[p] for p in parts])
+    except LevelSizeError as exc:
+        i = word_count(m, exc.degree - 1) + exc.index
+        raise record_error(i, str(exc), str(dens[i])) from None
 
 
 # Characters other than \n and \r that str.splitlines breaks lines at.

@@ -182,9 +182,10 @@ def f_y_apply(s: Series, p: Series, n_obs: int) -> list:
         )
     out = [0.0 if s.mode == FLOAT else 0] * word_count(s.m, n_obs)
     for k, (level, den) in enumerate(zip(p.levels, p.dens)):
+        scale = p.den // den
         for v, cv in zip(words_of_degree(p.m, k), level):
             if cv:
-                cv *= p.den // den
+                cv *= scale
                 out = [acc + cv * x for acc, x in zip(out, hankel_column(s, v, n_obs))]
     return out
 

@@ -13,6 +13,7 @@ from cfrealize import (
     AlphabetError,
     CFError,
     DegreeError,
+    LevelSizeError,
     ModeMismatchError,
     ParseError,
     Series,
@@ -524,21 +525,32 @@ def coefficient_maps(draw, m=None):
     return m, n, draw(st.dictionaries(st.sampled_from(words), FRACTIONS, max_size=len(words)))
 
 
-def reference_product(a, b, n):
-    out = {}
-    for u, x in a.items():
-        for v, y in b.items():
-            if len(u) + len(v) <= n:
-                out[u + v] = out.get(u + v, 0) + x * y
-    return out
+def reference_product(a, b, m, n):
+    """Coefficient of every word w of degree <= n: the sum of a(u) * b(v)
+    over the |w| + 1 splittings w = u.v."""
+    return {
+        w: sum(Fraction(a.get(w[:i], 0)) * b.get(w[i:], 0) for i in range(len(w) + 1))
+        for w in words_up_to(m, n)
+    }
 
 
-def reference_bracket(tree):
+def reference_bracket(tree, m):
     if isinstance(tree, int):
         return {(tree,): 1}
-    left, right = reference_bracket(tree[0]), reference_bracket(tree[1])
-    lr, rl = reference_product(left, right, 99), reference_product(right, left, 99)
-    return {w: lr.get(w, 0) - rl.get(w, 0) for w in {**lr, **rl}}
+    left, right = reference_bracket(tree[0], m), reference_bracket(tree[1], m)
+    n = max(map(len, left)) + max(map(len, right))
+    lr, rl = reference_product(left, right, m, n), reference_product(right, left, m, n)
+    return {w: lr[w] - rl[w] for w in lr}
+
+
+def reference_text(m, n, coeffs):
+    """The rational series file of a word -> Fraction map, written record by
+    record without a Series."""
+    records = [
+        ",".join(map(str, w)) + ";{0.numerator}/{0.denominator}".format(Fraction(coeffs.get(w, 0)))
+        for w in words_up_to(m, n)
+    ]
+    return "\n".join([f"cfseries m={m} N={n} mode=rational", *records]) + "\n"
 
 
 def assert_canonical(s):
@@ -552,6 +564,10 @@ def assert_matches(s, ref):
     """Every coefficient of s equals the reference map's (absent words are 0)."""
     assert all(coefficient(s, w) == ref.get(w, 0) for w in words_up_to(s.m, s.max_degree))
     assert dict(s.coeffs) == {w: c for w, c in ref.items() if c}
+
+
+def level_size_message(k):
+    return f"degree-{k} coefficients need more than {MAX_LEVEL_BITS} bits over one denominator"
 
 
 def float_bits(x):
@@ -607,7 +623,7 @@ class TestLevelLayout:
         _, n2, b = data.draw(coefficient_maps(m=m))
         got = series_product(Series(m, n, a), Series(m, n2, b))
         assert_canonical(got)
-        assert_matches(got, reference_product(a, b, min(n, n2)))
+        assert_matches(got, reference_product(a, b, m, min(n, n2)))
         u = data.draw(st.lists(st.integers(0, m), max_size=3).map(tuple))
         v = data.draw(st.lists(st.integers(0, m), max_size=3).map(tuple))
         got = shuffle(u, v, m)
@@ -620,7 +636,7 @@ class TestLevelLayout:
             tree = standard_bracketing(ell)
             got = expand_bracket(tree, m)
             assert_canonical(got)
-            assert_matches(got, reference_bracket(tree))
+            assert_matches(got, reference_bracket(tree, m))
 
     @pytest.mark.parametrize(
         "value",
@@ -657,10 +673,46 @@ class TestLevelLayout:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        message = f"degree-14 records need more than {MAX_LEVEL_BITS} bits over one denominator"
-        assert err.value.message == message
+        assert err.value.message == level_size_message(14)
         assert err.value.line > len(words) - 2**14
         assert peak < 64 * 2**20
+
+    def test_level_past_bound_fails_built_and_read_back(self):
+        # Degree 9 over {0, 1, 2}: 19 683 values over random denominators up
+        # to 10^6, as dense_series draws them one degree up.  Their lcm alone
+        # would take about as many bits as MAX_LEVEL_BITS allows the level.
+        rng = random.Random(9)
+        ref = {
+            w: Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**6))
+            for w in words_of_degree(2, 9)
+        }
+        with pytest.raises(LevelSizeError) as built:
+            Series(2, 9, ref)
+        with pytest.raises(ParseError) as read:
+            parse_series(reference_text(2, 9, ref))
+        assert str(built.value) == read.value.message == level_size_message(9)
+        assert read.value.line > word_count(2, 8) + 1
+
+    def test_integer_level_past_bound_fails(self):
+        # 3^9 numerators over a ~32 650-bit denominator pass the bound;
+        # dividing out a common factor 3 does not bring it back under.
+        levels = [[0] * 3**k for k in range(9)] + [[3] * 3**9]
+        with pytest.raises(LevelSizeError) as err:
+            Series(2, 9, levels=levels, dens=[1] * 9 + [3**20601])
+        assert str(err.value) == level_size_message(9)
+        under = Series(2, 9, levels=levels, dens=[1] * 9 + [3**20401])
+        assert under.dens[9] == 3**20400 and set(under.levels[9]) == {1}
+
+    def test_product_past_level_bound_fails(self):
+        # Two series of 81 degree-4 values over distinct ~1000-bit odd
+        # denominators each fit; their product's 3^8 degree-8 values over
+        # the pairwise products do not.
+        words = words_of_degree(2, 4)
+        r = Series(2, 8, {w: Fraction(1, 10**300 + 2 * i + 1) for i, w in enumerate(words)})
+        s = Series(2, 8, {w: Fraction(1, 10**300 + 2 * i + 163) for i, w in enumerate(words)})
+        with pytest.raises(LevelSizeError) as err:
+            series_product(r, s)
+        assert str(err.value) == level_size_message(8)
 
     @pytest.mark.parametrize(
         "levels", [[[1], [0.5, 1]], [[1.0], [0, 1]], [[1], [Fraction(1, 2), 0]]]
