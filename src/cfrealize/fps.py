@@ -114,18 +114,17 @@ def _coerce(value, mode):
 
 def _canonical_level(k: int, nums, dens) -> tuple[tuple[int, ...], int]:
     """Rational level k as integer numerators over one positive denominator,
-    with gcd 1: value i is ``nums[i] / dens[i]`` for a list ``dens``, which
-    comes out over the lcm of the reduced denominators, or ``nums[i] / dens``
-    for one integer.  ModeMismatchError for a value that is not an integer;
+    with gcd 1: value i is ``nums[i] / dens[i]`` for a list of positive
+    ``dens``, which comes out over the lcm of the reduced denominators, or
+    ``nums[i] / dens`` for one integer.  ModeMismatchError for a value that is not an integer;
     LevelSizeError once the denominator's bits, counted once per value, pass
     MAX_LEVEL_BITS."""
     message = f"degree-{k} coefficients need more than {MAX_LEVEL_BITS} bits over one denominator"
     try:
         nums = tuple(map(operator.index, nums))
         if isinstance(dens, list):
-            dens = list(map(operator.index, dens))
-            if len(dens) != len(nums) or min(dens) < 1:
-                raise ValueError(f"need one positive denominator per value of level {k}")
+            if len(dens) != len(nums):
+                raise ValueError(f"need one denominator per value of level {k}")
             gcds = list(map(math.gcd, nums, dens))
             if gcds.count(1) != len(gcds):  # values not in lowest terms
                 nums = [c // g for c, g in zip(nums, gcds)]
