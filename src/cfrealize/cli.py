@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import cache
 
 import numpy as np
 
@@ -419,9 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built on first use; each parse fills a fresh namespace.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (CFError, ValueError, OSError) as exc:

@@ -20,6 +20,9 @@ Conventions shared by everything in this module:
   predictor-corrector scheme on the same increment stream as the integral
   tables, so series-vs-simulation comparisons are pathwise, not merely in
   distribution, and a diffusion input is the Euler-Ito state of a model.
+  Its ``@`` products need not round like a left-to-right sum of products
+  (OpenBLAS may fuse multiply-adds), so float outputs are bit-reproducible
+  only on one numpy/BLAS build.
 * Replicate k of a study seeded with s is drawn from its own generator,
   seeded ``replicate_seed(s, k) = s ^ k``, and equals the single path
   sampled with that seed; identical seeds and configuration give

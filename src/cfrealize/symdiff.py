@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
@@ -307,30 +307,13 @@ class BilinearModel:
 def linear_embedding(model: BilinearModel) -> AnalyticModel:
     """Encode a bilinear model as an analytic one with linear fields g_i(x) = A_i x."""
     n = model.n
-    fields = []
-    for a in model.mats:
-        comps = []
-        for i in range(n):
-            comps.append(
-                MultiPoly(
-                    n,
-                    {
-                        tuple(1 if k == j else 0 for k in range(n)): a[i][j]
-                        for j in range(n)
-                        if a[i][j] != 0
-                    },
-                )
-            )
-        fields.append(PolyVectorField(tuple(comps)))
-    readout = MultiPoly(
-        n,
-        {
-            tuple(1 if k == j else 0 for k in range(n)): model.c[j]
-            for j in range(n)
-            if model.c[j] != 0
-        },
-    )
-    return AnalyticModel(n, model.m, model.x0, tuple(fields), readout)
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+
+    def linear(row) -> MultiPoly:
+        return MultiPoly(n, dict(zip(units, row)))
+
+    fields = tuple(PolyVectorField(tuple(map(linear, a))) for a in model.mats)
+    return AnalyticModel(n, model.m, model.x0, fields, linear(model.c))
 
 
 def _translate(p: MultiPoly, x0, max_degree: int) -> dict[Exponents, Fraction]:
@@ -354,25 +337,29 @@ def _translate(p: MultiPoly, x0, max_degree: int) -> dict[Exponents, Fraction]:
     return {y: v for y, v in out.items() if v}
 
 
-def _lie_jet(field, phi: dict[Exponents, Fraction], max_degree: int) -> dict[Exponents, Fraction]:
+def _lie_jet(field, phi: dict[int, int], units: list[int], max_degree: int) -> dict[int, int]:
     """Terms of degree <= max_degree of sum_j (d phi / d y_j) * g_j.
 
-    ``field[j]`` lists the terms of g_j as (degree, exponents, coefficient)
-    in increasing degree, so the products that would be dropped are skipped
-    before they are formed.
+    Monomials are packed keys (see cf_coefficients): the exponent of y_j is
+    the digit of ``units[j]``, the total degree the top digit.  ``field[j]``
+    lists the terms of g_j as (key, integer over D_g) in increasing key, so
+    in increasing degree, and the products that would be dropped are skipped
+    before they are formed; integers over d give integers over d * D_g.
     """
-    out: dict[Exponents, Fraction] = {}
+    radix, top = units[1], units[-1]
+    limit = (max_degree + 1) * top
+    out: dict[int, int] = {}
     for e, c in phi.items():
-        d = sum(e) - 1
-        for j, ej in enumerate(e):
+        for unit, terms in zip(units, field):
+            ej = e // unit % radix
             if not ej:
                 continue
-            base = e[:j] + (ej - 1,) + e[j + 1 :]
+            base = e - unit - top
             cj = c * ej
-            for gd, ge, gc in field[j]:
-                if d + gd > max_degree:
+            for ge, gc in terms:
+                key = base + ge
+                if key >= limit:
                     break
-                key = tuple(map(add, base, ge))
                 out[key] = out.get(key, 0) + cj * gc
     return {k: v for k, v in out.items() if v}
 
@@ -384,9 +371,12 @@ def cf_coefficients(model: AnalyticModel, n_max: int, term_budget: int = DEFAULT
     the word, evaluated at x0; the empty word gives the readout at x0 (the
     output's initial value).  The readout and fields are first rewritten exactly in
     y = x - x0, where a coefficient is the constant term of the iterated
-    derivative.  The words are walked breadth-first, one Lie derivative per
-    word from its prefix's derivative, and held in the series' level order;
-    each level is converted once to integer numerators over one denominator.
+    derivative, and scaled to integers over one denominator each, D_h and
+    D_g, so the derivatives of level k are integers over D_h * D_g^k.  A
+    monomial y^e is keyed by one integer, the digits e_1..e_n (lowest first)
+    and then |e| in base n_max + 1; no degree held exceeds n_max.
+    The words are walked breadth-first, one Lie derivative per word from its
+    prefix's derivative, in the series' level order.
 
     Truncation is exact (Taylor-mode differentiation): a Lie derivative
     differentiates once and multiplies by field terms of degree >= 0, so it
@@ -402,22 +392,25 @@ def cf_coefficients(model: AnalyticModel, n_max: int, term_budget: int = DEFAULT
     """
     if n_max < 0:
         raise ValueError("degree bound must be nonnegative")
-    fields = [
-        [
-            sorted((sum(e), e, c) for e, c in _translate(comp, model.x0, n_max - 1).items())
-            for comp in g.components
-        ]
-        for g in model.fields
-    ]
-    origin = (0,) * model.n
-    level = [_translate(model.readout, model.x0, n_max)]
-    levels = [over_common_denominator([level[0].get(origin, 0)])]
+    fields = [[_translate(comp, model.x0, n_max - 1) for comp in g.components] for g in model.fields]
+    nums, den_g = over_common_denominator(c for g in fields for comp in g for c in comp.values())
+    nums = iter(nums)
+    units = [(n_max + 1) ** j for j in range(model.n + 1)]
+
+    def pack(e: Exponents) -> int:
+        return sum(map(mul, units, e + (sum(e),)))
+
+    fields = [[sorted((pack(e), next(nums)) for e in comp) for comp in g] for g in fields]
+    readout = _translate(model.readout, model.x0, n_max)
+    nums, den_h = over_common_denominator(readout.values())
+    level = [dict(zip(map(pack, readout), nums))]
+    levels = [[level[0].get(0, 0)]]
     for remaining in range(n_max - 1, -1, -1):
         held = sum(map(len, level))
         nxt = []
         for phi in level:
             for field in fields:
-                psi = _lie_jet(field, phi, remaining) if phi else {}
+                psi = _lie_jet(field, phi, units, remaining) if phi else {}
                 nxt.append(psi)
                 held += len(psi)
                 if held > term_budget:
@@ -425,9 +418,9 @@ def cf_coefficients(model: AnalyticModel, n_max: int, term_budget: int = DEFAULT
                         f"iterated Lie derivatives exceed {term_budget} live monomials"
                     )
         level = nxt
-        levels.append(over_common_denominator([psi.get(origin, 0) for psi in level]))
-    nums, dens = zip(*levels)
-    return Series(model.m, n_max, mode=RATIONAL, levels=nums, dens=dens)
+        levels.append([psi.get(0, 0) for psi in level])
+    dens = [den_h * den_g**k for k in range(n_max + 1)]
+    return Series(model.m, n_max, mode=RATIONAL, levels=levels, dens=dens)
 
 
 def bilinear_coefficients(model: BilinearModel, n_max: int) -> Series:

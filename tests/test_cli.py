@@ -17,6 +17,7 @@ SCALAR_BILINEAR = (
     "type = bilinear\nn = 1\nm = 1\nx0 = 1\nA0 = 3/2\nA1 = -2\nC = 1\n"
 )
 QUADRATIC_MODEL = "n = 1\nm = 1\nx0 = 1/2\ng0 = x1\ng1 = 1\nh = x1^2\n"
+COMMANDS = "coeffs rank lierank realize simulate compare ito-check hijab-check demo-zakai".split()
 
 
 def write(path: Path, text: str) -> str:
@@ -273,6 +274,43 @@ class TestRank:
         assert capsys.readouterr().err == (
             "error: malformed word in series record near 'x' (line 3)\n"
         )
+
+
+class TestParserReuse:
+    def fresh_stdout(self, argv, capsys):
+        """Standard output of one command parsed by a parser of its own."""
+        args = build_parser().parse_args(argv)
+        assert args.fn(args) == 0
+        return capsys.readouterr().out
+
+    def test_flags_of_one_call_do_not_reach_the_next(self, tmp_path, capsys):
+        model = write(tmp_path / "model.txt", QUADRATIC_MODEL)
+        out = tmp_path / "out"
+        main(["coeffs", "--model", model, "--deg", "6", "--mode", "float", "--out", str(out)])
+        capsys.readouterr()  # drop the coeffs status line
+        rank = ["rank", "--series", str(out / "series.txt"), "--rows", "3", "--cols", "3"]
+        flagged = tmp_path / "flagged"
+        extra = ["--bracket", "3", "--obs", "3", "--tol", "1e-6", "--out", str(flagged)]
+        assert main(rank + extra) == 0
+        assert "lie" in json.loads(capsys.readouterr().out)
+        (flagged / "rank.json").unlink()
+        assert main(rank) == 0
+        assert capsys.readouterr().out == self.fresh_stdout(rank, capsys)
+        assert not (flagged / "rank.json").exists()
+        assert not (out / "rank.json").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_text_unchanged_by_reuse(self, capsys, command):
+        texts = []
+        for parse in (main, build_parser().parse_args, main):
+            with pytest.raises(SystemExit) as exc:
+                parse([command, "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] == texts[2]
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert capsys.readouterr().out == build_parser().format_help()
 
 
 class TestRealize:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from cfrealize import (
     stratonovich_to_ito_drift,
     words_up_to,
 )
+from cfrealize import symdiff
 from cfrealize.symdiff import MAX_EXPONENT, MAX_TERMS, compile_float, format_model, poly_to_string
 from conftest import rand_bilinear, rand_poly
 
@@ -149,6 +151,16 @@ class TestCoefficients:
         with pytest.raises(MonomialBudgetError):
             cf_coefficients(model, 6, term_budget=10)
 
+    def test_monomial_budget_boundary(self):
+        # The same model holds exactly 128 monomials at its peak, so the
+        # count of live monomials cannot shift without this test noticing.
+        model = parse_model(
+            "n = 1\nm = 1\nx0 = 1\ng0 = x1^2\ng1 = x1^3\nh = x1^4\n"
+        )
+        with pytest.raises(MonomialBudgetError, match="exceed 127 live monomials"):
+            cf_coefficients(model, 6, term_budget=127)
+        assert cf_coefficients(model, 6, term_budget=128) == cf_coefficients(model, 6)
+
     def test_series_vanishes_at_origin(self):
         # Every iterated derivative of x1^4 along x1^2 and x1^3 is a monomial
         # of degree >= 4, so it vanishes at x0 = 0.
@@ -172,6 +184,16 @@ def untruncated_coefficients(model, n_max):
                     nxt[w + (i,)] = lie_derivative(g, phi)
         level = nxt
     return Series(model.m, n_max, coeffs)
+
+
+# Field, readout and x0 terms over the primes 7, 11, 13, 17 and 19.
+COPRIME_MODEL = (
+    "n = 2\nm = 2\nx0 = 1/17, -2/19\n"
+    "g0 = 1/7*x1*x2 + 1/11, 1/13*x2^2 - 3/7*x1\n"
+    "g1 = 2/11*x2 - 1/19, 5/17*x1^2 + 1/7*x2\n"
+    "g2 = 1/13*x1 + 4/17, 1/11*x1*x2 - 1/7\n"
+    "h = 1/13*x1^2 + 6/19*x1*x2 - 1/11*x2 + 1/17\n"
+)
 
 
 def non_integer_fraction(rng):
@@ -207,6 +229,41 @@ class TestCoefficientOracle:
         model = AnalyticModel(n, m, x0, fields, data.draw(poly))
         n_max = data.draw(st.integers(0, 4))
         assert cf_coefficients(model, n_max) == untruncated_coefficients(model, n_max)
+
+
+    def test_coprime_denominators(self):
+        # Level k is built over D_h * D_g^k and must come out reduced.
+        model = parse_model(COPRIME_MODEL)
+        s = cf_coefficients(model, 6)
+        assert s == untruncated_coefficients(model, 6)
+        for level, den in zip(s.levels, s.dens):
+            assert den > 0
+            assert math.gcd(*level, den) == 1
+
+    def test_lie_derivatives_form_no_fraction(self, monkeypatch):
+        made, inside = [], []
+        new, lie_jet = Fraction.__new__, symdiff._lie_jet
+
+        def counted_new(cls, *args, **kwargs):
+            if inside:
+                made.append(args)
+            return new(cls, *args, **kwargs)
+
+        def watched_lie_jet(*args):
+            inside.append(True)
+            try:
+                out = lie_jet(*args)
+            finally:
+                inside.pop()
+            assert all(type(c) is int for c in out.values())
+            return out
+
+        monkeypatch.setattr(Fraction, "__new__", counted_new)
+        monkeypatch.setattr(symdiff, "_lie_jet", watched_lie_jet)
+        s = cf_coefficients(parse_model(COPRIME_MODEL), 4)
+        monkeypatch.undo()
+        assert made == []
+        assert s == untruncated_coefficients(parse_model(COPRIME_MODEL), 4)
 
 
 def word_product(model, w):
