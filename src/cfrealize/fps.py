@@ -33,7 +33,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, islice, product, repeat
 from types import MappingProxyType
 
@@ -332,24 +332,18 @@ def series_product(r: Series, s: Series) -> Series:
     return Series(r.m, n, out, r.mode)
 
 
-_SHUFFLE_CACHE: dict[tuple[Word, Word], dict[Word, int]] = {}
-
-
 def shuffle_counts(u: Word, v: Word) -> dict[Word, int]:
     """Multiset of interleavings of u and v as a map word -> multiplicity."""
     return dict(_shuffle_counts(tuple(u), tuple(v)))
 
 
+@cache
 def _shuffle_counts(u: Word, v: Word) -> dict[Word, int]:
     """``shuffle_counts`` through a memo whose dicts no caller may mutate."""
     if not u:
         return {v: 1}
     if not v:
         return {u: 1}
-    key = (u, v)
-    hit = _SHUFFLE_CACHE.get(key)
-    if hit is not None:
-        return hit
     out: dict[Word, int] = {}
     for w, c in _shuffle_counts(u[:-1], v).items():
         w2 = w + (u[-1],)
@@ -357,7 +351,6 @@ def _shuffle_counts(u: Word, v: Word) -> dict[Word, int]:
     for w, c in _shuffle_counts(u, v[:-1]).items():
         w2 = w + (v[-1],)
         out[w2] = out.get(w2, 0) + c
-    _SHUFFLE_CACHE[key] = out
     return out
 
 

@@ -33,6 +33,9 @@ from .freelie import expand_bracket, lyndon_words, standard_bracketing
 
 DEFAULT_TOLERANCE = 1e-9
 
+# Radius r of rank_numeric's growth scaling: a word of degree d weighs 1 / (d! * r^d).
+GROWTH_RADIUS = 1.0
+
 
 @dataclass(frozen=True)
 class HankelBlock:
@@ -111,8 +114,8 @@ def rank_exact(h: HankelBlock) -> RankReport:
     return RankReport(rank=rk, mode="exact", truncation={"d_r": d_r, "d_c": d_c})
 
 
-def _growth_scale(deg: int, radius: float) -> float:
-    return 1.0 / (math.factorial(deg) * radius**deg)
+def _growth_scale(deg: int) -> float:
+    return 1.0 / (math.factorial(deg) * GROWTH_RADIUS**deg)
 
 
 def _svd_rank(a: np.ndarray, tol: float) -> tuple[int, tuple[float, ...]]:
@@ -125,17 +128,16 @@ def _svd_rank(a: np.ndarray, tol: float) -> tuple[int, tuple[float, ...]]:
     return rk, tuple(float(x) for x in svals)
 
 
-def rank_numeric(h: HankelBlock, tol: float = DEFAULT_TOLERANCE, radius: float = 1.0) -> RankReport:
+def rank_numeric(h: HankelBlock, tol: float = DEFAULT_TOLERANCE) -> RankReport:
     """Numeric rank of a float-mode block via the singular value spectrum.
 
     Rows and columns are rescaled diagonally, the word u or v of degree d
-    getting weight 1 / (d! * radius^d), so the entry at (u, v) is divided by
-    |u|! * |v|! * radius^(|u|+|v|).  A diagonal scaling is exactly
-    rank-preserving while still compensating the factorial coefficient
-    growth series can exhibit (any leftover binomial factor is absorbed by
-    choosing a larger radius).  The rank is the number of singular values
-    above tol * sigma_max of the rescaled matrix; the spectrum is part of
-    the report so the decision is auditable.
+    getting weight 1 / (d! * r^d) with r = GROWTH_RADIUS, so the entry at
+    (u, v) is divided by |u|! * |v|! * r^(|u|+|v|).  A diagonal scaling is
+    exactly rank-preserving while still compensating the factorial
+    coefficient growth series can exhibit.  The rank is the number of
+    singular values above tol * sigma_max of the rescaled matrix; the
+    spectrum is part of the report so the decision is auditable.
     """
     if h.mode != FLOAT:
         raise ModeMismatchError("numeric rank requires a float-mode block")
@@ -145,14 +147,14 @@ def rank_numeric(h: HankelBlock, tol: float = DEFAULT_TOLERANCE, radius: float =
     if rows == 0 or cols == 0:
         raise ValueError("empty matrix")
     a = np.array(h.entries, dtype=float)
-    row_scale = np.array([_growth_scale(len(u), radius) for u in h.row_words])
-    col_scale = np.array([_growth_scale(len(v), radius) for v in h.col_words])
+    row_scale = np.array([_growth_scale(len(u)) for u in h.row_words])
+    col_scale = np.array([_growth_scale(len(v)) for v in h.col_words])
     rk, svals = _svd_rank(row_scale[:, None] * a * col_scale[None, :], tol)
     d_r, d_c = len(h.row_words[-1]), len(h.col_words[-1])  # graded-lex: last is longest
     return RankReport(
         rank=rk,
         mode="numeric",
-        truncation={"d_r": d_r, "d_c": d_c, "radius": radius},
+        truncation={"d_r": d_r, "d_c": d_c, "radius": GROWTH_RADIUS},
         tolerance=tol,
         singular_values=svals,
     )

@@ -75,7 +75,8 @@ class QSpec:
             except np.linalg.LinAlgError:
                 raise ValueError("Q must be positive definite at every time") from None
             times.append(float(t0))
-            mats.append(q)
+            # The matrix the sampler factorizes: cholesky reads the lower triangle.
+            mats.append(np.tril(q) + np.tril(q, -1).T)
         if not mats:
             raise ValueError("QSpec needs at least one piece")
         if times[0] != 0.0 or any(a >= b for a, b in zip(times, times[1:])):

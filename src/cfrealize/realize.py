@@ -181,25 +181,21 @@ def bilinear_realize(s: Series, n_budget: int | None = None) -> RealizationResul
             f"state span still growing at word degree {depth}; insufficient data"
         )
 
-    dim = len(basis)
-    if dim == 0:
-        model = _empty_model(s.m)
-    else:
-        mats = [
-            _coordinate_matrix(
-                span,
-                [(i,) + v for v in basis],
-                lambda w: hankel_column(s, w, obs),
-                lambda w: ShiftInconsistencyError(
-                    f"column of word {w} escapes the selected basis; "
-                    "the series is not rational at this truncation"
-                ),
-            )
-            for i in range(s.m + 1)
-        ]
-        x0 = span.coords(empty_column)
-        c = tuple(coefficient(s, v) for v in basis)
-        model = BilinearModel(dim, s.m, tuple(x0), tuple(mats), c)
+    mats = [
+        _coordinate_matrix(
+            span,
+            [(i,) + v for v in basis],
+            lambda w: hankel_column(s, w, obs),
+            lambda w: ShiftInconsistencyError(
+                f"column of word {w} escapes the selected basis; "
+                "the series is not rational at this truncation"
+            ),
+        )
+        for i in range(s.m + 1)
+    ]
+    x0 = span.coords(empty_column)
+    c = tuple(coefficient(s, v) for v in basis)
+    model = BilinearModel(len(basis), s.m, tuple(x0), tuple(mats), c)
 
     report = verify_realization(model, s, n)
     if report.max_abs != 0:

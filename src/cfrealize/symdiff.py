@@ -16,6 +16,7 @@ For bilinear models this is C * A_{i1} * ... * A_{ik} * x0.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -38,6 +39,10 @@ MAX_EXPONENT = 16
 # Largest number of terms a product may expand to in the polynomial parser,
 # checked while it expands: (1+x1+...+x6)^16 would have 74 613 terms.
 MAX_TERMS = 2000
+
+# Deepest parenthesis nesting the polynomial parser reads.  Each level costs
+# a few interpreter frames, so an unbounded depth would overflow the stack.
+MAX_NESTING = 100
 
 
 class MultiPoly:
@@ -101,22 +106,19 @@ class MultiPoly:
         return hash((self.num_vars, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MultiPoly(self.num_vars, out)
+        return MultiPoly(self.num_vars, _sum_terms(self.terms, self._coerce(other).terms, 1))
 
     def __neg__(self):
         return MultiPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return MultiPoly(self.num_vars, _sum_terms(self.terms, self._coerce(other).terms, -1))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return MultiPoly(self.num_vars, {e: c * other for e, c in self.terms.items()})
-        return MultiPoly(self.num_vars, _product_terms((self, self._coerce(other)), self.num_vars))
+        factors = (self.terms, self._coerce(other).terms)
+        return MultiPoly(self.num_vars, _product_terms(factors, self.num_vars))
 
     __rmul__ = __mul__
 
@@ -145,15 +147,28 @@ class MultiPoly:
         return f"MultiPoly({poly_to_string(self)!r})"
 
 
+def _sum_terms(p: dict, q: dict, sign: int) -> dict[Exponents, Fraction]:
+    """Terms of p + sign * q, for term dicts with no zero coefficient."""
+    out = dict(p)
+    for e, c in q.items():
+        v = out.get(e, 0) + sign * c
+        if v:
+            out[e] = v
+        else:
+            del out[e]
+    return out
+
+
 def _product_terms(factors, num_vars: int, limit: float = float("inf")):
-    """Terms of the product of the factors, or None once a partial product
-    passes ``limit`` terms.  Each factor is scaled to integers over one
-    common denominator, so Fractions are formed only at the end."""
+    """Terms of the product of the factors (term dicts), or None once a
+    partial product passes ``limit`` terms.  Each factor is scaled to
+    integers over one common denominator, so Fractions are formed only at
+    the end."""
     out: dict[Exponents, int] = {(0,) * num_vars: 1}
     den = 1
     for q in factors:
-        q_num, q_den = over_common_denominator(q.terms.values())
-        q_items = list(zip(q.terms, q_num))
+        q_num, q_den = over_common_denominator(q.values())
+        q_items = list(zip(q, q_num))
         nxt: dict[Exponents, int] = {}
         for e1, a in out.items():
             for e2, b in q_items:
@@ -514,160 +529,136 @@ def stratonovich_to_ito_drift(model: AnalyticModel, q) -> PolyVectorField:
 #   unary   := '-' unary | power
 #   power   := atom ('^' INT)?
 #   atom    := NUMBER | VAR | '(' expr ')'
-# NUMBER is an integer or integer/integer rational literal; VAR is x<k>;
-# the INT of a power is at most MAX_EXPONENT, and no product (a '*' or one
-# step of a power) may expand past MAX_TERMS terms.
+# NUMBER is an integer or integer/integer rational literal and VAR is x<INT>,
+# where INT is a run of ASCII digits 0-9; the INT of a power is at most
+# MAX_EXPONENT, no product (a '*' or one step of a power) may expand past
+# MAX_TERMS terms, and parentheses nest at most MAX_NESTING deep.  The parser
+# passes term dicts {exponents: Fraction}.
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>[0-9]+(?:/[0-9]*)?)|(?P<var>x[0-9]*)|(?P<op>[-+*^()])|(?P<bad>\S))"
+)
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(text: str) -> list[_Token]:
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()":
-            toks.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] == "/":
-                k = j + 1
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ParseError("malformed rational literal", column=i, token=text[i:k])
-                toks.append(_Token("num", text[i:k], i))
-                i = k
-            else:
-                toks.append(_Token("num", text[i:j], i))
-                i = j
-            continue
-        if ch == "x":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError("variable needs an index (x1, x2, ...)", column=i, token=ch)
-            toks.append(_Token("var", text[i:j], i))
-            i = j
-            continue
-        raise ParseError("unexpected character in polynomial", column=i, token=ch)
-    toks.append(_Token("end", "", len(text)))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Tokens (kind, text, column) of a polynomial, then ("end", "", len(text));
+    an operator's kind is its text.  Any non-space character starts a match
+    (``bad`` at worst), so ``finditer`` skips trailing whitespace only."""
+    toks, depth = [], 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        tok, pos = match[kind], match.start(kind)
+        if kind == "bad":
+            raise ParseError("unexpected character in polynomial", column=pos, token=tok)
+        if tok[-1] == "/":
+            raise ParseError("malformed rational literal", column=pos, token=tok)
+        if tok == "x":
+            raise ParseError("variable needs an index (x1, x2, ...)", column=pos, token=tok)
+        depth += (tok == "(") - (tok == ")")
+        if depth > MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", column=pos, token=tok)
+        toks.append((tok if kind == "op" else kind, tok, pos))
+    toks.append(("end", "", len(text)))
     return toks
 
 
 class _Parser:
     def __init__(self, text: str, num_vars: int):
-        self.text = text
         self.num_vars = num_vars
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
+    def peek(self) -> str:
+        return self.toks[self.pos][0]
 
-    def take(self, kind=None) -> _Token:
+    def take(self, kind=None) -> tuple[str, str, int]:
         tok = self.toks[self.pos]
-        if kind is not None and tok.kind != kind:
+        if kind is not None and tok[0] != kind:
             raise ParseError(
-                f"expected {kind!r}", column=tok.pos, token=tok.text or "<end>"
+                f"expected {kind!r}", column=tok[2], token=tok[1] or "<end>"
             )
         self.pos += 1
         return tok
 
     def parse(self) -> MultiPoly:
-        p = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError("trailing input after polynomial", column=tok.pos, token=tok.text)
-        return p
+        terms = self.expr()
+        _, text, pos = self.take()
+        if text:
+            raise ParseError("trailing input after polynomial", column=pos, token=text)
+        return MultiPoly(self.num_vars, terms)
 
-    def expr(self) -> MultiPoly:
+    def expr(self) -> dict:
         p = self.term()
-        while self.peek().kind in "+-":
-            op = self.take().kind
-            q = self.term()
-            p = p + q if op == "+" else p - q
+        while self.peek() in ("+", "-"):
+            op = self.take()[0]
+            p = _sum_terms(p, self.term(), 1 if op == "+" else -1)
         return p
 
-    def product(self, factors, tok: _Token) -> MultiPoly:
+    def product(self, factors, tok) -> dict:
         terms = _product_terms(factors, self.num_vars, MAX_TERMS)
         if terms is None:
             raise ParseError(
-                f"product expands past the limit of {MAX_TERMS} terms", column=tok.pos, token=tok.text
+                f"product expands past the limit of {MAX_TERMS} terms", column=tok[2], token=tok[1]
             )
-        return MultiPoly(self.num_vars, terms)
+        return terms
 
-    def term(self) -> MultiPoly:
+    def term(self) -> dict:
         p = self.unary()
-        while self.peek().kind == "*":
+        while self.peek() == "*":
             tok = self.take()
             p = self.product((p, self.unary()), tok)
         return p
 
-    def unary(self) -> MultiPoly:
-        if self.peek().kind == "-":
+    def unary(self) -> dict:
+        negate = False
+        while self.peek() == "-":
             self.take()
-            return -self.unary()
-        return self.power()
+            negate = not negate
+        p = self.power()
+        return {e: -c for e, c in p.items()} if negate else p
 
-    def power(self) -> MultiPoly:
+    def power(self) -> dict:
         p = self.atom()
-        if self.peek().kind == "^":
+        if self.peek() == "^":
             self.take()
             tok = self.take("num")
-            if "/" in tok.text:
-                raise ParseError("exponent must be an integer", column=tok.pos, token=tok.text)
-            if len(tok.text) > len(str(MAX_EXPONENT)) or int(tok.text) > MAX_EXPONENT:
+            _, text, pos = tok
+            if "/" in text:
+                raise ParseError("exponent must be an integer", column=pos, token=text)
+            if len(text) > len(str(MAX_EXPONENT)) or int(text) > MAX_EXPONENT:
                 raise ParseError(
-                    f"exponent above the limit of {MAX_EXPONENT}", column=tok.pos, token=tok.text
+                    f"exponent above the limit of {MAX_EXPONENT}", column=pos, token=text
                 )
-            return self.product((p,) * int(tok.text), tok)
+            return self.product((p,) * int(text), tok)
         return p
 
-    def atom(self) -> MultiPoly:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.take()
+    def atom(self) -> dict:
+        kind, text, pos = self.take()
+        if kind == "num":
             try:
-                value = Fraction(tok.text)
+                value = Fraction(text)
             except ZeroDivisionError:
-                raise ParseError("zero denominator", column=tok.pos, token=tok.text) from None
+                raise ParseError("zero denominator", column=pos, token=text) from None
             except ValueError:  # more digits than int() converts
                 raise ParseError(
-                    f"number literal of {len(tok.text)} characters is too long to convert",
-                    column=tok.pos,
-                    token=f"{tok.text[:20]}...",
+                    f"number literal of {len(text)} characters is too long to convert",
+                    column=pos,
+                    token=f"{text[:20]}...",
                 ) from None
-            return MultiPoly.const(self.num_vars, value)
-        if tok.kind == "var":
-            self.take()
-            idx = int(tok.text[1:])
+            return {(0,) * self.num_vars: value} if value else {}
+        if kind == "var":
+            digits = text[1:].lstrip("0")  # no int() of more digits than num_vars has
+            idx = int(digits) if 0 < len(digits) <= len(str(self.num_vars)) else 0
             if not 1 <= idx <= self.num_vars:
                 raise ParseError(
-                    f"variable index outside 1..{self.num_vars}", column=tok.pos, token=tok.text
+                    f"variable index outside 1..{self.num_vars}", column=pos, token=text
                 )
-            return MultiPoly.var(self.num_vars, idx)
-        if tok.kind == "(":
-            self.take()
+            return {tuple(int(j == idx) for j in range(1, self.num_vars + 1)): Fraction(1)}
+        if kind == "(":
             p = self.expr()
             self.take(")")
             return p
-        raise ParseError("expected number, variable, or '('", column=tok.pos, token=tok.text or "<end>")
+        raise ParseError("expected number, variable, or '('", column=pos, token=text or "<end>")
 
 
 def parse_polynomial(text: str, num_vars: int) -> MultiPoly:
@@ -764,25 +755,6 @@ def parse_model(text: str):
     if declared == "analytic" and bilinear:
         raise ParseError("type = analytic but A0 key present")
 
-    if bilinear:
-        mats = []
-        for i in range(m + 1):
-            value, no = need(f"A{i}")
-            flat = _parse_rational_list(value, no) if n else []
-            if len(flat) != n * n:
-                raise ParseError(
-                    f"A{i} needs {n * n} row-major entries", line=no, token=value
-                )
-            mats.append(tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n)))
-        c_text, c_line = need("C")
-        c = _parse_rational_list(c_text, c_line) if n else []
-        if len(c) != n:
-            raise ParseError(f"C needs {n} entries", line=c_line, token=c_text)
-        if fields:
-            key = next(iter(fields))
-            raise ParseError(f"unknown key {key!r}", line=fields[key][1], token=key)
-        return BilinearModel(n, m, tuple(x0), tuple(mats), tuple(c))
-
     def polynomial(key: str, comp: str, no: int, column: int) -> MultiPoly:
         """Parse one polynomial that starts at ``column`` of line ``no``; an
         error keeps the parser's message and token and counts its column
@@ -798,48 +770,61 @@ def parse_model(text: str):
         raw = lines[no - 1]
         return raw.index(value, raw.index("=") + 1)
 
-    vfs = []
-    for i in range(m + 1):
-        value, no = need(f"g{i}")
-        pieces = value.split(",")
-        if len(pieces) != n:
-            raise ParseError(f"g{i} needs {n} components", line=no, token=value)
-        parsed = []
-        column = value_column(value, no)
-        for piece in pieces:
-            comp = piece.strip()
-            parsed.append(polynomial(f"g{i}", comp, no, column + piece.index(comp)))
-            column += len(piece) + 1
-        vfs.append(PolyVectorField(tuple(parsed)))
-    h_text, h_line = need("h")
-    readout = polynomial("h", h_text, h_line, value_column(h_text, h_line))
+    if bilinear:
+        mats = []
+        for i in range(m + 1):
+            value, no = need(f"A{i}")
+            flat = _parse_rational_list(value, no) if n else []
+            if len(flat) != n * n:
+                raise ParseError(
+                    f"A{i} needs {n * n} row-major entries", line=no, token=value
+                )
+            mats.append(tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n)))
+        c_text, c_line = need("C")
+        c = _parse_rational_list(c_text, c_line) if n else []
+        if len(c) != n:
+            raise ParseError(f"C needs {n} entries", line=c_line, token=c_text)
+        model = BilinearModel(n, m, tuple(x0), tuple(mats), tuple(c))
+    else:
+        vfs = []
+        for i in range(m + 1):
+            value, no = need(f"g{i}")
+            pieces = value.split(",")
+            if len(pieces) != n:
+                raise ParseError(f"g{i} needs {n} components", line=no, token=value)
+            parsed = []
+            column = value_column(value, no)
+            for piece in pieces:
+                comp = piece.strip()
+                parsed.append(polynomial(f"g{i}", comp, no, column + piece.index(comp)))
+                column += len(piece) + 1
+            vfs.append(PolyVectorField(tuple(parsed)))
+        h_text, h_line = need("h")
+        readout = polynomial("h", h_text, h_line, value_column(h_text, h_line))
+        model = AnalyticModel(n, m, tuple(x0), tuple(vfs), readout)
     if fields:
         key = next(iter(fields))
         raise ParseError(f"unknown key {key!r}", line=fields[key][1], token=key)
-    return AnalyticModel(n, m, tuple(x0), tuple(vfs), readout)
+    return model
 
 
 def format_model(model) -> str:
     """Canonical model file text (inverse of parse_model)."""
-    lines = []
-    if isinstance(model, BilinearModel):
-        lines.append("type = bilinear")
-        lines.append(f"n = {model.n}")
-        lines.append(f"m = {model.m}")
-        lines.append("x0 = " + ", ".join(map(str, model.x0)))
+    if not isinstance(model, (BilinearModel, AnalyticModel)):
+        raise TypeError(f"not a model: {model!r}")
+    bilinear = isinstance(model, BilinearModel)
+    lines = ["type = bilinear" if bilinear else "type = analytic"]
+    lines.append(f"n = {model.n}")
+    lines.append(f"m = {model.m}")
+    lines.append("x0 = " + ", ".join(map(str, model.x0)))
+    if bilinear:
         for i, a in enumerate(model.mats):
             lines.append(f"A{i} = " + ", ".join(str(v) for row in a for v in row))
         lines.append("C = " + ", ".join(map(str, model.c)))
-    elif isinstance(model, AnalyticModel):
-        lines.append("type = analytic")
-        lines.append(f"n = {model.n}")
-        lines.append(f"m = {model.m}")
-        lines.append("x0 = " + ", ".join(map(str, model.x0)))
+    else:
         for i, g in enumerate(model.fields):
             lines.append(f"g{i} = " + ", ".join(poly_to_string(c) for c in g.components))
         lines.append("h = " + poly_to_string(model.readout))
-    else:
-        raise TypeError(f"not a model: {model!r}")
     return "\n".join(lines) + "\n"
 
 

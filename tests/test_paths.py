@@ -63,6 +63,22 @@ class TestQSpec:
         assert q.piece_index(np.array([0.0, 0.49, 0.5, 2.0])).tolist() == [0, 0, 1, 1]
         assert [t for t, _ in q.pieces] == [0.0, 0.5]
 
+    def test_near_symmetric_q_is_held_as_the_sampler_reads_it(self):
+        # np.allclose accepts this Q; the Ito conversion needs exact symmetry,
+        # and cholesky reads only the lower triangle
+        q = np.array([[1.0, 0.1], [0.1 + 1e-11, 1.0]])
+        held = QSpec.constant(q).at(0.0)
+        assert np.array_equal(held, held.T) and np.array_equal(np.tril(held), np.tril(q))
+        np.testing.assert_array_equal(np.linalg.cholesky(held), np.linalg.cholesky(q))
+        model = parse_model(
+            "n = 2\nm = 2\nx0 = 1, -1/3\ng0 = x2, -x1 + 1/2*x1*x2\n"
+            "g1 = 1/2*x1, 1\ng2 = 1/4*x2^2, 1/3*x1\nh = x1^2 - x2\n"
+        )
+        path = sample_brownian(QSpec.constant(q), make_grid(0.25, 16), 3)
+        assert np.all(np.isfinite(simulate_states(model, path, method="euler_ito")))
+        sym = np.array([[2.0, 0.3], [0.3, 1.0]])
+        assert np.array_equal(QSpec.constant(sym).at(0.0), sym)
+
     def test_piece_times_validated(self):
         with pytest.raises(ValueError):
             QSpec([(0.1, [[1.0]])])

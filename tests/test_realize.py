@@ -140,6 +140,23 @@ class TestBilinearRealize:
         with pytest.raises((ShiftInconsistencyError, StabilizationError)):
             bilinear_realize(tampered)
 
+    @pytest.mark.parametrize(
+        "s, where",
+        [
+            (Series(1, 5, {(0, 0, 0, 0, 1): 1}), "at word (0, 0, 0, 0, 1) by 1"),
+            (Series(2, 3, {(1, 2, 0): 3}), "at word (1, 2, 0) by 3"),
+        ],
+    )
+    def test_empty_basis_of_nonzero_series(self, s, where):
+        # every Hankel entry the rank gate and the basis see is zero, so the
+        # synthesized model is the empty one and the check names the word
+        with pytest.raises(ShiftInconsistencyError) as err:
+            bilinear_realize(s)
+        assert str(err.value) == (
+            f"synthesized model deviates from the series {where}; "
+            "the series is not rational at this truncation"
+        )
+
     def test_float_mode_refused(self):
         from cfrealize import ModeMismatchError, to_float
 

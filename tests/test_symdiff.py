@@ -3,7 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfrealize import (
@@ -26,7 +26,14 @@ from cfrealize import (
     words_up_to,
 )
 from cfrealize import symdiff
-from cfrealize.symdiff import MAX_EXPONENT, MAX_TERMS, compile_float, format_model, poly_to_string
+from cfrealize.symdiff import (
+    MAX_EXPONENT,
+    MAX_NESTING,
+    MAX_TERMS,
+    compile_float,
+    format_model,
+    poly_to_string,
+)
 from conftest import rand_bilinear, rand_poly
 
 
@@ -443,6 +450,266 @@ class TestPolynomialParser:
         assert err.value.line == 4 and err.value.token == "q"
         assert text.splitlines()[3][err.value.column :].startswith("qq")
         assert str(err.value).startswith("in g0: unexpected character in polynomial near 'q'")
+
+
+# Every error kind of the polynomial parser as (text, num_vars, message,
+# column, token); trailing whitespace moves the end token's column only.
+POLY_ERRORS = [
+    ("x1 + 2y", 1, "unexpected character in polynomial", 6, "y"),
+    ("x1 @ 2", 1, "unexpected character in polynomial", 3, "@"),
+    ("x1 +\u00a0$ ", 1, "unexpected character in polynomial", 5, "$"),  # a no-break space
+    ("x1^17 + y", 1, "unexpected character in polynomial", 8, "y"),
+    ("1/ + x1", 1, "malformed rational literal", 0, "1/"),
+    ("3/x1", 1, "malformed rational literal", 0, "3/"),
+    ("  12/", 1, "malformed rational literal", 2, "12/"),
+    ("x + 1", 1, "variable needs an index (x1, x2, ...)", 0, "x"),
+    ("2*x", 2, "variable needs an index (x1, x2, ...)", 2, "x"),
+    ("xx1", 1, "variable needs an index (x1, x2, ...)", 0, "x"),
+    ("x3", 2, "variable index outside 1..2", 0, "x3"),
+    ("x0", 2, "variable index outside 1..2", 0, "x0"),
+    ("x1 * x10", 9, "variable index outside 1..9", 5, "x10"),
+    ("(x1 + 1", 1, "expected ')'", 7, "<end>"),
+    ("(x1 + 1  ", 1, "expected ')'", 9, "<end>"),
+    ("((x1)", 1, "expected ')'", 5, "<end>"),
+    ("x1 x2", 2, "trailing input after polynomial", 3, "x2"),
+    ("x1 )", 1, "trailing input after polynomial", 3, ")"),
+    ("(x1) (x2)", 2, "trailing input after polynomial", 5, "("),
+    ("x1 2  ", 1, "trailing input after polynomial", 3, "2"),
+    ("x1^1/2", 1, "exponent must be an integer", 3, "1/2"),
+    ("x1^x1", 1, "expected 'num'", 3, "x1"),
+    ("x1^", 1, "expected 'num'", 3, "<end>"),
+    ("x1^  ", 1, "expected 'num'", 5, "<end>"),
+    ("x1^-2", 1, "expected 'num'", 3, "-"),
+    ("x1^(2)", 1, "expected 'num'", 3, "("),
+    ("x1^17", 1, f"exponent above the limit of {MAX_EXPONENT}", 3, "17"),
+    ("(1+x1)^3000", 1, f"exponent above the limit of {MAX_EXPONENT}", 7, "3000"),
+    ("x1^0016", 1, f"exponent above the limit of {MAX_EXPONENT}", 3, "0016"),
+    ("x1^1000000000", 1, f"exponent above the limit of {MAX_EXPONENT}", 3, "1000000000"),
+    ("(1+x1+x2+x3+x4+x5)^8 * (1+x1+x2+x3+x4+x5)^8", 5,
+     f"product expands past the limit of {MAX_TERMS} terms", 21, "*"),
+    ("(1+x1+x2+x3+x4+x5)^16", 5, f"product expands past the limit of {MAX_TERMS} terms", 19, "16"),
+    ("1/0", 1, "zero denominator", 0, "1/0"),
+    ("x1 + 3/00", 1, "zero denominator", 5, "3/00"),
+    ("x1 + " + "1" * 5000, 1,
+     "number literal of 5000 characters is too long to convert", 5, "1" * 20 + "..."),
+    ("7/" + "2" * 5000, 1,
+     "number literal of 5002 characters is too long to convert", 0, "7/" + "2" * 18 + "..."),
+    ("", 1, "expected number, variable, or '('", 0, "<end>"),
+    ("   ", 1, "expected number, variable, or '('", 3, "<end>"),
+    ("\t", 1, "expected number, variable, or '('", 1, "<end>"),
+    ("x1 +  ", 1, "expected number, variable, or '('", 6, "<end>"),
+    ("x1 + ", 1, "expected number, variable, or '('", 5, "<end>"),
+    ("-", 1, "expected number, variable, or '('", 1, "<end>"),
+    ("()", 1, "expected number, variable, or '('", 1, ")"),
+    ("x1 + * x2", 2, "expected number, variable, or '('", 5, "*"),
+]
+
+# (model text, message, line, column, token): a polynomial's error counts its
+# column in the whole line
+MODEL_ERRORS = [
+    ("n = 1\nm = 1\nx0 = 0\ng0 = 1\ng1 = 0\nh  =  (1 + x1)^3000\n",
+     f"in h: exponent above the limit of {MAX_EXPONENT}", 6, 15, "3000"),
+    ("n = 2\nm = 1\nx0 = 0, 0\ng0 = x1,  x2 * qq\ng1 = 0, 0\nh = x1\n",
+     "in g0: unexpected character in polynomial", 4, 15, "q"),
+    ("n = 1\nm = 1\nx0 = 0\ng0 = 1\ng1 = 0\nh = x1 + " + "1" * 5000 + "\n",
+     "in h: number literal of 5000 characters is too long to convert", 6, 9, "1" * 20 + "..."),
+    ("n = 1\nm = 1\nx0 = 0\ng0 = 1/0\ng1 = 0\nh = x1\n", "in g0: zero denominator", 4, 5, "1/0"),
+    ("n = 1\nm = 1\nx0 = 0\ng0 = 1\ng1 = 0\nh = x1 +  \n",
+     "in h: expected number, variable, or '('", 6, 8, "<end>"),
+]
+
+# The n = 3, m = 1 model of the benchmark's exact_analytic pool at seed 1501.
+POOL_MODEL = """n = 3
+m = 1
+x0 = 1, 2, -2
+g0 = (-1) + (-1/4)*x2^2 + (1)*x1^1*x3^1 + (1)*x1^1*x2^1 + (-1)*x1^2, \
+(2)*x3^1 + (-1)*x2^1 + (-2)*x1^1*x2^1 + (-2)*x1^2, \
+(2) + (-1)*x3^2 + (-2)*x2^1 + (1)*x2^1*x3^1 + (2)*x1^1*x2^1
+g1 = (-1/2)*x3^2 + (-1/2)*x2^2 + (-1/2)*x1^1*x3^1 + (-1/2)*x1^1*x2^1 + (-1)*x1^2, \
+(2)*x3^1 + (1)*x3^2 + (2)*x2^1 + (1/2)*x2^1*x3^1 + (1)*x2^2, \
+(-4) + (-1)*x3^1 + (2)*x1^1*x3^1 + (1)*x1^1*x2^1
+h = (-1) + (-1)*x3^1 + (-1/2)*x3^2 + (1/4)*x2^2 + (1)*x1^1 + (1)*x1^1*x3^1 + (1)*x1^2
+"""
+
+# Expression trees: ("num", Fraction >= 0), ("var", k), ("neg", t), ("^", t, e)
+# and (op, t, u) for op in + - *; PRECEDENCE is the grammar level of each.
+PRECEDENCE = {"+": 0, "-": 0, "*": 1, "neg": 2, "^": 3, "num": 4, "var": 4}
+
+
+def expression_trees(n):
+    leaves = st.one_of(
+        st.tuples(st.just("num"), st.fractions(min_value=0, max_value=12, max_denominator=6)),
+        st.tuples(st.just("var"), st.integers(1, n)),
+    )
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.tuples(st.sampled_from("+-*"), kids, kids),
+            st.tuples(st.just("neg"), kids),
+            st.tuples(st.just("^"), kids, st.integers(0, 3)),
+        ),
+        max_leaves=10,
+    )
+
+
+def tree_degree(t):
+    kind = t[0]
+    if kind in ("num", "var"):
+        return int(kind == "var")
+    if kind == "neg":
+        return tree_degree(t[1])
+    if kind == "^":
+        return t[2] * tree_degree(t[1])
+    degrees = tree_degree(t[1]), tree_degree(t[2])
+    return sum(degrees) if kind == "*" else max(degrees)
+
+
+def render(t, level, draw):
+    """Text of tree t that parses at grammar level ``level``, with drawn
+    spacing and parentheses beyond the ones precedence needs."""
+    def gap():
+        return draw(st.sampled_from(["", " ", "  ", "\t", "\n"]))
+
+    kind = t[0]
+    if kind == "num":
+        text = str(t[1])
+    elif kind == "var":
+        text = f"x{t[1]}"
+    elif kind == "neg":
+        text = "-" + gap() + render(t[1], 2, draw)
+    elif kind == "^":
+        text = render(t[1], 4, draw) + gap() + "^" + gap() + str(t[2])
+    else:
+        left, right = render(t[1], PRECEDENCE[kind], draw), render(t[2], PRECEDENCE[kind] + 1, draw)
+        text = left + gap() + kind + gap() + right
+    if PRECEDENCE[kind] < level or draw(st.integers(0, 4)) == 0:
+        text = "(" + gap() + text + gap() + ")"
+    return text
+
+
+def tree_poly(t, n):
+    kind = t[0]
+    if kind == "num":
+        return MultiPoly.const(n, t[1])
+    if kind == "var":
+        return MultiPoly.var(n, t[1])
+    if kind == "neg":
+        return -tree_poly(t[1], n)
+    if kind == "^":
+        return math.prod([tree_poly(t[1], n)] * t[2], start=MultiPoly.const(n, 1))
+    p, q = tree_poly(t[1], n), tree_poly(t[2], n)
+    return p + q if kind == "+" else p - q if kind == "-" else p * q
+
+
+def tree_value(t, x):
+    """Value of tree t at the rational point x, with no polynomial algebra."""
+    kind = t[0]
+    if kind == "num":
+        return t[1]
+    if kind == "var":
+        return x[t[1] - 1]
+    if kind == "neg":
+        return -tree_value(t[1], x)
+    if kind == "^":
+        return tree_value(t[1], x) ** t[2]
+    a, b = tree_value(t[1], x), tree_value(t[2], x)
+    return a + b if kind == "+" else a - b if kind == "-" else a * b
+
+
+def short_id(value):
+    """Test id of a parameter: long texts are cut to their first 24 characters."""
+    return value[:24] if isinstance(value, str) else None
+
+
+class TestParserFrontEnd:
+    @pytest.mark.parametrize("text, n, message, column, token", POLY_ERRORS, ids=short_id)
+    def test_error_table(self, text, n, message, column, token):
+        with pytest.raises(ParseError) as err:
+            P(text, n)
+        assert (err.value.message, err.value.line, err.value.column, err.value.token) == (
+            message, None, column, token
+        )
+
+    @pytest.mark.parametrize("text, message, line, column, token", MODEL_ERRORS, ids=short_id)
+    def test_model_error_table(self, text, message, line, column, token):
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert (err.value.message, err.value.line, err.value.column, err.value.token) == (
+            message, line, column, token
+        )
+
+    @pytest.mark.parametrize(
+        "text, message, column, token",
+        [
+            ("x\u00b2", "variable needs an index (x1, x2, ...)", 0, "x"),
+            ("x1^\u00b2", "unexpected character in polynomial", 3, "\u00b2"),
+            ("\u0663*x1", "unexpected character in polynomial", 0, "\u0663"),
+            ("x\u0663", "variable needs an index (x1, x2, ...)", 0, "x"),
+            ("1/\u00b2", "malformed rational literal", 0, "1/"),
+            ("x" + "1" * 5000, "variable index outside 1..1", 0, "x" + "1" * 5000),
+        ],
+        ids=short_id,
+    )
+    def test_digits_are_ascii(self, text, message, column, token):
+        # str.isdigit holds for a superscript two (U+00B2) and an Arabic-Indic
+        # three (U+0663); the parser takes 0-9 only, and never int() of an
+        # unbounded index
+        with pytest.raises(ParseError) as err:
+            P(text, 1)
+        assert (err.value.message, err.value.column, err.value.token) == (message, column, token)
+
+    def test_nesting_depth_is_bounded(self):
+        # every level of parentheses is a few interpreter frames: past the
+        # bound a ParseError names the first parenthesis too deep, where the
+        # interpreter's stack used to overflow with a RecursionError
+        x1 = MultiPoly.var(1, 1)
+        assert P("(" * MAX_NESTING + "x1" + ")" * MAX_NESTING, 1) == x1
+        assert P("-" * 5000 + "x1", 1) == x1 and P("-" * 5001 + "x1", 1) == -x1
+        deep = MAX_NESTING + 1
+        for text, column in (
+            ("(" * 5000 + "x1", MAX_NESTING),
+            ("-(" * deep + "x1" + ")" * deep, 2 * MAX_NESTING + 1),
+        ):
+            with pytest.raises(ParseError) as err:
+                P(text, 1)
+            assert err.value.message == f"parentheses nested deeper than {MAX_NESTING}"
+            assert (err.value.column, err.value.token) == (column, "(")
+        with pytest.raises(ParseError) as err:
+            parse_model("n = 1\nm = 1\nx0 = 0\ng0 = 1\ng1 = 0\nh = " + "(" * 200 + "x1\n")
+        assert (err.value.line, err.value.column, err.value.token) == (6, 4 + MAX_NESTING, "(")
+
+    def test_whitespace_and_leading_zeros(self):
+        x1 = MultiPoly.var(1, 1)
+        assert P("x1  ", 1) == P(" \u2003x1\t\n", 1) == x1  # Unicode spaces stay spaces
+        assert P("x01", 1) == P("x" + "0" * 5000 + "1", 1) == x1
+        assert P("007/014", 1) == MultiPoly.const(1, Fraction(1, 2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_multipoly_arithmetic(self, data):
+        n = data.draw(st.integers(1, 3))
+        tree = data.draw(expression_trees(n))
+        assume(tree_degree(tree) <= 8)
+        text = data.draw(st.sampled_from(["", " ", "\t"])) + render(tree, 0, data.draw)
+        p = P(text + data.draw(st.sampled_from(["", " ", "  \n"])), n)
+        assert p == tree_poly(tree, n)
+        x = data.draw(st.tuples(*[st.fractions(-3, 3, max_denominator=5)] * n))
+        assert poly_eval(p, x) == tree_value(tree, x)
+
+    def test_one_multipoly_per_polynomial(self, monkeypatch):
+        built = []
+        init = MultiPoly.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(MultiPoly, "__init__", counted)
+        model = parse_model(POOL_MODEL)
+        monkeypatch.undo()
+        assert len(built) == 7  # three components in each of g0 and g1, and h
+        assert built == [*model.fields[0].components, *model.fields[1].components, model.readout]
+        assert parse_model(format_model(model)) == model
 
 
 class TestModelFiles:
