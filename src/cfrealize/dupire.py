@@ -27,8 +27,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .paths import SamplePath, simulate_states
-from .symdiff import AnalyticModel, MultiPoly, compile_float, lie_derivative
+from .paths import SamplePath, exact_rates, simulate_states
+from .symdiff import AnalyticModel, MultiPoly, compile_float, ito_correction, lie_derivative
 
 
 class CausalFunctional:
@@ -319,43 +319,37 @@ class DecompositionReport:
 
 
 def hijab_decomposition_check(model: AnalyticModel, path: SamplePath) -> DecompositionReport:
-    """Verify both first-order integral decompositions of a single-noise
-    model output Y = h(X) along the replicates of ``path``.
+    """Verify both first-order integral decompositions of a model output
+    Y = h(X) along the replicates of ``path``, for any number of channels.
 
-    With Z0 = L_{g0} h (X) and Z1 = L_{g1} h (X), the Stratonovich pair
-    reconstructs Y from Y(0) + int Z0 dt + int Z1 o dW (trapezoid), and the
-    Ito pair replaces Z0 by Z0 + L_{g1} L_{g1} h / 2 evaluated along X with a
-    left-point stochastic integral.  That correction assumes unit covariance,
-    so the path must record Q = 1.  Reports terminal RMS errors of both
-    reconstructions over the replicates, all simulated in one batch.
+    With Z_i = L_{g_i} h (X), i = 0..m, the Stratonovich pair reconstructs Y
+    from Y(0) + sum_i int Z_i o dxi_i (trapezoid; xi_0 = t, xi_i = W_i).  The
+    Ito pair adds to Z_0 the Ito correction of h under the covariance rate of
+    each cell, as the Euler-Ito simulation does for the state, and takes
+    left-point sums.  Reports terminal RMS errors of both reconstructions
+    over the replicates, all simulated in one batch.
     """
-    if model.m != 1:
-        raise ValueError("decomposition check requires a single noise channel")
     if path.values.ndim != 3:
         raise ValueError("decomposition check needs a batched path, values (R, J+1, m)")
-    if path.q is None or any(not np.array_equal(mat, [[1.0]]) for _, mat in path.q.pieces):
-        raise ValueError("decomposition check needs a path with covariance rate Q = 1")
-    z0_poly = lie_derivative(model.fields[0], model.readout)
-    z1_poly = lie_derivative(model.fields[1], model.readout)
-    z11_poly = lie_derivative(model.fields[1], z1_poly)
-    along = compile_float([model.readout, z0_poly, z1_poly, z11_poly])
+    rates, piece = exact_rates(path, model.m)
+    z_polys = [lie_derivative(g, model.readout) for g in model.fields]
+    corrections = [ito_correction(model, q, z_polys[1:]) for q in rates]
+    along = compile_float([model.readout, *z_polys, *corrections])
 
     states = simulate_states(model, path)
-    y, z0_t, z1_t, z11_t = np.moveaxis(along(states), -1, 0)  # each (R, J+1)
-    zt0_t = z0_t + 0.5 * z11_t
-    dt = np.diff(path.grid)
-    dw = np.diff(path.values[..., 0], axis=-1)
-    strat = y[:, 0] + np.sum(0.5 * (z0_t[:, :-1] + z0_t[:, 1:]) * dt, axis=-1) + np.sum(
-        0.5 * (z1_t[:, :-1] + z1_t[:, 1:]) * dw, axis=-1
-    )
-    ito = y[:, 0] + np.sum(zt0_t[:, :-1] * dt, axis=-1) + np.sum(z1_t[:, :-1] * dw, axis=-1)
-    err_strat = strat - y[:, -1]
-    err_ito = ito - y[:, -1]
+    y, *cols = np.moveaxis(along(states), -1, 0)  # each (R, J+1)
+    z, corr = cols[: model.m + 1], np.stack(cols[model.m + 1 :])
+    left = [zi[:, :-1] for zi in z]  # Ito integrands; Z_0 gains its cell's correction
+    left[0] = left[0] + corr[piece, np.arange(len(y))[:, None], np.arange(path.steps)]
+    inc = path.increments()
+    strat = ito = y[:, 0]
+    for i, zi in enumerate(z):  # one sum per letter, added in letter order
+        strat = strat + np.sum(0.5 * (zi[:, :-1] + zi[:, 1:]) * inc[..., i], axis=-1)
+        ito = ito + np.sum(left[i] * inc[..., i], axis=-1)
     return DecompositionReport(
-        strat_rms=float(np.sqrt(np.mean(err_strat**2))),
-        ito_rms=float(np.sqrt(np.mean(err_ito**2))),
+        strat_rms=float(np.sqrt(np.mean((strat - y[:, -1]) ** 2))),
+        ito_rms=float(np.sqrt(np.mean((ito - y[:, -1]) ** 2))),
         grid_steps=path.steps,
         horizon=path.horizon,
         replicates=len(path.values),
     )
-

@@ -67,6 +67,11 @@ class RowSpan:
     def dim(self) -> int:
         return len(self._rows)
 
+    @property
+    def pivots(self) -> list[tuple[int, int]]:
+        """(pivot column, pivot) of each echelon row, in insertion order."""
+        return [(piv, p) for piv, p, _, _ in self._rows]
+
     def _reduce(self, vec):
         """den * vec reduced against every echelon row, the multipliers of
         the steps, and den."""

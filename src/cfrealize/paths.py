@@ -360,23 +360,18 @@ def _integrate(model: AnalyticModel, path: SamplePath, fields, piece, heun: bool
     return states
 
 
-def _ito_fields(model: AnalyticModel, path: SamplePath):
-    """Euler-Maruyama fields (Ito drift, g_1..g_m) per covariance piece, and
-    the piece of each cell.
+def exact_rates(path: SamplePath, m: int):
+    """The exact rational covariance rate of each piece of ``path.q`` (of the
+    m x m identity when the path records none), and the piece of each cell.
 
-    Each cell converts with the covariance rate at its left endpoint, the
-    rate ``sample_brownian`` draws that cell's increment with.
+    Each cell takes the rate at its left endpoint, the rate
+    ``sample_brownian`` draws that cell's increment with.
     """
-    piece = np.zeros(path.steps, dtype=int)
-    if path.q is not None:
-        rates = [
-            [[Fraction(x).limit_denominator(10**12) for x in row] for row in mat]
-            for _, mat in path.q.pieces
-        ]
-        piece = path.q.piece_index(path.grid[:-1])
-    else:
-        rates = [[[Fraction(int(i == j)) for j in range(model.m)] for i in range(model.m)]]
-    return [(stratonovich_to_ito_drift(model, r), *model.fields[1:]) for r in rates], piece
+    q = QSpec.identity(m) if path.q is None else path.q
+    exact = [
+        [[Fraction(x).limit_denominator(10**12) for x in row] for row in mat] for _, mat in q.pieces
+    ]
+    return exact, q.piece_index(path.grid[:-1])
 
 
 def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun") -> np.ndarray:
@@ -395,7 +390,8 @@ def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun"
     if method == "heun":
         fields, piece = [model.fields], np.zeros(path.steps, dtype=int)
     elif method == "euler_ito":
-        fields, piece = _ito_fields(model, path)
+        rates, piece = exact_rates(path, model.m)
+        fields = [(stratonovich_to_ito_drift(model, r), *model.fields[1:]) for r in rates]
     else:
         raise ValueError(f"unknown method {method!r}")
     return _integrate(model, path, fields, piece, heun=method == "heun")

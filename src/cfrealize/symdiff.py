@@ -25,7 +25,7 @@ from operator import add, mul
 import numpy as np
 
 from .errors import AlphabetError, MonomialBudgetError, ParseError
-from .exactla import over_common_denominator
+from .exactla import RowSpan, over_common_denominator
 from .fps import RATIONAL, Series, read_ascii, split_lines
 
 Exponents = tuple[int, ...]
@@ -39,6 +39,19 @@ MAX_EXPONENT = 16
 # Largest number of terms a product may expand to in the polynomial parser,
 # checked while it expands: (1+x1+...+x6)^16 would have 74 613 terms.
 MAX_TERMS = 2000
+
+# Largest total degree of a term the polynomial parser builds, checked on
+# each product.  Nested powers multiply degrees: six nested ^16 on x1 give
+# degree 16 777 216 in one short line, and translating that readout to x0
+# for the series takes a minute.  4096 is three nested ^16.
+MAX_DEGREE = 4096
+
+# Largest bit length of a coefficient's numerator or denominator the
+# polynomial parser builds, checked on each product.  Nested powers of a
+# constant multiply its bit length: seven levels of ^16 on 2 build a
+# 268-million-bit integer.  A product is checked once it is built, so a
+# refused one has at most MAX_EXPONENT times this many bits.
+MAX_COEFFICIENT_BITS = 2**20
 
 # Deepest parenthesis nesting the polynomial parser reads.  Each level costs
 # a few interpreter frames, so an unbounded depth would overflow the stack.
@@ -471,36 +484,38 @@ def bilinear_coefficients(model: BilinearModel, n_max: int) -> Series:
 
 
 def is_spd(q) -> bool:
-    """Exact symmetric positive definiteness via leading principal minors."""
+    """Exact symmetric positive definiteness by Sylvester's criterion: Q is
+    square and symmetric, and a RowSpan fed its rows in order pivots on the
+    diagonal with positive pivots (Q's leading principal minors, up to
+    positive row scalings)."""
     q = [[Fraction(v) for v in row] for row in q]
-    d = len(q)
-    if any(len(row) != d for row in q):
+    if any(len(row) != len(q) for row in q) or q != [list(col) for col in zip(*q)]:
         return False
-    for i in range(d):
-        for j in range(i):
-            if q[i][j] != q[j][i]:
-                return False
-    # Fraction Gaussian elimination tracking leading principal minors.
-    a = [row[:] for row in q]
-    det = Fraction(1)
-    for k in range(d):
-        if a[k][k] == 0:
-            return False
-        det *= a[k][k]
-        if det <= 0:
-            return False
-        for i in range(k + 1, d):
-            f = a[i][k] / a[k][k]
-            for j in range(k, d):
-                a[i][j] -= f * a[k][j]
-    return True
+    span = RowSpan(len(q))
+    for row in q:
+        span.add(row)
+    return [(col, p > 0) for col, p in span.pivots] == [(k, True) for k in range(len(q))]
+
+
+def ito_correction(model: AnalyticModel, q, firsts) -> MultiPoly:
+    """Ito correction (1/2) sum_{i,j} Q_{ij} L_{g_j} f_i of a polynomial phi,
+    given its first Lie derivatives f_i = L_{g_i} phi along the noise fields
+    g_1..g_m; Q is the m x m rational covariance rate, not validated here.
+    The Ito drift of phi(X) is L_{g0} phi plus this correction."""
+    out = MultiPoly.zero(model.n)
+    for qi, f in zip(q, firsts):
+        for qij, g in zip(qi, model.fields[1:]):
+            if qij:
+                out = out + lie_derivative(g, f) * (qij * Fraction(1, 2))
+    return out
 
 
 def stratonovich_to_ito_drift(model: AnalyticModel, q) -> PolyVectorField:
     """Ito-form drift of the model under noise covariance rate Q.
 
     Returns b = g0 + (1/2) * sum_{i,j} Q_{ij} (Jacobian g_i) g_j where i, j
-    range over the noise channels 1..m.  Q must be symmetric positive
+    range over the noise channels 1..m: row r adds the Ito correction of x_r,
+    whose first Lie derivatives are g_i[r].  Q must be symmetric positive
     definite (m x m, rational).
     """
     if not is_spd(q):
@@ -508,17 +523,8 @@ def stratonovich_to_ito_drift(model: AnalyticModel, q) -> PolyVectorField:
     q = [[Fraction(v) for v in row] for row in q]
     if len(q) != model.m:
         raise ValueError(f"Q must be {model.m} x {model.m}")
-    comps = list(model.fields[0].components)
-    for i in range(1, model.m + 1):
-        for j in range(1, model.m + 1):
-            qij = q[i - 1][j - 1]
-            if qij == 0:
-                continue
-            half = qij * Fraction(1, 2)
-            # Row r of (Jacobian g_i) g_j is the Lie derivative of g_i[r] along g_j.
-            for row, gir in enumerate(model.fields[i].components):
-                comps[row] = comps[row] + lie_derivative(model.fields[j], gir) * half
-    return PolyVectorField(tuple(comps))
+    rows = zip(*(g.components for g in model.fields))
+    return PolyVectorField(tuple(g0r + ito_correction(model, q, gr) for g0r, *gr in rows))
 
 
 # -- polynomial expression parser ------------------------------------------
@@ -532,8 +538,9 @@ def stratonovich_to_ito_drift(model: AnalyticModel, q) -> PolyVectorField:
 # NUMBER is an integer or integer/integer rational literal and VAR is x<INT>,
 # where INT is a run of ASCII digits 0-9; the INT of a power is at most
 # MAX_EXPONENT, no product (a '*' or one step of a power) may expand past
-# MAX_TERMS terms, and parentheses nest at most MAX_NESTING deep.  The parser
-# passes term dicts {exponents: Fraction}.
+# MAX_TERMS terms, no product ('*' or '^') may hold a term past MAX_DEGREE or
+# a coefficient past MAX_COEFFICIENT_BITS bits, and parentheses nest at most
+# MAX_NESTING deep.  The parser passes term dicts {exponents: Fraction}.
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>[0-9]+(?:/[0-9]*)?)|(?P<var>x[0-9]*)|(?P<op>[-+*^()])|(?P<bad>\S))"
@@ -597,10 +604,17 @@ class _Parser:
     def product(self, factors, tok) -> dict:
         terms = _product_terms(factors, self.num_vars, MAX_TERMS)
         if terms is None:
-            raise ParseError(
-                f"product expands past the limit of {MAX_TERMS} terms", column=tok[2], token=tok[1]
-            )
-        return terms
+            message = f"product expands past the limit of {MAX_TERMS} terms"
+        elif max(map(sum, terms), default=0) > MAX_DEGREE:
+            message = f"product has degree past the limit of {MAX_DEGREE}"
+        elif any(
+            max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFFICIENT_BITS
+            for c in terms.values()
+        ):
+            message = f"product has a coefficient past the limit of {MAX_COEFFICIENT_BITS} bits"
+        else:
+            return terms
+        raise ParseError(message, column=tok[2], token=tok[1])
 
     def term(self) -> dict:
         p = self.unary()
@@ -699,11 +713,20 @@ def poly_to_string(p: MultiPoly) -> str:
 # written by the canonical writer and checked when present.
 
 
+# An entry of an x0, A<i> or C list: the polynomial NUMBER grammar with an
+# optional minus sign, the form format_model writes.  Fraction(str) alone
+# would also take decimal exponents, so "1e1000000" would build a
+# 3-million-bit integer.
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _parse_rational_list(text: str, line_no: int) -> list[Fraction]:
     out = []
     for piece in text.split(","):
         piece = piece.strip()
         try:
+            if not _RATIONAL.fullmatch(piece):
+                raise ValueError(piece)
             out.append(Fraction(piece))
         except (ValueError, ZeroDivisionError):
             raise ParseError("bad rational literal", line=line_no, token=piece) from None

@@ -424,6 +424,18 @@ class TestChecks:
         payload = json.loads((tmp_path / "hijab.json").read_text())
         assert payload["ito_decay_factor"] >= 1.2
 
+    def test_hijab_check_two_channels(self, tmp_path, capsys):
+        # dX = -X/2 dt + X/2 o dW1 + X/3 o dW2 with Y = X
+        model = write(
+            tmp_path / "model.txt",
+            "n = 1\nm = 2\nx0 = 1\ng0 = -1/2*x1\ng1 = 1/2*x1\ng2 = 1/3*x1\nh = x1\n",
+        )
+        argv = ["--grid", "256", "--reps", "100", "--seed", "2", "--out", str(tmp_path)]
+        assert main(["hijab-check", "--model", model, *argv]) == 0
+        payload = json.loads((tmp_path / "hijab.json").read_text())
+        assert payload["pass"] is True
+        assert payload["ito_decay_factor"] >= 1.2
+
     def test_demo_zakai(self, tmp_path, capsys):
         out = tmp_path / "zakai"
         rc = main(

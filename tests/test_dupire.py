@@ -443,19 +443,54 @@ class TestHijabDecomposition:
             rms.append(rep.ito_rms)
         assert rms[0] / rms[1] >= 1.2
 
-    def test_requires_single_noise_channel(self):
-        model = parse_model(
-            "n = 1\nm = 2\nx0 = 0\ng0 = 0\ng1 = 1\ng2 = 1\nh = x1\n"
-        )
-        with pytest.raises(ValueError):
-            hijab_decomposition_check(model, study(16, 100, 1, QSpec.identity(2)))
-
     def test_rejects_unbatched_path(self):
         model = parse_model("n = 1\nm = 1\nx0 = 0\ng0 = 0\ng1 = 1\nh = x1^2\n")
         with pytest.raises(ValueError, match="batched"):
             hijab_decomposition_check(model, brownian(steps=16))
 
-    def test_requires_unit_covariance(self):
+    def test_correlated_channels_match_closed_form(self):
+        # X = W with Q = [[1, rho], [rho, 1]] and Y = W1 * W2: the Ito drift
+        # of Y is rho, so the Ito pair reconstructs rho * T + sum(W2 dW1 +
+        # W1 dW2) per path
+        rho, horizon, steps = 0.5, 0.25, 128
+        model = parse_model("n = 2\nm = 2\nx0 = 0, 0\ng0 = 0, 0\ng1 = 1, 0\ng2 = 0, 1\nh = x1*x2\n")
+        path = study(steps, 30, 15, QSpec.constant([[1.0, rho], [rho, 1.0]]))
+        rep = hijab_decomposition_check(model, path)
+        w1, w2 = path.values[..., 0], path.values[..., 1]
+        recon = rho * horizon + np.sum(
+            w2[:, :-1] * np.diff(w1, axis=-1) + w1[:, :-1] * np.diff(w2, axis=-1), axis=-1
+        )
+        closed = np.sqrt(np.mean((recon - w1[:, -1] * w2[:, -1]) ** 2))
+        assert rep.ito_rms == pytest.approx(closed, rel=1e-12)
+        assert rep.strat_rms <= 1e-12  # trapezoid sums of a bilinear Y telescope
+
+    def test_piecewise_covariance_matches_closed_form(self):
+        # Y = W^2 with Q = 1 before t = 1/8 and 4 after: the Ito drift of Y is
+        # Q(t), so the Ito pair reconstructs sum Q(t_j) dt_j + 2 sum W dW
         model = parse_model("n = 1\nm = 1\nx0 = 0\ng0 = 0\ng1 = 1\nh = x1^2\n")
-        with pytest.raises(ValueError, match="Q = 1"):
-            hijab_decomposition_check(model, study(16, 2, 1, QSpec.constant([[2.0]])))
+        q = QSpec([(0.0, [[1.0]]), (0.125, [[4.0]])])
+        path = study(256, 20, 16, q)
+        rep = hijab_decomposition_check(model, path)
+        grid, w = path.grid, path.values[..., 0]
+        qdt = np.sum(np.where(grid[:-1] < 0.125, 1.0, 4.0) * np.diff(grid))
+        recon = qdt + 2 * np.sum(w[:, :-1] * np.diff(w, axis=-1), axis=-1)
+        closed = np.sqrt(np.mean((recon - w[:, -1] ** 2) ** 2))
+        assert rep.ito_rms == pytest.approx(closed, rel=1e-9)
+
+    def test_two_channel_refinement_decay(self):
+        # dX = -X/2 dt + X/2 o dW1 + X/3 o dW2, Y = X
+        model = parse_model(
+            "n = 1\nm = 2\nx0 = 1\ng0 = -1/2*x1\ng1 = 1/2*x1\ng2 = 1/3*x1\nh = x1\n"
+        )
+        rms = [
+            hijab_decomposition_check(model, study(steps, 100, 17, QSpec.identity(2))).ito_rms
+            for steps in (256, 512, 1024)
+        ]
+        assert rms[0] / rms[1] >= 1.2
+        assert rms[1] / rms[2] >= 1.2
+
+    def test_path_without_covariance_rate_reads_identity(self):
+        model = parse_model("n = 1\nm = 1\nx0 = 1/2\ng0 = x1\ng1 = 1\nh = x1^2\n")
+        path = study(64, 5, 18)
+        bare = SamplePath(path.grid, path.values)
+        assert hijab_decomposition_check(model, bare) == hijab_decomposition_check(model, path)

@@ -27,14 +27,17 @@ from cfrealize import (
 )
 from cfrealize import symdiff
 from cfrealize.symdiff import (
+    MAX_COEFFICIENT_BITS,
+    MAX_DEGREE,
     MAX_EXPONENT,
     MAX_NESTING,
     MAX_TERMS,
     compile_float,
     format_model,
+    ito_correction,
     poly_to_string,
 )
-from conftest import rand_bilinear, rand_poly
+from conftest import rand_bilinear, rand_fraction, rand_poly
 
 
 def P(text, n):
@@ -362,6 +365,18 @@ class TestDriftConversion:
         b = stratonovich_to_ito_drift(model, [[4]])
         assert b.components[0] == P("2*x1", 1)
 
+    def test_output_correction_of_correlated_channels(self):
+        # h = x1 * x2 with g1 = e1, g2 = e2: L_{g_j} L_{g_i} h is 1 for i != j
+        model = parse_model("n = 2\nm = 2\nx0 = 0, 0\ng0 = 0, 0\ng1 = 1, 0\ng2 = 0, 1\nh = x1*x2\n")
+        firsts = [lie_derivative(g, model.readout) for g in model.fields[1:]]
+        q = [[1, Fraction(1, 3)], [Fraction(1, 3), 2]]
+        assert ito_correction(model, q, firsts) == MultiPoly.const(2, Fraction(1, 3))
+        # the state's correction is the same function, row by row
+        cubic = parse_model("n = 1\nm = 2\nx0 = 0\ng0 = 1\ng1 = x1^2\ng2 = x1\nh = x1\n")
+        b = stratonovich_to_ito_drift(cubic, q)
+        # g0 + (2 x1^3 + (2/3 + 1/3) x1^2 + 2 x1) / 2
+        assert b.components[0] == P("1 + x1^3 + 1/2*x1^2 + x1", 1)
+
     def test_rejects_non_spd(self):
         model = parse_model("n = 1\nm = 1\nx0 = 0\ng0 = 0\ng1 = x1\nh = x1\n")
         with pytest.raises(ValueError):
@@ -369,6 +384,62 @@ class TestDriftConversion:
         model2 = parse_model("n = 1\nm = 2\nx0 = 0\ng0 = 0\ng1 = x1\ng2 = 1\nh = x1\n")
         with pytest.raises(ValueError):
             stratonovich_to_ito_drift(model2, [[1, 2], [2, 1]])
+
+
+def spd_by_elimination(q) -> bool:
+    """Oracle: Fraction Gaussian elimination tracking the leading principal
+    minors, the way is_spd decided before it moved onto RowSpan."""
+    q = [[Fraction(v) for v in row] for row in q]
+    d = len(q)
+    if any(len(row) != d for row in q):
+        return False
+    if any(q[i][j] != q[j][i] for i in range(d) for j in range(i)):
+        return False
+    a = [row[:] for row in q]
+    det = Fraction(1)
+    for k in range(d):
+        if a[k][k] == 0:
+            return False
+        det *= a[k][k]
+        if det <= 0:
+            return False
+        for i in range(k + 1, d):
+            f = a[i][k] / a[k][k]
+            for j in range(k, d):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+class TestIsSpd:
+    def test_matches_fraction_elimination(self, rng):
+        # symmetric matrices, Gram matrices B B^T (often singular) and Gram
+        # matrices plus a random diagonal, of sizes 0..4
+        spd = 0
+        for _ in range(3000):
+            d = rng.randint(0, 4)
+            b = [[rand_fraction(rng) for _ in range(d)] for _ in range(d)]
+            kind = rng.randrange(3)
+            if kind == 0:
+                q = [[b[max(i, j)][min(i, j)] for j in range(d)] for i in range(d)]
+            else:
+                q = [[sum(x * y for x, y in zip(b[i], b[j])) for j in range(d)] for i in range(d)]
+                if kind == 2:
+                    for i in range(d):
+                        q[i][i] += rand_fraction(rng)
+            expected = spd_by_elimination(q)
+            assert symdiff.is_spd(q) == expected, q
+            spd += expected
+        assert 500 < spd < 2500
+
+    def test_shape_and_symmetry(self):
+        assert symdiff.is_spd([])
+        assert symdiff.is_spd([[2, 1], [1, 1]])
+        assert not symdiff.is_spd([[2, 1], [1]])  # ragged
+        assert not symdiff.is_spd([[2], [1]])
+        assert not symdiff.is_spd([[2, 1], [0, 1]])
+        assert not symdiff.is_spd([[0, 1], [1, 0]])  # the pivots leave the diagonal
+        assert not symdiff.is_spd([[1, 1], [1, 1]])  # the second row is dependent
+        assert not symdiff.is_spd([[1, 0], [0, -1]])
 
 
 class TestPolynomialParser:
@@ -418,6 +489,21 @@ class TestPolynomialParser:
         # below the bound the expansion is exact: C(19, 3) terms
         assert len(P("(1+x1+x2+x3)^16", 3).terms) == 969
         assert P("(x1 + 1/2)^2", 1) == P("x1^2 + x1 + 1/4", 1)
+
+    def test_size_bounds_fail_fast(self):
+        # nested powers multiply degrees and coefficient sizes; just below
+        # the bounds they still parse
+        for text, n, message, column, token in POLY_ERRORS:
+            if message.startswith("product has"):
+                error, peak = rejected_parse(text, n)
+                assert peak < 2 * 2**20  # the unbounded parse peaked near 110 MB
+                assert (error.message, error.token) == (message, token)
+        assert P("((x1^16)^16)^16", 1).total_degree() == MAX_DEGREE
+        assert P("((((2^16)^16)^16)^16)^15", 1) == MultiPoly.const(1, 2**983040)
+        error, _ = rejected_parse("((x1^16)^16)^16 * x1", 1)
+        assert (error.message, error.column, error.token) == (
+            f"product has degree past the limit of {MAX_DEGREE}", 16, "*"
+        )
 
     def test_oversized_literal_names_line_and_token(self):
         text = "n = 1\nm = 1\nx0 = 0\ng0 = 1\ng1 = 0\nh = x1 + " + "1" * 5000 + "\n"
@@ -488,6 +574,10 @@ POLY_ERRORS = [
     ("(1+x1+x2+x3+x4+x5)^8 * (1+x1+x2+x3+x4+x5)^8", 5,
      f"product expands past the limit of {MAX_TERMS} terms", 21, "*"),
     ("(1+x1+x2+x3+x4+x5)^16", 5, f"product expands past the limit of {MAX_TERMS} terms", 19, "16"),
+    ("(((((((2^16)^16)^16)^16)^16)^16)^16)", 1,
+     f"product has a coefficient past the limit of {MAX_COEFFICIENT_BITS} bits", 25, "16"),
+    ("((((((x1^16)^16)^16)^16)^16)^16)", 1, f"product has degree past the limit of {MAX_DEGREE}",
+     21, "16"),
     ("1/0", 1, "zero denominator", 0, "1/0"),
     ("x1 + 3/00", 1, "zero denominator", 5, "3/00"),
     ("x1 + " + "1" * 5000, 1,
@@ -713,6 +803,42 @@ class TestParserFrontEnd:
 
 
 class TestModelFiles:
+    BILINEAR = "type = bilinear\nn = 1\nm = 1\nx0 = 1\nA0 = 0\nA1 = 0\nC = 1\n"
+
+    @pytest.mark.parametrize(
+        "key, entry, line",
+        [
+            ("x0", "1e1000000", 4),
+            ("x0", "1.5", 4),
+            ("x0", "1_000", 4),
+            ("x0", "+1", 4),
+            ("x0", "\u0663", 4),
+            ("A0", "1/0", 5),
+            ("A1", "2e3", 6),
+            ("C", "1/-2", 7),
+        ],
+    )
+    def test_list_entries_take_the_written_form(self, key, entry, line):
+        # x0, A<i> and C entries are read in the form format_model writes;
+        # Fraction(str) would build a 3-million-bit integer from 1e1000000
+        text = self.BILINEAR.replace(f"\n{key} = ", f"\n{key} = {entry} #", 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                parse_model(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.message, err.value.line, err.value.token) == (
+            "bad rational literal", line, entry
+        )
+        assert peak < 2**20
+
+    def test_list_entries_signed_integers_and_ratios(self):
+        text = self.BILINEAR.replace("x0 = 1", "x0 = -007/014").replace("C = 1", "C = -0")
+        model = parse_model(text)
+        assert model.x0 == (Fraction(-1, 2),) and model.c == (0,)
+
     def test_analytic_round_trip(self):
         model = parse_model(
             "# a rotation\nn = 2\nm = 1\nx0 = 1, 0\ng0 = x2, -x1\ng1 = 0, 0\nh = x1\n"
