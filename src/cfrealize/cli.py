@@ -95,17 +95,15 @@ def _series_coefficients(model, deg: int):
     return cf_coefficients(model, deg)
 
 
-def _trajectory_csv(grid, columns: dict[str, np.ndarray]) -> str:
-    cols = [grid.tolist(), *(v.tolist() for v in columns.values())]
-    rows = (",".join(map(repr, row)) for row in zip(*cols))
-    return "\n".join([",".join(["t", *columns]), *rows]) + "\n"
-
-
 def _write_replicates(out: str, grid, columns: dict[str, np.ndarray], count: int) -> None:
-    """One CSV per replicate k < count, rep<k>.csv, from (R, J+1) columns."""
+    """One CSV per replicate k < count, rep<k>.csv, from (R, J+1) columns.
+    The header and time column are formatted once, into a template that
+    %-formats a replicate's values row by row (%r of a float is its repr)."""
+    row = ",%r" * len(columns) + "\n"
+    template = ",".join(["t", *columns]) + "\n" + "".join([repr(t) + row for t in grid.tolist()])
     for rep in range(count):
-        cols = {name: col[rep] for name, col in columns.items()}
-        _atomic_write(os.path.join(out, f"rep{rep:03d}.csv"), _trajectory_csv(grid, cols))
+        values = np.stack([col[rep] for col in columns.values()], axis=-1).ravel().tolist()
+        _atomic_write(os.path.join(out, f"rep{rep:03d}.csv"), template % tuple(values))
 
 
 def cmd_coeffs(args) -> int:

@@ -51,7 +51,7 @@ class MonomialBudgetError(CFError):
 
 
 class DivergenceError(CFError):
-    """A simulated state exceeded the divergence guard."""
+    """A simulated state is not finite or exceeded the divergence guard."""
 
 
 class StabilizationError(CFError):

@@ -400,15 +400,39 @@ def to_float(r: Series) -> Series:
 # without parsing its word or calling Fraction(str), reduces n/d, and scales
 # each level's values to numerators over the lcm of their reduced d: the
 # canonical level layout.  Any other form still parses: letters that int()
-# accepts, in order, and a value that Fraction(str) (rational mode) or
-# float() (float mode) accepts.  A rational level whose lcm, counted once per
-# record of the level, has more than MAX_LEVEL_BITS bits is a ParseError
-# naming the record at which it passed that bound; Series refuses such a
-# level too, so every series format_series writes reads back.  Lines end
-# at \n, \r\n or \r; any other character str.splitlines breaks at (form
-# feed, vertical tab, \x1c-\x1e, ...) is a ParseError naming its line.
+# accepts, in order, and a value that Fraction(str) (rational mode, within
+# MAX_VALUE_DIGITS and MAX_VALUE_EXPONENT) or float() (float mode) accepts.
+# A rational level whose lcm, counted once per record of the level, has more
+# than MAX_LEVEL_BITS bits is a ParseError naming the record at which it
+# passed that bound; Series refuses such a level too, so every series
+# format_series writes reads back.  Lines end at \n, \r\n or \r; any other
+# character str.splitlines breaks at (form feed, vertical tab, \x1c-\x1e,
+# ...) is a ParseError naming its line.
 
 _CANONICAL_VALUE = re.compile(r"-?[0-9]+/[0-9]+")
+
+# A rational value in any other form is read by Fraction(str), which builds
+# the integer its text spells out, so its text is bounded first.  The digits:
+# int(str) refuses more than 4300 by default, which already bounds each half
+# of a canonical n/d.
+MAX_VALUE_DIGITS = 4300
+# The decimal exponent: Fraction("1e1000000") takes half a second to build a
+# 3.3-million-bit numerator, while 10**10000 has 33 220 bits and takes a
+# quarter of a millisecond; every four-digit exponent still reads.
+MAX_VALUE_EXPONENT = 10**4
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
+def _value_too_large(text: str) -> bool:
+    """Whether a non-canonical rational value's text has more than
+    MAX_VALUE_DIGITS digits or a decimal exponent past MAX_VALUE_EXPONENT."""
+    if sum(map(str.isdigit, text)) > MAX_VALUE_DIGITS:
+        return True
+    exp = _EXPONENT.search(text)
+    try:
+        return bool(exp) and abs(int(exp[1])) > MAX_VALUE_EXPONENT
+    except ValueError:  # not an exponent Fraction(str) reads either
+        return False
 
 
 def _record_prefixes(m: int, n: int) -> list[str]:
@@ -511,6 +535,13 @@ def parse_series(text: str) -> Series:
                 val, den = int(num), int(den)
                 if not den:
                     raise ZeroDivisionError
+            elif _value_too_large(vtxt):
+                raise record_error(
+                    k,
+                    f"coefficient value past {MAX_VALUE_DIGITS} digits"
+                    f" or decimal exponent {MAX_VALUE_EXPONENT}",
+                    vtxt,
+                )
             else:
                 val, den = Fraction(vtxt).as_integer_ratio()
         except (ValueError, ZeroDivisionError):

@@ -20,7 +20,10 @@ Conventions shared by everything in this module:
   predictor-corrector scheme on the same increment stream as the integral
   tables, so series-vs-simulation comparisons are pathwise, not merely in
   distribution, and a diffusion input is the Euler-Ito state of a model.
-  Its ``@`` products need not round like a left-to-right sum of products
+  A state that is not finite, or past ``DIVERGENCE_GUARD``, stops it with
+  ``DivergenceError``.  The float bits are fixed by ``compile_float``'s
+  ``x ** expo`` power (its SIMD dispatch need not match ``x * x``) and the
+  ``@`` products, which need not round like a left-to-right sum of products
   (OpenBLAS may fuse multiply-adds), so float outputs are bit-reproducible
   only on one numpy/BLAS build.
 * Replicate k of a study seeded with s is drawn from its own generator,
@@ -332,7 +335,14 @@ def _integrate(model: AnalyticModel, path: SamplePath, fields, piece, heun: bool
 
     ``fields[p]`` lists the vector fields F_0..F_m used in cells of piece p,
     and ``piece[j]`` names the piece of cell j.  ``heun`` selects the
-    predictor-corrector step; otherwise the step is explicit Euler.
+    predictor-corrector step; otherwise the step is explicit Euler.  A state
+    that is not finite, or past ``DIVERGENCE_GUARD`` in absolute value,
+    raises ``DivergenceError``.
+
+    The float bits are fixed by the operations, not only by their values:
+    ``compile_float``'s ``x ** expo`` and both ``@`` products (which may fuse
+    multiply-adds) stay with these operand shapes and this contiguity, and x
+    is stepped as its own array, not as a strided view of the states.
     """
     evals = [compile_float([c for g in fs for c in g.components]) for fs in fields]
     incs = path.increments()
@@ -341,21 +351,18 @@ def _integrate(model: AnalyticModel, path: SamplePath, fields, piece, heun: bool
     x[...] = [float(v) for v in model.x0]
     states = np.empty(shape[:-2] + (path.grid.size, model.n))
     states[..., 0, :] = x
-
-    def step(f, x, dxi):
-        return (dxi[..., None, :] @ f(x).reshape(shape))[..., 0, :]
-
-    for j in range(path.steps):
-        f = evals[piece[j]]
-        dxi = incs[..., j, :]
-        drift = step(f, x, dxi)
+    # Cell j's increments as one row (..., 1, m+1), a view of incs.
+    rows = np.moveaxis(incs[..., None, :], -3, 0)
+    for j, (p, dxi) in enumerate(zip(piece.tolist(), rows), 1):
+        f = evals[p]
+        drift = (dxi @ f(x).reshape(shape))[..., 0, :]
         if heun:
-            drift = 0.5 * (drift + step(f, x + drift, dxi))
+            drift = (drift + (dxi @ f(x + drift).reshape(shape))[..., 0, :]) * 0.5
         x = x + drift
-        states[..., j + 1, :] = x
-        if np.any(np.abs(x) > DIVERGENCE_GUARD):
+        states[..., j, :] = x
+        if not abs(x).max(initial=0.0) <= DIVERGENCE_GUARD:  # a NaN fails too
             raise DivergenceError(
-                f"state norm exceeded divergence guard {DIVERGENCE_GUARD:g} at step {j + 1}"
+                f"state not finite or past divergence guard {DIVERGENCE_GUARD:g} at step {j}"
             )
     return states
 
@@ -382,8 +389,9 @@ def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun"
     predictor-corrector scheme on the path's own increments;
     ``method="euler_ito"`` integrates the Ito-converted drift with
     Euler-Maruyama for cross-validation, converting with the path's
-    covariance rate piece by piece, else with the identity.  A state past
-    ``DIVERGENCE_GUARD`` in absolute value raises ``DivergenceError``.
+    covariance rate piece by piece, else with the identity.  A state that is
+    not finite, or past ``DIVERGENCE_GUARD`` in absolute value, raises
+    ``DivergenceError``.
     """
     if model.m != path.m:
         raise ValueError(f"model has m={model.m} channels, path has {path.m}")

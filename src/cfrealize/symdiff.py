@@ -41,16 +41,18 @@ MAX_EXPONENT = 16
 MAX_TERMS = 2000
 
 # Largest total degree of a term the polynomial parser builds, checked on
-# each product.  Nested powers multiply degrees: six nested ^16 on x1 give
-# degree 16 777 216 in one short line, and translating that readout to x0
-# for the series takes a minute.  4096 is three nested ^16.
+# each product and on each power before it is expanded.  Nested powers
+# multiply degrees: six nested ^16 on x1 give degree 16 777 216 in one short
+# line, and translating that readout to x0 for the series takes a minute.
+# 4096 is three nested ^16.
 MAX_DEGREE = 4096
 
 # Largest bit length of a coefficient's numerator or denominator the
 # polynomial parser builds, checked on each product.  Nested powers of a
 # constant multiply its bit length: seven levels of ^16 on 2 build a
-# 268-million-bit integer.  A product is checked once it is built, so a
-# refused one has at most MAX_EXPONENT times this many bits.
+# 268-million-bit integer.  A power is checked from its base before it is
+# expanded; a product of two factors is checked once it is built, so a
+# refused one has at most twice this many bits.
 MAX_COEFFICIENT_BITS = 2**20
 
 # Deepest parenthesis nesting the polynomial parser reads.  Each level costs
@@ -217,7 +219,8 @@ def compile_float(polys):
     numpy evaluator of points x (..., num_vars) giving (...) or (..., k).
 
     Each monomial is one row of an exponent matrix E (terms, num_vars) and
-    of a coefficient matrix C (terms, k); an evaluation is prod(x ** E) @ C.
+    of a coefficient matrix C (terms, k); an evaluation is prod(x ** E) @ C,
+    the product taken over the variables left to right.
     """
     single = isinstance(polys, MultiPoly)
     polys = [polys] if single else list(polys)
@@ -232,7 +235,11 @@ def compile_float(polys):
 
     def ev(x):
         x = np.asarray(x, dtype=float)
-        out = np.multiply.reduce(x[..., None, :] ** expo, axis=-1) @ coef
+        powers = x[..., None, :] ** expo
+        mono = powers[..., 0] if num_vars else np.ones(powers.shape[:-1])
+        for i in range(1, num_vars):
+            mono = mono * powers[..., i]
+        out = mono @ coef
         return out[..., 0] if single else out
 
     return ev
@@ -569,6 +576,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
+_PAST_DEGREE = f"product has degree past the limit of {MAX_DEGREE}"
+_PAST_BITS = f"product has a coefficient past the limit of {MAX_COEFFICIENT_BITS} bits"
+
+
 class _Parser:
     def __init__(self, text: str, num_vars: int):
         self.num_vars = num_vars
@@ -606,12 +617,12 @@ class _Parser:
         if terms is None:
             message = f"product expands past the limit of {MAX_TERMS} terms"
         elif max(map(sum, terms), default=0) > MAX_DEGREE:
-            message = f"product has degree past the limit of {MAX_DEGREE}"
+            message = _PAST_DEGREE
         elif any(
             max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFFICIENT_BITS
             for c in terms.values()
         ):
-            message = f"product has a coefficient past the limit of {MAX_COEFFICIENT_BITS} bits"
+            message = _PAST_BITS
         else:
             return terms
         raise ParseError(message, column=tok[2], token=tok[1])
@@ -632,6 +643,7 @@ class _Parser:
         return {e: -c for e, c in p.items()} if negate else p
 
     def power(self) -> dict:
+        nested = self.peek() == "("
         p = self.atom()
         if self.peek() == "^":
             self.take()
@@ -643,7 +655,24 @@ class _Parser:
                 raise ParseError(
                     f"exponent above the limit of {MAX_EXPONENT}", column=pos, token=text
                 )
-            return self.product((p,) * int(text), tok)
+            e = int(text)
+            if nested and p:
+                # Refuse a power too large to build: e * deg(p) is the degree
+                # of p^e, and the e-th powers of p's lex-first and lex-last
+                # terms are terms of p^e, no other product having their
+                # exponents, so a coefficient with b bits gives one of at
+                # least e * (b - 1) + 1 bits.  A variable or a number short
+                # enough to convert stays within both bounds at any exponent.
+                lo, hi = p[min(p)], p[max(p)]
+                b = max(
+                    lo.numerator.bit_length(), lo.denominator.bit_length(),
+                    hi.numerator.bit_length(), hi.denominator.bit_length(),
+                )
+                if e * max(map(sum, p)) > MAX_DEGREE:
+                    raise ParseError(_PAST_DEGREE, column=pos, token=text)
+                if e * (b - 1) + 1 > MAX_COEFFICIENT_BITS:
+                    raise ParseError(_PAST_BITS, column=pos, token=text)
+            return self.product((p,) * e, tok)
         return p
 
     def atom(self) -> dict:

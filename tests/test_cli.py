@@ -364,6 +364,20 @@ class TestSimulateAndCompare:
         header = (s1 / "rep000.csv").read_text().splitlines()[0]
         assert header == "t,W1,Y_sim"
 
+    def test_simulate_non_finite_state_exits_1(self, tmp_path, capsys):
+        # g0 is inf - inf at x0; the first state is NaN, and no summary with
+        # a NaN (not valid JSON) is written
+        model = write(
+            tmp_path / "model.txt",
+            "n = 2\nm = 1\nx0 = 10000000, 10000000\n"
+            "g0 = x1^16*x1^16*x1^16 - x2^16*x2^16*x2^16, 0\ng1 = 0, 0\nh = x1\n",
+        )
+        out = tmp_path / "s"
+        argv = ["simulate", "--model", model, "--grid", "8", "--reps", "2", "--seed", "1"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "state not finite or past divergence guard" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_compare_medians_decrease(self, tmp_path):
         model = write(tmp_path / "model.txt", QUADRATIC_MODEL)
         out = tmp_path / "cmp"

@@ -389,6 +389,33 @@ class TestSeriesFile:
             assert peak < 2**20
 
 
+    @pytest.mark.parametrize(
+        "value",
+        ["1e1000000", "-3.5E+10001", "1e-1_000_000", "+2/" + "1" * 4300, "1" * 4301 + ".5"],
+        ids=["exp", "signed-exp", "underscored-exp", "signed-ratio", "decimal"],
+    )
+    def test_oversized_value_fails_before_building(self, value):
+        # Fraction("1e1000000") took 0.54 s and built a 3.3-million-bit numerator
+        text = f"cfseries m=1 N=1 mode=rational\n;1/2\n0;{value}\n1;0/1\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                parse_series(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert (err.value.line, err.value.token) == (3, value)
+        assert err.value.message.startswith("coefficient value past")
+
+    @pytest.mark.parametrize(
+        "value, want", [("1e10000", 10**10000), ("-25e-3", Fraction(-1, 40))], ids=["1e4", "dec"]
+    )
+    def test_values_within_bounds_parse(self, value, want):
+        text = f"cfseries m=1 N=0 mode=rational\n;{value}\n"
+        assert parse_series(text) == Series(1, 0, {(): want})
+
+
 def reference_format(s):
     """The series file written word by word, as the format comment states it."""
     lines = [f"cfseries m={s.m} N={s.max_degree} mode={s.mode}"]

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -505,6 +506,23 @@ class TestPolynomialParser:
             f"product has degree past the limit of {MAX_DEGREE}", 16, "*"
         )
 
+    def test_power_refused_before_expanding(self):
+        # the refused ^16 would build a 15.7-million-bit constant; its base
+        # (983 041 bits) is the most the parser builds here
+        text = "(((((2^16)^16)^16)^15)^16)^16"
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            P(text, 1)
+        assert time.perf_counter() - start < 0.05  # 4.5 ms; 0.11 s before
+        error, peak = rejected_parse(text, 1)
+        assert peak < 2**20  # 2 MB before
+        assert (error.column, error.token) == (27, "16")
+        # the degree is bounded the same way, before a 257-term base is expanded
+        error, _ = rejected_parse("(((x1^2 + x1)^16)^16)^16", 1)
+        assert (error.message, error.column) == (
+            f"product has degree past the limit of {MAX_DEGREE}", 22
+        )
+
     def test_oversized_literal_names_line_and_token(self):
         text = "n = 1\nm = 1\nx0 = 0\ng0 = 1\ng1 = 0\nh = x1 + " + "1" * 5000 + "\n"
         with pytest.raises(ParseError) as err:
@@ -578,6 +596,8 @@ POLY_ERRORS = [
      f"product has a coefficient past the limit of {MAX_COEFFICIENT_BITS} bits", 25, "16"),
     ("((((((x1^16)^16)^16)^16)^16)^16)", 1, f"product has degree past the limit of {MAX_DEGREE}",
      21, "16"),
+    ("(((((2^16)^16)^16)^15)^16)^16", 1,
+     f"product has a coefficient past the limit of {MAX_COEFFICIENT_BITS} bits", 27, "16"),
     ("1/0", 1, "zero denominator", 0, "1/0"),
     ("x1 + 3/00", 1, "zero denominator", 5, "3/00"),
     ("x1 + " + "1" * 5000, 1,
