@@ -53,17 +53,21 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json_text(name: str, payload) -> str:
+    """Report ``name`` as strict JSON text; CFError for a NaN or infinite value."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise CFError(f"report {name} would hold a NaN or infinite value; not written") from None
 
 
 def _write_json(path: str, payload) -> None:
-    _atomic_write(path, _json_text(payload))
+    _atomic_write(path, _json_text(os.path.basename(path), payload))
 
 
 def _emit(args, name: str, payload) -> None:
     """Print a JSON report, and write it to ``name`` under --out if given."""
-    text = _json_text(payload)
+    text = _json_text(name, payload)
     sys.stdout.write(text)
     if args.out:
         _atomic_write(os.path.join(args.out, name), text)
@@ -127,6 +131,9 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if (args.bracket is None) != (args.obs is None):
+        missing = "--obs" if args.obs is None else "--bracket"
+        raise CFError(f"the Lie rank needs both --bracket and --obs; {missing} is missing")
     s = read_series(args.series)
     for flag in ("rows", "cols", "bracket", "obs"):
         _check_word_count(s.m, f"--{flag}", getattr(args, flag))
@@ -136,7 +143,7 @@ def cmd_rank(args) -> int:
     else:
         report = hankel.rank_numeric(block, tol=args.tol)
     payload = {"hankel": report.as_dict()}
-    if args.bracket is not None and args.obs is not None:
+    if args.bracket is not None:
         lie = hankel.lie_rank(s, args.bracket, args.obs, tol=args.tol)
         payload["lie"] = lie.as_dict()
     _emit(args, "rank.json", payload)
@@ -187,6 +194,11 @@ def _path_columns(path) -> dict[str, np.ndarray]:
     return {f"W{i + 1}": path.values[..., i] for i in range(path.m)}
 
 
+def _study_header(args) -> dict:
+    """The study flags that every Monte Carlo summary records."""
+    return {"horizon": args.horizon, "grid_steps": args.grid, "replicates": args.reps, "seed": args.seed}
+
+
 def cmd_simulate(args) -> int:
     model = read_model(args.model)
     _check_study(args, max(model.m, model.n))
@@ -194,10 +206,7 @@ def cmd_simulate(args) -> int:
     _write_replicates(args.out, path.grid, {**_path_columns(path), "Y_sim": y}, args.reps)
     terminal = y[:, -1].tolist()
     summary = {
-        "horizon": args.horizon,
-        "grid_steps": args.grid,
-        "replicates": args.reps,
-        "seed": args.seed,
+        **_study_header(args),
         "terminal_median": float(np.median(terminal)),
         "terminal_mean": float(np.mean(terminal)),
     }
@@ -226,10 +235,7 @@ def cmd_compare(args) -> int:
     columns = {**_path_columns(path), "Y_sim": y, "Y_cf": ycf}
     _write_replicates(args.out, path.grid, columns, args.reps)
     summary = {
-        "horizon": args.horizon,
-        "grid_steps": args.grid,
-        "replicates": args.reps,
-        "seed": args.seed,
+        **_study_header(args),
         "series_degree": args.deg,
         "median_terminal_error_per_degree": {
             str(d): float(np.median(v)) for d, v in errors.items()
@@ -243,6 +249,16 @@ def cmd_compare(args) -> int:
 DECAY_FACTOR = 1.2
 
 
+def _decay_factors(rms: dict[int, float]) -> list[float]:
+    """Each RMS over the next finer one, from {grid steps: RMS} in refinement
+    order; CFError for an RMS that is 0 or not finite."""
+    for steps, value in rms.items():
+        if not 0 < value < np.inf:
+            raise CFError(f"residual RMS on {steps} grid steps is {value!r}; no decay factor exists")
+    values = list(rms.values())
+    return [a / b for a, b in zip(values, values[1:])]
+
+
 def cmd_ito_check(args) -> int:
     from .symdiff import MultiPoly
 
@@ -253,13 +269,13 @@ def cmd_ito_check(args) -> int:
     path = _study_path(args, 1)
     linear_report = dupire.functional_ito_residual(linear, path, args.horizon)
     reports = [linear_report.as_dict()]
-    quad_rms = []
+    quad_rms = {}
     for scale in (1, 2, 4):
         scaled = path if scale == 1 else _study_path(args, 1, scale)
         rep = dupire.functional_ito_residual(quad, scaled, args.horizon)
         reports.append(rep.as_dict())
-        quad_rms.append(rep.rms)
-    factors = [quad_rms[i] / quad_rms[i + 1] for i in range(len(quad_rms) - 1)]
+        quad_rms[args.grid * scale] = rep.rms
+    factors = _decay_factors(quad_rms)
     ok = linear_report.rms <= 1e-10 and all(f >= DECAY_FACTOR for f in factors)
     payload = {
         "reports": reports,
@@ -276,13 +292,13 @@ def cmd_hijab_check(args) -> int:
     if not isinstance(model, AnalyticModel):
         raise CFError("decomposition check needs an analytic model")
     _check_study(args, max(model.m, model.n), scale=2)
-    rms = []
+    rms = {}
     reports = []
     for scale in (1, 2):
         rep = dupire.hijab_decomposition_check(model, _study_path(args, model.m, scale))
         reports.append(rep.as_dict())
-        rms.append(rep.ito_rms)
-    factor = rms[0] / rms[1] if rms[1] > 0 else float("inf")
+        rms[args.grid * scale] = rep.ito_rms
+    [factor] = _decay_factors(rms)
     ok = factor >= DECAY_FACTOR
     payload = {"reports": reports, "ito_decay_factor": factor, "pass": bool(ok)}
     _emit(args, "hijab.json", payload)
@@ -316,10 +332,7 @@ def cmd_demo_zakai(args) -> int:
         "generator": generator,
         "obs": obs,
         "phi": phi_indicator,
-        "horizon": args.horizon,
-        "grid_steps": args.grid,
-        "replicates": args.reps,
-        "seed": args.seed,
+        **_study_header(args),
         "positivity_violations": positivity_violations,
         "pi_range": [pi_min, pi_max],
         "unit_phi_max_deviation": one_dev,

@@ -32,6 +32,7 @@ import math
 import operator
 import re
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, islice, product, repeat
@@ -418,7 +419,9 @@ _CANONICAL_VALUE = re.compile(r"-?[0-9]+/[0-9]+")
 MAX_VALUE_DIGITS = 4300
 # The decimal exponent: Fraction("1e1000000") takes half a second to build a
 # 3.3-million-bit numerator, while 10**10000 has 33 220 bits and takes a
-# quarter of a millisecond; every four-digit exponent still reads.
+# quarter of a millisecond; every four-digit exponent still reads.  The
+# numerator and denominator bits these values build are also summed per
+# level, and a level past MAX_LEVEL_BITS of them is refused at its record.
 MAX_VALUE_EXPONENT = 10**4
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
@@ -510,6 +513,8 @@ def parse_series(text: str) -> Series:
 
     expected = None  # words_up_to(m, n), listed at the first record without its prefix
     values, dens = [], []  # each value is values[k] / dens[k]
+    ends = [word_count(m, d) for d in range(n + 1)]  # level d is records [ends[d-1], ends[d])
+    built = [0] * (n + 1)  # bits Fraction(str) built in each level
     for k, (ln, prefix) in enumerate(zip(body, _record_prefixes(m, n))):
         if ln.startswith(prefix):
             vtxt = ln[len(prefix) :]
@@ -544,13 +549,19 @@ def parse_series(text: str) -> Series:
                 )
             else:
                 val, den = Fraction(vtxt).as_integer_ratio()
+                d = bisect_right(ends, k)
+                built[d] += val.bit_length() + den.bit_length()
+                if built[d] > MAX_LEVEL_BITS:
+                    raise record_error(
+                        k, f"degree-{d} coefficient values spell more than {MAX_LEVEL_BITS} bits", vtxt
+                    )
         except (ValueError, ZeroDivisionError):
             raise record_error(k, "bad coefficient value", vtxt) from None
         if mode == FLOAT and not math.isfinite(val):
             raise record_error(k, "non-finite coefficient value", vtxt)
         values.append(val)
         dens.append(den)
-    parts = [slice(word_count(m, k - 1), word_count(m, k)) for k in range(n + 1)]
+    parts = [slice(a, b) for a, b in zip([0, *ends], ends)]
     levels = [values[p] for p in parts]
     if mode == FLOAT:
         return Series(m, n, mode=FLOAT, levels=levels)

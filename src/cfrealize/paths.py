@@ -16,7 +16,7 @@ Conventions shared by everything in this module:
   the trapezoidal rule, which converges to the Stratonovich value.
 * An integral table holds level k as one ((m+1)^k, J+1) array, the word w's
   trajectory in row ``word_index(w, m)`` (the layout of :mod:`cfrealize.fps`).
-* One integrator, ``_integrate``, steps every state: models run the Heun
+* One integrator, ``simulate_states``, steps every state: models run the Heun
   predictor-corrector scheme on the same increment stream as the integral
   tables, so series-vs-simulation comparisons are pathwise, not merely in
   distribution, and a diffusion input is the Euler-Ito state of a model.
@@ -174,8 +174,8 @@ class SamplePath:
 
 def make_grid(horizon: float, steps: int) -> np.ndarray:
     """Uniform grid 0 = t_0 < ... < t_J = horizon with J = steps cells."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < np.inf:  # a NaN fails too
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     return np.linspace(0.0, horizon, steps + 1)
@@ -329,44 +329,6 @@ def cf_trajectory(s: Series, table: IteratedIntegralTable) -> np.ndarray:
 # -- state-space simulation --------------------------------------------------
 
 
-def _integrate(model: AnalyticModel, path: SamplePath, fields, piece, heun: bool) -> np.ndarray:
-    """States (..., J+1, n) of dx = sum_i F_i(x) dxi_i over the path's
-    increments dxi = (dt, dW_1..dW_m).
-
-    ``fields[p]`` lists the vector fields F_0..F_m used in cells of piece p,
-    and ``piece[j]`` names the piece of cell j.  ``heun`` selects the
-    predictor-corrector step; otherwise the step is explicit Euler.  A state
-    that is not finite, or past ``DIVERGENCE_GUARD`` in absolute value,
-    raises ``DivergenceError``.
-
-    The float bits are fixed by the operations, not only by their values:
-    ``compile_float``'s ``x ** expo`` and both ``@`` products (which may fuse
-    multiply-adds) stay with these operand shapes and this contiguity, and x
-    is stepped as its own array, not as a strided view of the states.
-    """
-    evals = [compile_float([c for g in fs for c in g.components]) for fs in fields]
-    incs = path.increments()
-    shape = incs.shape[:-2] + (model.m + 1, model.n)
-    x = np.empty(shape[:-2] + (model.n,))
-    x[...] = [float(v) for v in model.x0]
-    states = np.empty(shape[:-2] + (path.grid.size, model.n))
-    states[..., 0, :] = x
-    # Cell j's increments as one row (..., 1, m+1), a view of incs.
-    rows = np.moveaxis(incs[..., None, :], -3, 0)
-    for j, (p, dxi) in enumerate(zip(piece.tolist(), rows), 1):
-        f = evals[p]
-        drift = (dxi @ f(x).reshape(shape))[..., 0, :]
-        if heun:
-            drift = (drift + (dxi @ f(x + drift).reshape(shape))[..., 0, :]) * 0.5
-        x = x + drift
-        states[..., j, :] = x
-        if not abs(x).max(initial=0.0) <= DIVERGENCE_GUARD:  # a NaN fails too
-            raise DivergenceError(
-                f"state not finite or past divergence guard {DIVERGENCE_GUARD:g} at step {j}"
-            )
-    return states
-
-
 def exact_rates(path: SamplePath, m: int):
     """The exact rational covariance rate of each piece of ``path.q`` (of the
     m x m identity when the path records none), and the piece of each cell.
@@ -383,7 +345,8 @@ def exact_rates(path: SamplePath, m: int):
 
 def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun") -> np.ndarray:
     """States (..., J+1, n) of an analytic model driven by the given path
-    (values (..., J+1, m), one state trajectory per replicate).
+    (values (..., J+1, m), one state trajectory per replicate): the solution
+    of dx = sum_i F_i(x) dxi_i over the increments dxi = (dt, dW_1..dW_m).
 
     ``method="heun"`` integrates the Stratonovich dynamics with the Heun
     predictor-corrector scheme on the path's own increments;
@@ -392,6 +355,11 @@ def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun"
     covariance rate piece by piece, else with the identity.  A state that is
     not finite, or past ``DIVERGENCE_GUARD`` in absolute value, raises
     ``DivergenceError``.
+
+    The float bits are fixed by the operations, not only by their values:
+    ``compile_float``'s ``x ** expo`` and both ``@`` products (which may fuse
+    multiply-adds) stay with these operand shapes and this contiguity, and x
+    is stepped as its own array, not as a strided view of the states.
     """
     if model.m != path.m:
         raise ValueError(f"model has m={model.m} channels, path has {path.m}")
@@ -402,7 +370,28 @@ def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun"
         fields = [(stratonovich_to_ito_drift(model, r), *model.fields[1:]) for r in rates]
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _integrate(model, path, fields, piece, heun=method == "heun")
+    # fields[p] lists F_0..F_m in the cells of piece p; piece[j] names cell j's.
+    evals = [compile_float([c for g in fs for c in g.components]) for fs in fields]
+    incs = path.increments()
+    shape = incs.shape[:-2] + (model.m + 1, model.n)
+    x = np.empty(shape[:-2] + (model.n,))
+    x[...] = [float(v) for v in model.x0]
+    states = np.empty(shape[:-2] + (path.grid.size, model.n))
+    states[..., 0, :] = x
+    # Cell j's increments as one row (..., 1, m+1), a view of incs.
+    rows = np.moveaxis(incs[..., None, :], -3, 0)
+    for j, (p, dxi) in enumerate(zip(piece.tolist(), rows), 1):
+        f = evals[p]
+        drift = (dxi @ f(x).reshape(shape))[..., 0, :]
+        if method == "heun":
+            drift = (drift + (dxi @ f(x + drift).reshape(shape))[..., 0, :]) * 0.5
+        x = x + drift
+        states[..., j, :] = x
+        if not abs(x).max(initial=0.0) <= DIVERGENCE_GUARD:  # a NaN fails too
+            raise DivergenceError(
+                f"state not finite or past divergence guard {DIVERGENCE_GUARD:g} at step {j}"
+            )
+    return states
 
 
 def simulate_analytic(model: AnalyticModel, path: SamplePath, method: str = "heun") -> np.ndarray:

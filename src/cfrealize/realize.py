@@ -50,13 +50,6 @@ class DiscrepancyReport:
     worst_word: Word | None
     degree: int
 
-    def as_dict(self) -> dict:
-        return {
-            "max_abs": str(self.max_abs),
-            "worst_word": list(self.worst_word) if self.worst_word is not None else None,
-            "degree": self.degree,
-        }
-
 
 @dataclass(frozen=True)
 class RealizationResult:

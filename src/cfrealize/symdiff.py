@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AlphabetError, MonomialBudgetError, ParseError
 from .exactla import RowSpan, over_common_denominator
-from .fps import RATIONAL, Series, read_ascii, split_lines
+from .fps import MAX_CELLS, RATIONAL, Series, read_ascii, split_lines
 
 Exponents = tuple[int, ...]
 
@@ -220,7 +220,10 @@ def compile_float(polys):
 
     Each monomial is one row of an exponent matrix E (terms, num_vars) and
     of a coefficient matrix C (terms, k); an evaluation is prod(x ** E) @ C,
-    the product taken over the variables left to right.
+    the product taken over the variables left to right.  The power table
+    x ** E holds x.size * terms floats, so a larger x is evaluated in blocks
+    of its leading axis whose tables stay within MAX_CELLS (read when the
+    evaluator is compiled).
     """
     single = isinstance(polys, MultiPoly)
     polys = [polys] if single else list(polys)
@@ -232,9 +235,18 @@ def compile_float(polys):
         for e, c in p.terms.items():
             coef[row[e], k] = float(c)
     expo = np.array(monomials, dtype=float).reshape(len(monomials), num_vars)
+    limit = MAX_CELLS // max(len(monomials), 1)  # the most floats of x in one block
 
     def ev(x):
         x = np.asarray(x, dtype=float)
+        if x.size > limit and x.ndim > 1:
+            rows = limit // x[0].size
+            if not rows:  # one leading entry is past the bound: split its own axis
+                return np.stack([ev(block) for block in x])
+            # A power of two: OpenBLAS 0.3.31 gave one call's bytes for row
+            # blocks of 4, 8, 16, ... rows of a 2-D x, but not of 2 or 3.
+            rows = 1 << (rows.bit_length() - 1)
+            return np.concatenate([ev(x[i : i + rows]) for i in range(0, len(x), rows)])
         powers = x[..., None, :] ** expo
         mono = powers[..., 0] if num_vars else np.ones(powers.shape[:-1])
         for i in range(1, num_vars):

@@ -9,7 +9,8 @@ import pytest
 
 import cfrealize
 from cfrealize import coefficient, read_series
-from cfrealize.cli import build_parser, main
+from cfrealize.cli import _emit, build_parser, main
+from cfrealize.errors import CFError
 from cfrealize.fps import MAX_CELLS, MAX_WORDS, word_count
 
 DRIFT_MODEL = "n = 1\nm = 1\nx0 = 0\ng0 = 1\ng1 = 0\nh = x1\n"
@@ -18,6 +19,15 @@ SCALAR_BILINEAR = (
 )
 QUADRATIC_MODEL = "n = 1\nm = 1\nx0 = 1/2\ng0 = x1\ng1 = 1\nh = x1^2\n"
 COMMANDS = "coeffs rank lierank realize simulate compare ito-check hijab-check demo-zakai".split()
+
+
+def refuse_constant(name):
+    raise AssertionError(f"report holds {name}, which strict JSON cannot")
+
+
+def loads(text: str):
+    """A JSON report, refusing the NaN and Infinity that strict JSON lacks."""
+    return json.loads(text, parse_constant=refuse_constant)
 
 
 def write(path: Path, text: str) -> str:
@@ -34,7 +44,7 @@ class TestCoeffs:
         model = write(tmp_path / "model.txt", DRIFT_MODEL)
         out = tmp_path / "out"
         assert main(["coeffs", "--model", model, "--deg", "3", "--out", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
+        summary = loads((out / "summary.json").read_text())
         assert summary["nonzero_total"] == 1
         s = read_series(out / "series.txt")
         assert s.coeffs == {(0,): 1}
@@ -233,7 +243,7 @@ class TestRank:
             ]
         )
         assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = loads(capsys.readouterr().out)
         assert payload["hankel"]["rank"] == 0
         assert payload["lie"]["rank"] == 0
 
@@ -243,9 +253,24 @@ class TestRank:
         main(["coeffs", "--model", model, "--deg", "6", "--out", str(out)])
         capsys.readouterr()  # drop the coeffs status line
         main(["rank", "--series", str(out / "series.txt"), "--rows", "3", "--cols", "3"])
-        payload = json.loads(capsys.readouterr().out)
+        payload = loads(capsys.readouterr().out)
         assert payload["hankel"]["rank"] <= 1
         assert payload["hankel"]["truncation"] == {"d_c": 3, "d_r": 3}
+
+    @pytest.mark.parametrize(
+        "given, missing", [(["--bracket", "3"], "--obs"), (["--obs", "3"], "--bracket")]
+    )
+    def test_lie_rank_needs_both_flags(self, tmp_path, capsys, given, missing):
+        model = write(tmp_path / "model.txt", SCALAR_BILINEAR)
+        out = tmp_path / "out"
+        main(["coeffs", "--model", model, "--deg", "6", "--out", str(out)])
+        capsys.readouterr()  # drop the coeffs status line
+        rank = ["rank", "--series", str(out / "series.txt"), "--rows", "3", "--cols", "3"]
+        assert main(rank + given + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the Lie rank needs both --bracket and --obs; {missing} is missing\n"
+        assert not (out / "rank.json").exists()
 
     def test_insufficient_degree_fails(self, tmp_path, capsys):
         model = write(tmp_path / "model.txt", SCALAR_BILINEAR)
@@ -292,7 +317,7 @@ class TestParserReuse:
         flagged = tmp_path / "flagged"
         extra = ["--bracket", "3", "--obs", "3", "--tol", "1e-6", "--out", str(flagged)]
         assert main(rank + extra) == 0
-        assert "lie" in json.loads(capsys.readouterr().out)
+        assert "lie" in loads(capsys.readouterr().out)
         (flagged / "rank.json").unlink()
         assert main(rank) == 0
         assert capsys.readouterr().out == self.fresh_stdout(rank, capsys)
@@ -321,7 +346,7 @@ class TestRealize:
         rout = tmp_path / "r"
         rc = main(["realize", "--series", str(out / "series.txt"), "--out", str(rout)])
         assert rc == 0
-        verify = json.loads((rout / "verify.json").read_text())
+        verify = loads((rout / "verify.json").read_text())
         assert verify["dimension"] == 1
         assert verify["max_discrepancy"] == "0"
         # feeding the synthesized model back through coeffs reproduces the series
@@ -337,7 +362,7 @@ class TestRealize:
         main(["coeffs", "--model", zero_model, "--deg", "4", "--out", str(out)])
         rout = tmp_path / "r"
         assert main(["realize", "--series", str(out / "series.txt"), "--out", str(rout)]) == 0
-        assert json.loads((rout / "verify.json").read_text())["dimension"] == 0
+        assert loads((rout / "verify.json").read_text())["dimension"] == 0
 
     def test_unstabilized_rank_nonzero_exit(self, tmp_path, capsys):
         model = write(tmp_path / "model.txt", QUADRATIC_MODEL)
@@ -364,6 +389,7 @@ class TestSimulateAndCompare:
         header = (s1 / "rep000.csv").read_text().splitlines()[0]
         assert header == "t,W1,Y_sim"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_simulate_non_finite_state_exits_1(self, tmp_path, capsys):
         # g0 is inf - inf at x0; the first state is NaN, and no summary with
         # a NaN (not valid JSON) is written
@@ -377,6 +403,17 @@ class TestSimulateAndCompare:
         assert main(argv + ["--out", str(out)]) == 1
         assert "state not finite or past divergence guard" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("horizon", ["inf", "nan"])
+    def test_horizon_not_positive_and_finite_refused(self, tmp_path, capsys, recwarn, horizon):
+        model = write(tmp_path / "model.txt", QUADRATIC_MODEL)
+        out = tmp_path / "s"
+        argv = ["simulate", "--model", model, "--horizon", horizon, "--seed", "1", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: horizon must be positive and finite, got {float(horizon)!r}\n"
+        assert not recwarn.list  # refused before any arithmetic on the horizon
+        assert not out.exists()
 
     def test_compare_medians_decrease(self, tmp_path):
         model = write(tmp_path / "model.txt", QUADRATIC_MODEL)
@@ -399,7 +436,7 @@ class TestSimulateAndCompare:
             ]
         )
         assert rc == 0
-        med = json.loads((out / "summary.json").read_text())[
+        med = loads((out / "summary.json").read_text())[
             "median_terminal_error_per_degree"
         ]
         assert med["5"] <= med["2"]
@@ -413,7 +450,7 @@ class TestChecks:
             ["ito-check", "--grid", "128", "--reps", "40", "--seed", "2", "--out", str(tmp_path)]
         )
         assert rc == 0
-        payload = json.loads((tmp_path / "residuals.json").read_text())
+        payload = loads((tmp_path / "residuals.json").read_text())
         assert payload["pass"] is True
         assert payload["linear_rms"] <= 1e-10
 
@@ -435,7 +472,7 @@ class TestChecks:
             ]
         )
         assert rc == 0
-        payload = json.loads((tmp_path / "hijab.json").read_text())
+        payload = loads((tmp_path / "hijab.json").read_text())
         assert payload["ito_decay_factor"] >= 1.2
 
     def test_hijab_check_two_channels(self, tmp_path, capsys):
@@ -446,9 +483,34 @@ class TestChecks:
         )
         argv = ["--grid", "256", "--reps", "100", "--seed", "2", "--out", str(tmp_path)]
         assert main(["hijab-check", "--model", model, *argv]) == 0
-        payload = json.loads((tmp_path / "hijab.json").read_text())
+        payload = loads((tmp_path / "hijab.json").read_text())
         assert payload["pass"] is True
         assert payload["ito_decay_factor"] >= 1.2
+
+    # A decay factor needs every residual RMS finite and positive.  The tiny
+    # horizon makes both RMS 0; the huge one overflows them to NaN, and the
+    # Hijab model's state past the divergence guard.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ito-check", "--horizon", "1e-300", "--grid", "1", "--reps", "1"], "1 grid steps is 0.0"),
+            (
+                ["hijab-check", "--model", "M", "--horizon", "1e-300", "--grid", "1", "--reps", "1"],
+                "1 grid steps is 0.0",
+            ),
+            (["ito-check", "--horizon", "1e308", "--grid", "4", "--reps", "2"], "4 grid steps is nan"),
+        ],
+    )
+    def test_degenerate_study_names_grid_and_rms(self, tmp_path, capsys, argv, message):
+        model = write(tmp_path / "model.txt", QUADRATIC_MODEL)
+        out = tmp_path / "out"
+        argv = [model if a == "M" else a for a in argv]
+        assert main(argv + ["--seed", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: residual RMS on {message}; no decay factor exists\n"
+        assert not out.exists()
 
     def test_demo_zakai(self, tmp_path, capsys):
         out = tmp_path / "zakai"
@@ -466,7 +528,7 @@ class TestChecks:
             ]
         )
         assert rc == 0
-        summary = json.loads((out / "summary.json").read_text())
+        summary = loads((out / "summary.json").read_text())
         assert summary["positivity_violations"] == 0
         assert summary["hankel_rank"]["rank"] <= 2
         assert 0.0 <= summary["pi_range"][0] <= summary["pi_range"][1] <= 1.0
@@ -500,3 +562,13 @@ class TestEntryPoint:
             env=env,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_report_written_nowhere(self, tmp_path, capsys, value):
+        args = build_parser().parse_args(["ito-check", "--seed", "1", "--out", str(tmp_path)])
+        with pytest.raises(CFError, match="report residuals.json would hold a NaN or infinite value"):
+            _emit(args, "residuals.json", {"reports": [{"rms": value}]})
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from cfrealize import QSpec, make_grid, parse_model, sample_brownian, sample_diffusion_input
+from cfrealize import (
+    QSpec,
+    cf_coefficients,
+    coefficient,
+    make_grid,
+    parse_model,
+    sample_brownian,
+    sample_diffusion_input,
+    simulate_analytic,
+)
 from cfrealize.dupire import (
     CausalFunctional,
     LinearFilterFunctional,
@@ -494,3 +503,70 @@ class TestHijabDecomposition:
         path = study(64, 5, 18)
         bare = SamplePath(path.grid, path.values)
         assert hijab_decomposition_check(model, bare) == hijab_decomposition_check(model, path)
+
+
+class ModelOutput(CausalFunctional):
+    """The output y(t_j) of a model simulated (Heun) along the path prefix
+    up to t_j."""
+
+    name = "model_output"
+
+    def __init__(self, model):
+        self.model = model
+
+    def value(self, grid, values, j):
+        return simulate_analytic(self.model, SamplePath(grid[: j + 1], values[..., : j + 1, :]))[..., -1]
+
+
+class TestDupireDerivativesGiveSeries:
+    """The Chen-Fliess coefficients of words of degree <= 2 read off Dupire
+    derivatives of a model's output at the start, on cells of length 1e-6
+    with bumps of 1e-4, against ``cf_coefficients``.  The expansion is
+    y = sum_w c(w) I_w with the first letter outermost, so a bump of channel
+    k in the first cell and of channel i in the second has mixed derivative
+    I_(i,k) = 1: c(i, k), the later letter first."""
+
+    # The two-channel analytic model of the golden study digests.
+    MODEL = (
+        "n = 2\nm = 2\nx0 = 1/2, -1/4\ng0 = -x1 + 1/4*x2^2, -x2\ng1 = 1/2, 1/3*x1\n"
+        "g2 = 1/2*x2, 1/4 - 1/5*x1*x2\nh = x1^2 + x1*x2 - x2\n"
+    )
+    BUMP = 1e-4
+    # The drift moves every quotient by O(1e-6); the errors seen were 4e-8 to 9e-7.
+    TOL = 5e-6
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        model = parse_model(self.MODEL)
+        series = cf_coefficients(model, 2)
+        path = SamplePath(np.array([0.0, 1e-6, 2e-6]), np.zeros((3, 2)))
+        return ModelOutput(model), path, lambda w: float(coefficient(series, w))
+
+    def test_time_letter_from_horizontal_derivative(self, setting):
+        f, path, c = setting
+        assert horizontal_derivative(f, path, 0) == pytest.approx(c((0,)), abs=self.TOL)
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_first_order_from_vertical_derivative(self, setting, i):
+        f, path, c = setting
+        assert vertical_derivative(f, path, 1, i, h=self.BUMP) == pytest.approx(c((i,)), abs=self.TOL)
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_doubled_letter_from_second_vertical_derivative(self, setting, i):
+        f, path, c = setting
+        got = second_vertical_derivative(f, path, 1, i, i, h=self.BUMP)
+        assert got == pytest.approx(c((i, i)), abs=self.TOL)
+
+    @pytest.mark.parametrize("i, k", [(1, 2), (2, 1)])
+    def test_letter_order_from_bumps_in_successive_cells(self, setting, i, k):
+        f, path, c = setting
+        h = self.BUMP
+        # Replicates (+, +), (+, -), (-, +), (-, -): channel k moves by the
+        # first sign in cell 0, channel i by the second in cell 1.
+        values = np.zeros((4, 3, 2))
+        for r, (sk, si) in enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)]):
+            values[r, 1:, k - 1] += sk * h
+            values[r, 2:, i - 1] += si * h
+        pp, pm, mp, mm = f.value(path.grid, values, 2)
+        assert (pp - pm - mp + mm) / (4 * h * h) == pytest.approx(c((i, k)), abs=self.TOL)
+        assert c((1, 2)) != c((2, 1))  # the order is visible on this model

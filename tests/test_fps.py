@@ -35,6 +35,7 @@ from cfrealize import (
     to_float,
     words_up_to,
 )
+from cfrealize import fps
 from cfrealize.fps import (
     FLOAT,
     MAX_LEVEL_BITS,
@@ -407,6 +408,25 @@ class TestSeriesFile:
         assert peak < 2**20
         assert (err.value.line, err.value.token) == (3, value)
         assert err.value.message.startswith("coefficient value past")
+
+    def test_level_bits_of_non_canonical_values_bounded(self, monkeypatch):
+        # Each 1e10000 is within the value bounds and spells 33 221 bits.
+        # With room for 10 of them per level, levels 0-3 (15 records) parse
+        # and the 11th record of level 4, record 25 on line 27, is refused.
+        monkeypatch.setattr(fps, "MAX_LEVEL_BITS", 10 * 33221)
+        text = "cfseries m=1 N=9 mode=rational\n" + "".join(
+            f"{','.join(map(str, w))};1e10000\n" for w in words_up_to(1, 9)
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                parse_series(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert (err.value.line, err.value.token) == (27, "1e10000")
+        assert err.value.message == "degree-4 coefficient values spell more than 332210 bits"
 
     @pytest.mark.parametrize(
         "value, want", [("1e10000", 10**10000), ("-25e-3", Fraction(-1, 40))], ids=["1e4", "dec"]

@@ -96,6 +96,51 @@ class TestPolyBasics:
         assert P("x1^2*x2", 2).partial(2) == P("x1^2", 2)
 
 
+class TestFloatEvaluatorBlocks:
+    """compile_float evaluates a large x in leading-axis blocks whose power
+    table x ** E stays within MAX_CELLS floats."""
+
+    READOUT = "(x1 + x2 + x3 + 1)^6"  # 84 monomials in 3 variables
+
+    @staticmethod
+    def traced(ev, x):
+        tracemalloc.start()
+        try:
+            return ev(x), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # (40, 257, 3): replicates of states, split into blocks of 8 whole
+    # replicates; (40, 3): one step's states, split into blocks of 8 rows.
+    @pytest.mark.parametrize("shape", [(40, 257, 3), (40, 3)])
+    @pytest.mark.parametrize("several", [False, True])
+    def test_blocks_give_one_call_bytes_under_a_lower_peak(self, monkeypatch, shape, several):
+        import numpy as np
+
+        h = P(self.READOUT, 3)
+        assert len(h.terms) == 84
+        polys = [h, P("x1*x2 - 3*x3^2 + 1/7", 3)] if several else h
+        x = np.random.default_rng(7).standard_normal(shape)
+        whole, whole_peak = self.traced(compile_float(polys), x)
+        monkeypatch.setattr(symdiff, "MAX_CELLS", 9 * x[0].size * 84)
+        blocked, blocked_peak = self.traced(compile_float(polys), x)
+        assert blocked.shape == whole.shape
+        assert blocked.tobytes() == whole.tobytes()
+        assert blocked_peak < whole_peak / 3
+
+    def test_entry_past_bound_splits_its_own_axis(self, monkeypatch):
+        import numpy as np
+
+        h = P(self.READOUT, 3)
+        x = np.random.default_rng(8).standard_normal((2, 3, 65, 3))
+        whole = compile_float(h)(x)
+        monkeypatch.setattr(symdiff, "MAX_CELLS", 65 * 3 * 84 - 1)  # under one (65, 3) entry
+        blocked = compile_float(h)(x)
+        assert blocked.shape == whole.shape
+        # Other gemm calls round differently; the sum of 84 terms cancels.
+        np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-14 * abs(whole).max())
+
+
 class TestLieDerivative:
     def test_constant_field_linear_readout(self):
         g = PolyVectorField((P("1", 2), P("0", 2)))
