@@ -313,7 +313,6 @@ def cmd_demo_zakai(args) -> int:
     model = paths.zakai_build(generator, obs, phi_indicator, init)
     _check_study(args, max(model.m, model.n))
     _check_word_count(model.m, "--deg", args.deg)
-    _atomic_write(os.path.join(args.out, "model.txt"), format_model(model))
 
     s = bilinear_coefficients(model, args.deg)
     block = hankel.hankel_build(s, args.deg // 2, args.deg - args.deg // 2)
@@ -327,6 +326,7 @@ def cmd_demo_zakai(args) -> int:
     pi_max = float(np.max(pi, initial=-np.inf))
     one_dev = float(np.max(np.abs(paths.normalize_filter(sigma_one, sigma_one) - 1.0), initial=0.0))
     columns = {**_path_columns(path), "sigma_phi": sigma_phi, "sigma_one": sigma_one, "pi": pi}
+    _atomic_write(os.path.join(args.out, "model.txt"), format_model(model))
     _write_replicates(args.out, path.grid, columns, min(args.reps, 4))
     summary = {
         "generator": generator,
@@ -438,7 +438,10 @@ _parser = cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # A non-finite study result is refused as one CFError (divergence
+        # guard, decay rule, strict JSON), so numpy's warnings are noise.
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (CFError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,9 @@ index; causality is therefore structural and is also asserted by randomized
 tail-perturbation tests.  So a bump or a stop at index j changes one grid
 row: the derivatives write that row of ``path.values`` in place, evaluate,
 and assign the saved row back, also if the functional raises; no prefix of
-the path is copied (Dupire 2009; Cont & Fournie, arXiv:1002.2446).
+the path is copied (Dupire 2009; Cont & Fournie, arXiv:1002.2446).  A
+cell evaluates each distinct bumped path once, so the residual studies read
+their first and second vertical derivatives from the same values.
 
 Paths may carry leading replicate axes, values (..., J+1, m); a functional
 then returns one value per replicate, and the residual studies evaluate
@@ -108,22 +110,44 @@ def _edited_value(f: CausalFunctional, path: SamplePath, j: int, edit):
         values[..., j, :] = saved
 
 
-def _bumped_value(f: CausalFunctional, path: SamplePath, j: int, *bumps):
-    """Value of f at index j with the path bumped from t_j on by h on each
-    (channel, h) of bumps, in order; channels are 1-based and h is a scalar
-    or one bump per replicate."""
+class _Cell:
+    """Values of f at index j under bumps of sign * h on channels from t_j on,
+    each distinct bumped path evaluated once.  Bumps on distinct channels
+    commute exactly, so a set of (channel, sign) pairs keys a value."""
 
-    def bump(row):
-        for channel, h in bumps:
-            row[..., channel - 1] += h
+    def __init__(self, f: CausalFunctional, path: SamplePath, j: int, h=None):
+        self.f, self.path, self.j, self.h = f, path, j, h
+        self._seen = {}
 
-    return _edited_value(f, path, j, bump)
+    def value(self, *bumps):
+        key = frozenset(bumps)
+        if key not in self._seen:
+            def bump(row):
+                for channel, sign in bumps:
+                    row[..., channel - 1] += sign * self.h
+            self._seen[key] = _edited_value(self.f, self.path, self.j, bump)
+        return self._seen[key]
 
+    def stop_step(self):
+        """f one cell past t_j along the path stopped at t_j, minus f at t_j."""
+        j, values = self.j, self.path.values
+        stopped = _edited_value(self.f, self.path, j + 1, lambda row: np.copyto(row, values[..., j, :]))
+        return stopped - self.value()
 
-def _stop_step(f: CausalFunctional, path: SamplePath, j: int):
-    """f one cell past t_j along the path stopped at t_j, minus f at t_j."""
-    stopped = _edited_value(f, path, j + 1, lambda row: np.copyto(row, path.values[..., j, :]))
-    return stopped - f.value(path.grid, path.values, j)
+    def first(self, channel: int, scheme: str = "central"):
+        up = self.value((channel, 1))
+        if scheme == "forward":
+            return (up - self.value()) / self.h
+        if scheme == "central":
+            return (up - self.value((channel, -1))) / (2.0 * self.h)
+        raise ValueError(f"unknown scheme {scheme!r}")
+
+    def second(self, channel_i: int, channel_j: int):
+        h = self.h
+        if channel_i == channel_j:
+            return (self.value((channel_i, 1)) - 2.0 * self.value() + self.value((channel_i, -1))) / (h * h)
+        pp, pm, mp, mm = (self.value((channel_i, si), (channel_j, sj)) for si in (1, -1) for sj in (1, -1))
+        return (pp - pm - mp + mm) / (4.0 * h * h)
 
 
 def default_bump(path: SamplePath):
@@ -139,7 +163,7 @@ def horizontal_derivative(f: CausalFunctional, path: SamplePath, j: int) -> floa
     cell."""
     if j + 1 >= path.grid.size:
         raise ValueError("horizontal step runs past the horizon")
-    return _stop_step(f, path, j) / (float(path.grid[j + 1]) - float(path.grid[j]))
+    return _Cell(f, path, j).stop_step() / (float(path.grid[j + 1]) - float(path.grid[j]))
 
 
 def vertical_derivative(
@@ -155,16 +179,7 @@ def vertical_derivative(
     ``scheme="central"`` (default) uses symmetric bumps; ``"forward"`` is the
     one-sided quotient matching the defining limit.
     """
-    if h is None:
-        h = default_bump(path)
-    up = _bumped_value(f, path, j, (channel, h))
-    if scheme == "forward":
-        base = f.value(path.grid, path.values, j)
-        return (up - base) / h
-    if scheme == "central":
-        dn = _bumped_value(f, path, j, (channel, -h))
-        return (up - dn) / (2.0 * h)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return _Cell(f, path, j, default_bump(path) if h is None else h).first(channel, scheme)
 
 
 def second_vertical_derivative(
@@ -182,18 +197,7 @@ def second_vertical_derivative(
     noise floor scales like eps / h^2; quantitative residual checks should
     stick to functionals with classical second derivatives.
     """
-    if h is None:
-        h = default_bump(path)
-    if channel_i == channel_j:
-        up = _bumped_value(f, path, j, (channel_i, h))
-        mid = f.value(path.grid, path.values, j)
-        dn = _bumped_value(f, path, j, (channel_i, -h))
-        return (up - 2.0 * mid + dn) / (h * h)
-    pp = _bumped_value(f, path, j, (channel_j, h), (channel_i, h))
-    pm = _bumped_value(f, path, j, (channel_j, -h), (channel_i, h))
-    mp = _bumped_value(f, path, j, (channel_j, h), (channel_i, -h))
-    mm = _bumped_value(f, path, j, (channel_j, -h), (channel_i, -h))
-    return (pp - pm - mp + mm) / (4.0 * h * h)
+    return _Cell(f, path, j, default_bump(path) if h is None else h).second(channel_i, channel_j)
 
 
 def causality_defect(f: CausalFunctional, path: SamplePath, j: int, seed: int = 0) -> float:
@@ -264,30 +268,28 @@ def functional_ito_residual(
     lhs = f.value(grid, vals, jt) - f.value(grid, vals, 0)
     if not np.all(np.isfinite(lhs)):
         raise DivergenceError("functional value is not finite")
-    horiz = 0.0
-    for j in range(jt):
-        horiz += _stop_step(f, path, j)
-    if form == "ito":
-        stoch = 0.0
-        qv = 0.0
-        for j in range(jt):
+    horiz = stoch = qv = 0.0
+    deriv = np.empty((replicates, jt + 1, m)) if form == "strat" else None
+    for j in range(jt + 1):
+        cell = _Cell(f, path, j, h)
+        if form == "strat":
+            deriv[:, j] = np.stack([cell.first(i) for i in range(1, m + 1)], axis=-1)
+        if j == jt:
+            break
+        horiz += cell.stop_step()
+        if form == "ito":
             dw = vals[:, j + 1] - vals[:, j]
             dt = grid[j + 1] - grid[j]
             qmat = q.at(grid[j])
             for i in range(1, m + 1):
-                stoch += vertical_derivative(f, path, j, i, h) * dw[:, i - 1]
+                stoch += cell.first(i) * dw[:, i - 1]
                 for k in range(1, m + 1):
-                    d2 = second_vertical_derivative(f, path, j, i, k, h)
-                    qv += d2 * qmat[k - 1, i - 1] * dt
+                    qv += cell.second(i, k) * qmat[k - 1, i - 1] * dt
+    if form == "ito":
         rhs = horiz + stoch + 0.5 * qv
     else:
-        deriv = np.empty((replicates, jt + 1, m))
-        for j in range(jt + 1):
-            for i in range(1, m + 1):
-                deriv[:, j, i - 1] = vertical_derivative(f, path, j, i, h)
         dw = np.diff(vals[:, : jt + 1], axis=1)
-        stoch = np.sum(0.5 * (deriv[:, :-1] + deriv[:, 1:]) * dw, axis=(1, 2))
-        rhs = horiz + stoch
+        rhs = horiz + np.sum(0.5 * (deriv[:, :-1] + deriv[:, 1:]) * dw, axis=(1, 2))
     residuals = lhs - rhs
     bumps = (float(np.min(h)), float(np.max(h))) if replicates else (0.0, 0.0)
     return ResidualReport(

@@ -534,34 +534,39 @@ class TestChecks:
         assert 0.0 <= summary["pi_range"][0] <= summary["pi_range"][1] <= 1.0
         assert summary["unit_phi_max_deviation"] <= 1e-12
 
+    @pytest.mark.parametrize("horizon", ["nan", "-1"])
+    def test_demo_zakai_refused_horizon_writes_nothing(self, tmp_path, capsys, horizon):
+        out = tmp_path / "z"
+        argv = ["--horizon", horizon, "--grid", "8", "--reps", "1", "--seed", "1", "--out", str(out)]
+        assert main(["demo-zakai", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: horizon must be positive and finite, got {float(horizon)!r}\n"
+        assert not out.exists()
+
+
+def run_module(*argv):
+    """Run ``python -m cfrealize`` in a child process that imports the same
+    cfrealize as this process, however pytest found it."""
+    package_root = str(Path(cfrealize.__file__).resolve().parent.parent)
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-m", "cfrealize", *argv], capture_output=True, text=True, env=env
+    )
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         model = tmp_path / "model.txt"
         model.write_text(DRIFT_MODEL)
-        # The child imports the same cfrealize as this process, however
-        # pytest found it.
-        package_root = str(Path(cfrealize.__file__).resolve().parent.parent)
-        path = [package_root, os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "cfrealize",
-                "coeffs",
-                "--model",
-                str(model),
-                "--deg",
-                "2",
-                "--out",
-                str(tmp_path / "o"),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_module("coeffs", "--model", str(model), "--deg", "2", "--out", str(tmp_path / "o"))
         assert proc.returncode == 0, proc.stderr
+
+    def test_overflowing_study_prints_one_error_line(self):
+        # numpy's floating-point warnings would precede the one CFError line
+        proc = run_module("ito-check", "--horizon", "1e308", "--grid", "4", "--reps", "2", "--seed", "1")
+        assert proc.returncode == 1
+        assert proc.stderr == "error: residual RMS on 4 grid steps is nan; no decay factor exists\n"
 
 
 class TestStrictJson:

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from cfrealize import (
     QSpec,
+    bilinear_coefficients,
     cf_coefficients,
     coefficient,
     make_grid,
@@ -11,6 +14,7 @@ from cfrealize import (
     sample_diffusion_input,
     simulate_analytic,
 )
+from cfrealize.cli import main
 from cfrealize.dupire import (
     CausalFunctional,
     LinearFilterFunctional,
@@ -25,7 +29,15 @@ from cfrealize.dupire import (
     vertical_derivative,
 )
 from cfrealize.paths import SamplePath, replicate_seed
-from cfrealize.symdiff import MultiPoly, PolyVectorField, parse_polynomial
+from cfrealize.symdiff import (
+    MultiPoly,
+    PolyVectorField,
+    ito_correction,
+    lie_derivative,
+    linear_embedding,
+    parse_polynomial,
+    poly_eval,
+)
 
 
 def P(text, n):
@@ -309,8 +321,18 @@ class TestPathRestored:
     @pytest.mark.parametrize("replicates", [None, 3])
     @pytest.mark.parametrize("name", sorted(DERIVATIVES))
     def test_values_bit_identical_after_call(self, replicates, name):
-        derivative = self.DERIVATIVES[name]
         path = sample_brownian(QSpec.identity(2), make_grid(0.25, 16), 5, replicates)
+        self.check_restored(self.DERIVATIVES[name], path)
+
+    @pytest.mark.parametrize("form", ["ito", "strat"])
+    def test_residual_restores_values_after_each_raise(self, form):
+        path = sample_brownian(QSpec.identity(2), make_grid(0.25, 16), 5, 3)
+        self.check_restored(lambda f, p: functional_ito_residual(f, p, 0.0625, form=form), path)
+
+    @staticmethod
+    def check_restored(derivative, path):
+        """``derivative`` leaves ``path.values`` bit-identical when it
+        returns, and when f raises at any one of its evaluations."""
         before = path.values.copy()
         counted = RaiseOnCall(MemorylessFunctional(P("x1 + x2^2*x3", 3), 2), 0)
         derivative(counted, path)
@@ -322,7 +344,6 @@ class TestPathRestored:
                 derivative(RaiseOnCall(counted.f, n), path)
             assert bit_equal(path.values, before)
 
-
     def test_read_only_values_are_copied_not_written(self):
         path = brownian(steps=16, m=2)
         frozen = path.values.copy()
@@ -331,6 +352,30 @@ class TestPathRestored:
         f = MemorylessFunctional(P("x1 + x2^2*x3", 3), 2)
         assert bit_equal(vertical_derivative(f, held, 9, 2), vertical_derivative(f, path, 9, 2))
         assert bit_equal(frozen, path.values)
+
+
+class TestEvaluationCounts:
+    """A cell evaluates f once per distinct path: stopped, unbumped, +-h on
+    each channel and, in the Ito form, the four corners of each pair of
+    channels, 2 + 2m + 2m(m - 1) in all.  The Stratonovich form needs
+    2 + 2m, and 2m more at t for its last trapezoid."""
+
+    @pytest.mark.parametrize("m, ito, strat", [(1, 4, 4), (2, 10, 6)])
+    def test_residual_evaluations_per_cell(self, m, ito, strat):
+        path = sample_brownian(QSpec.identity(m), make_grid(0.25, 16), 5, 3)
+        for form, per_cell, at_t in (("ito", ito, 0), ("strat", strat, 2 * m)):
+            counted = RaiseOnCall(registered(m)[0], 0)
+            functional_ito_residual(counted, path, 0.25, form=form)
+            assert -counted.n == 2 + 16 * per_cell + at_t  # 2 for F(t) - F(0)
+
+    def test_ito_check_evaluations(self, monkeypatch, capsys):
+        calls = []
+        value = MemorylessFunctional.value
+        monkeypatch.setattr(MemorylessFunctional, "value", lambda *a: calls.append(1) or value(*a))
+        main(["ito-check", "--grid", "8", "--reps", "400", "--seed", "1"])
+        # 8 cells of the linear functional and 8 + 16 + 32 of the quadratic,
+        # 4 evaluations each, and 2 per residual for F(t) - F(0)
+        assert len(calls) == 4 * 64 + 2 * 4
 
 
 class TestCausality:
@@ -570,3 +615,44 @@ class TestDupireDerivativesGiveSeries:
         pp, pm, mp, mm = f.value(path.grid, values, 2)
         assert (pp - pm - mp + mm) / (4 * h * h) == pytest.approx(c((i, k)), abs=self.TOL)
         assert c((1, 2)) != c((2, 1))  # the order is visible on this model
+
+    @pytest.mark.parametrize("q", [[[1, 0], [0, 1]], [[1, Fraction(1, 2)], [Fraction(1, 2), 2]]])
+    def test_ito_form_gives_ito_drift(self, setting, q):
+        # D F + 1/2 sum Q_ik d_i d_k F at the start is the Ito drift of the
+        # output, L_{g0} h plus the Ito correction of h under Q.
+        f, path, _ = setting
+        model = f.model
+        got = horizontal_derivative(f, path, 0) + 0.5 * sum(
+            float(q[i - 1][k - 1]) * second_vertical_derivative(f, path, 1, i, k, h=self.BUMP)
+            for i in (1, 2)
+            for k in (1, 2)
+        )
+        firsts = [lie_derivative(g, model.readout) for g in model.fields[1:]]
+        drift = lie_derivative(model.fields[0], model.readout) + ito_correction(model, q, firsts)
+        assert got == pytest.approx(float(poly_eval(drift, model.x0)), abs=self.TOL)
+
+    # The one-channel models of the benchmark's pathwise workload: the
+    # quadratic analytic model, and the two-state bilinear model through its
+    # linear embedding against the bilinear recursion.
+    QUADRATIC = "n = 1\nm = 1\nx0 = 1/2\ng0 = x1\ng1 = 1\nh = x1^2\n"
+    BILINEAR = "n = 2\nm = 1\nx0 = 1, 1/2\nA0 = -1, 1/2, 0, -1/2\nA1 = 1/2, 0, 1/4, -1/4\nC = 1, -1\n"
+
+    @pytest.mark.parametrize(
+        "text, embed, coefficients",
+        [(QUADRATIC, None, cf_coefficients), (BILINEAR, linear_embedding, bilinear_coefficients)],
+        ids=["quadratic", "bilinear_embedding"],
+    )
+    def test_one_channel_models(self, text, embed, coefficients):
+        model = parse_model(text)
+        series = coefficients(model, 2)
+        if embed:
+            model = embed(model)
+        f = ModelOutput(model)
+        path = SamplePath(np.array([0.0, 1e-6, 2e-6]), np.zeros((3, 1)))
+        got = {
+            (0,): horizontal_derivative(f, path, 0),
+            (1,): vertical_derivative(f, path, 1, 1, h=self.BUMP),
+            (1, 1): second_vertical_derivative(f, path, 1, 1, 1, h=self.BUMP),
+        }
+        for word, value in got.items():
+            assert value == pytest.approx(float(coefficient(series, word)), abs=self.TOL)
