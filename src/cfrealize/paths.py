@@ -25,7 +25,8 @@ Conventions shared by everything in this module:
   ``x ** expo`` power (its SIMD dispatch need not match ``x * x``) and the
   ``@`` products, which need not round like a left-to-right sum of products
   (OpenBLAS may fuse multiply-adds), so float outputs are bit-reproducible
-  only on one numpy/BLAS build.
+  only on one numpy/BLAS build.  Affine fields, as of bilinear models and
+  their linear embeddings, call no ``pow``: their monomials are gathered.
 * Replicate k of a study seeded with s is drawn from its own generator,
   seeded ``replicate_seed(s, k) = s ^ k``, and equals the single path
   sampled with that seed; identical seeds and configuration give
@@ -56,6 +57,7 @@ from .symdiff import (
 )
 
 DIVERGENCE_GUARD = 1e12
+GUARD_BLOCK = 64  # simulate_states checks the guard once per this many steps
 
 
 class QSpec:
@@ -354,12 +356,15 @@ def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun"
     Euler-Maruyama for cross-validation, converting with the path's
     covariance rate piece by piece, else with the identity.  A state that is
     not finite, or past ``DIVERGENCE_GUARD`` in absolute value, raises
-    ``DivergenceError``.
+    ``DivergenceError`` naming its step.  The guard reads the states once per
+    ``GUARD_BLOCK`` steps, so a diverging block runs on to its end (under
+    ``np.errstate(all="ignore")``) before the first bad step is named.
 
     The float bits are fixed by the operations, not only by their values:
-    ``compile_float``'s ``x ** expo`` and both ``@`` products (which may fuse
-    multiply-adds) stay with these operand shapes and this contiguity, and x
-    is stepped as its own array, not as a strided view of the states.
+    ``compile_float``'s ``x ** expo`` (a gather for affine fields) and both
+    ``@`` products (which may fuse multiply-adds) stay with these operand
+    shapes and this contiguity, and x is stepped as its own array, not as a
+    strided view of the states.
     """
     if model.m != path.m:
         raise ValueError(f"model has m={model.m} channels, path has {path.m}")
@@ -380,17 +385,22 @@ def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun"
     states[..., 0, :] = x
     # Cell j's increments as one row (..., 1, m+1), a view of incs.
     rows = np.moveaxis(incs[..., None, :], -3, 0)
-    for j, (p, dxi) in enumerate(zip(piece.tolist(), rows), 1):
-        f = evals[p]
-        drift = (dxi @ f(x).reshape(shape))[..., 0, :]
-        if method == "heun":
-            drift = (drift + (dxi @ f(x + drift).reshape(shape))[..., 0, :]) * 0.5
-        x = x + drift
-        states[..., j, :] = x
-        if not abs(x).max(initial=0.0) <= DIVERGENCE_GUARD:  # a NaN fails too
-            raise DivergenceError(
-                f"state not finite or past divergence guard {DIVERGENCE_GUARD:g} at step {j}"
-            )
+    piece = piece.tolist()
+    with np.errstate(all="ignore"):  # the guard reports what overflows
+        for a in range(0, path.steps, GUARD_BLOCK):
+            for j in range(a + 1, min(a + GUARD_BLOCK, path.steps) + 1):
+                f, dxi = evals[piece[j - 1]], rows[j - 1]
+                drift = (dxi @ f(x).reshape(shape))[..., 0, :]
+                if method == "heun":
+                    drift = (drift + (dxi @ f(x + drift).reshape(shape))[..., 0, :]) * 0.5
+                x = x + drift
+                states[..., j, :] = x
+            ok = abs(states[..., a + 1 : j + 1, :]) <= DIVERGENCE_GUARD  # a NaN fails too
+            if not ok.all():
+                bad = a + 1 + int(np.argmin(ok.all(axis=-1).reshape(-1, j - a).all(axis=0)))
+                raise DivergenceError(
+                    f"state not finite or past divergence guard {DIVERGENCE_GUARD:g} at step {bad}"
+                )
     return states
 
 

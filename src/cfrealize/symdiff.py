@@ -220,9 +220,13 @@ def compile_float(polys):
 
     Each monomial is one row of an exponent matrix E (terms, num_vars) and
     of a coefficient matrix C (terms, k); an evaluation is prod(x ** E) @ C,
-    the product taken over the variables left to right.  The power table
-    x ** E holds x.size * terms floats, so a larger x is evaluated in blocks
-    of its leading axis whose tables stay within MAX_CELLS (read when the
+    the product taken over the variables left to right.  When every monomial
+    has degree at most 1 the table is gathered instead, ``x.take(cols)``
+    with 1.0 in the constant column (row 0 of the sorted monomials): the
+    same bits, since x ** 0 = 1, x ** 1 = x and 1.0 * a = a, and ``take``
+    keeps the C order that ``@`` rounds by.  The power table x ** E holds
+    x.size * terms floats, so a larger x is evaluated in blocks of its
+    leading axis whose tables stay within MAX_CELLS (read when the
     evaluator is compiled).
     """
     single = isinstance(polys, MultiPoly)
@@ -236,6 +240,9 @@ def compile_float(polys):
             coef[row[e], k] = float(c)
     expo = np.array(monomials, dtype=float).reshape(len(monomials), num_vars)
     limit = MAX_CELLS // max(len(monomials), 1)  # the most floats of x in one block
+    affine = num_vars > 0 and all(sum(e) <= 1 for e in monomials)
+    cols = np.array([e.index(1) if any(e) else 0 for e in monomials] if affine else [], dtype=np.intp)
+    constant = (0,) * num_vars in row
 
     def ev(x):
         x = np.asarray(x, dtype=float)
@@ -247,10 +254,15 @@ def compile_float(polys):
             # blocks of 4, 8, 16, ... rows of a 2-D x, but not of 2 or 3.
             rows = 1 << (rows.bit_length() - 1)
             return np.concatenate([ev(x[i : i + rows]) for i in range(0, len(x), rows)])
-        powers = x[..., None, :] ** expo
-        mono = powers[..., 0] if num_vars else np.ones(powers.shape[:-1])
-        for i in range(1, num_vars):
-            mono = mono * powers[..., i]
+        if affine:
+            mono = x.take(cols, axis=-1)
+            if constant:
+                mono[..., 0] = 1.0
+        else:
+            powers = x[..., None, :] ** expo
+            mono = powers[..., 0] if num_vars else np.ones(powers.shape[:-1])
+            for i in range(1, num_vars):
+                mono = mono * powers[..., i]
         out = mono @ coef
         return out[..., 0] if single else out
 
@@ -670,16 +682,14 @@ class _Parser:
             e = int(text)
             if nested and p:
                 # Refuse a power too large to build: e * deg(p) is the degree
-                # of p^e, and the e-th powers of p's lex-first and lex-last
-                # terms are terms of p^e, no other product having their
-                # exponents, so a coefficient with b bits gives one of at
-                # least e * (b - 1) + 1 bits.  A variable or a number short
-                # enough to convert stays within both bounds at any exponent.
-                lo, hi = p[min(p)], p[max(p)]
-                b = max(
-                    lo.numerator.bit_length(), lo.denominator.bit_length(),
-                    hi.numerator.bit_length(), hi.denominator.bit_length(),
-                )
+                # of p^e, and the e-th power of a term whose coefficient has
+                # b bits has e * (b - 1) + 1 bits or more.  b is taken over
+                # every term: the lex-first and lex-last terms' powers are
+                # terms of p^e outright, and an interior term's power could
+                # only be cancelled by products of coefficients about as
+                # large.  A variable or a number short enough to convert
+                # stays within both bounds at any exponent.
+                b = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in p.values())
                 if e * max(map(sum, p)) > MAX_DEGREE:
                     raise ParseError(_PAST_DEGREE, column=pos, token=text)
                 if e * (b - 1) + 1 > MAX_COEFFICIENT_BITS:

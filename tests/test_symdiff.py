@@ -568,6 +568,21 @@ class TestPolynomialParser:
             f"product has degree past the limit of {MAX_DEGREE}", 22
         )
 
+    def test_power_of_large_interior_term_refused_before_expanding(self):
+        # the 65 537-bit coefficient sits in the middle term, between the
+        # lex-first and lex-last terms; bounding by those two alone let the
+        # ^16 expand for 0.4 s to a 4.5 MB peak before the product check
+        text = "(x1^2 + ((((2^16)^16)^16)^16)*x1 + 1)^16"
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            P(text, 1)
+        assert time.perf_counter() - start < 0.05  # 7 ms
+        error, peak = rejected_parse(text, 1)
+        assert peak < 2**20  # 47 KB
+        assert (error.message, error.column, error.token) == (symdiff._PAST_BITS, 38, "16")
+        # one factor of 2 less and the power still parses
+        assert len(P("(x1^2 + (((2^16)^16)^16)^15*x1 + 1)^16", 1).terms) == 33
+
     def test_oversized_literal_names_line_and_token(self):
         text = "n = 1\nm = 1\nx0 = 0\ng0 = 1\ng1 = 0\nh = x1 + " + "1" * 5000 + "\n"
         with pytest.raises(ParseError) as err:
