@@ -21,12 +21,11 @@ Conventions shared by everything in this module:
   tables, so series-vs-simulation comparisons are pathwise, not merely in
   distribution, and a diffusion input is the Euler-Ito state of a model.
   A state that is not finite, or past ``DIVERGENCE_GUARD``, stops it with
-  ``DivergenceError``.  The float bits are fixed by ``compile_float``'s
-  ``x ** expo`` power (its SIMD dispatch need not match ``x * x``) and the
-  ``@`` products, which need not round like a left-to-right sum of products
-  (OpenBLAS may fuse multiply-adds), so float outputs are bit-reproducible
-  only on one numpy/BLAS build.  Affine fields, as of bilinear models and
-  their linear embeddings, call no ``pow``: their monomials are gathered.
+  ``DivergenceError``.  ``compile_float`` calls no ``pow``: its monomials
+  are left-to-right products.  So the float bits follow only the ``@``
+  products, which need not round like a left-to-right sum of products
+  (OpenBLAS may fuse multiply-adds): they are reproducible on one BLAS
+  build, whatever numpy's SIMD dispatch.
 * Replicate k of a study seeded with s is drawn from its own generator,
   seeded ``replicate_seed(s, k) = s ^ k``, and equals the single path
   sampled with that seed; identical seeds and configuration give
@@ -137,6 +136,10 @@ class SamplePath:
             raise ValueError("grid must start at 0 and strictly increase")
         if values.ndim < 2 or values.shape[-2] != grid.size:
             raise ValueError("values must have shape (..., len(grid), m)")
+        if not np.isfinite(values).all():
+            *rep, row, _ = np.argwhere(~np.isfinite(values))[0].tolist()
+            where = f"replicate {', '.join(map(str, rep))}, " if rep else ""
+            raise ValueError(f"path value not finite at {where}row {row}")
         if not np.all(values[..., 0, :] == 0.0):
             raise ValueError("path must start at the origin")
         if not values.flags.writeable:
@@ -361,10 +364,10 @@ def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun"
     ``np.errstate(all="ignore")``) before the first bad step is named.
 
     The float bits are fixed by the operations, not only by their values:
-    ``compile_float``'s ``x ** expo`` (a gather for affine fields) and both
-    ``@`` products (which may fuse multiply-adds) stay with these operand
-    shapes and this contiguity, and x is stepped as its own array, not as a
-    strided view of the states.
+    ``compile_float``'s monomials are left-to-right products (no ``pow``),
+    both ``@`` products (which may fuse multiply-adds) stay with these
+    operand shapes and this contiguity, and x is stepped as its own array,
+    not as a strided view of the states.
     """
     if model.m != path.m:
         raise ValueError(f"model has m={model.m} channels, path has {path.m}")

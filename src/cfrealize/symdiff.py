@@ -218,31 +218,30 @@ def compile_float(polys):
     """Compile a polynomial, or k polynomials in the same variables, into a
     numpy evaluator of points x (..., num_vars) giving (...) or (..., k).
 
-    Each monomial is one row of an exponent matrix E (terms, num_vars) and
-    of a coefficient matrix C (terms, k); an evaluation is prod(x ** E) @ C,
-    the product taken over the variables left to right.  When every monomial
-    has degree at most 1 the table is gathered instead, ``x.take(cols)``
-    with 1.0 in the constant column (row 0 of the sorted monomials): the
-    same bits, since x ** 0 = 1, x ** 1 = x and 1.0 * a = a, and ``take``
-    keeps the C order that ``@`` rounds by.  The power table x ** E holds
-    x.size * terms floats, so a larger x is evaluated in blocks of its
-    leading axis whose tables stay within MAX_CELLS (read when the
-    evaluator is compiled).
+    An evaluation is M @ C: the table M (..., terms) of the sorted monomials
+    times their coefficient matrix C (terms, k).  A monomial is the product
+    of its variables left to right, repeats included: x1^2*x2 is
+    (x1 * x1) * x2.  Column t of M starts as its first variable, gathered by
+    ``x.take`` (1.0 for the constant, row 0), and layer d multiplies the
+    columns of degree > d, in place, by their (d+1)-th variable.  No ``pow``
+    is called and each multiply is correctly rounded, so the bits follow only
+    the ``@`` products.  A larger x is evaluated in leading-axis blocks of at
+    most MAX_CELLS // terms floats (read when the evaluator is compiled).
     """
     single = isinstance(polys, MultiPoly)
     polys = [polys] if single else list(polys)
     num_vars = polys[0].num_vars
     monomials = sorted({e for p in polys for e in p.terms})
-    row = {e: t for t, e in enumerate(monomials)}
-    coef = np.zeros((len(monomials), len(polys)))
-    for k, p in enumerate(polys):
-        for e, c in p.terms.items():
-            coef[row[e], k] = float(c)
-    expo = np.array(monomials, dtype=float).reshape(len(monomials), num_vars)
+    coef = np.array([[float(p.terms.get(e, 0)) for p in polys] for e in monomials])
+    coef = coef.reshape(len(monomials), len(polys))  # (0, k) when every polynomial is zero
+    factors = [[i for i, a in enumerate(e) for _ in range(a)] for e in monomials]  # left to right
+    first = np.array([f[0] if f else 0 for f in factors], dtype=np.intp)
+    layers = [  # layer d: (columns of degree > d, their (d+1)-th variables)
+        np.array([(t, f[d]) for t, f in enumerate(factors) if len(f) > d], dtype=np.intp).T
+        for d in range(1, max(map(len, factors), default=0))
+    ]
     limit = MAX_CELLS // max(len(monomials), 1)  # the most floats of x in one block
-    affine = num_vars > 0 and all(sum(e) <= 1 for e in monomials)
-    cols = np.array([e.index(1) if any(e) else 0 for e in monomials] if affine else [], dtype=np.intp)
-    constant = (0,) * num_vars in row
+    constant = (0,) * num_vars in monomials[:1]
 
     def ev(x):
         x = np.asarray(x, dtype=float)
@@ -254,15 +253,13 @@ def compile_float(polys):
             # blocks of 4, 8, 16, ... rows of a 2-D x, but not of 2 or 3.
             rows = 1 << (rows.bit_length() - 1)
             return np.concatenate([ev(x[i : i + rows]) for i in range(0, len(x), rows)])
-        if affine:
-            mono = x.take(cols, axis=-1)
-            if constant:
-                mono[..., 0] = 1.0
-        else:
-            powers = x[..., None, :] ** expo
-            mono = powers[..., 0] if num_vars else np.ones(powers.shape[:-1])
-            for i in range(1, num_vars):
-                mono = mono * powers[..., i]
+        if not num_vars:  # nothing to gather: the constant's column, from a zero one
+            x = np.zeros(x.shape[:-1] + (1,))
+        mono = x.take(first, axis=-1)
+        if constant:
+            mono[..., 0] = 1.0
+        for cols, var in layers:
+            mono[..., cols] *= x.take(var, axis=-1)
         out = mono @ coef
         return out[..., 0] if single else out
 

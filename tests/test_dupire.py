@@ -657,31 +657,46 @@ class TestDupireDerivativesGiveSeries:
         for word, value in got.items():
             assert value == pytest.approx(float(coefficient(series, word)), abs=self.TOL)
 
-    def test_time_letter_words_of_degree_two(self):
-        # Cell 0 then cell 1: a horizontal step and a second one give
-        # c(0, 0); a horizontal step and a bump give c(1, 0); a bump and a
-        # horizontal step give c(0, 1).  Each quotient Q(delta) is off by
-        # O(delta), 2e-4 to 5e-4 on cells of 1e-4, and 2 Q(delta) - Q(2 delta)
-        # cancels that term: the errors seen were 4e-8 to 1.2e-7.
-        model = parse_model(self.QUADRATIC)
-        series = cf_coefficients(model, 2)
-        f, h = ModelOutput(model), self.BUMP
+    def time_letter_words(self, f, m, i):
+        """c(0, 0), c(i, 0) and c(0, i) read on two cells (one path, m channels).
+
+        Cell 0 then cell 1: a horizontal step and a second one give
+        c(0, 0); a horizontal step and a bump give c(i, 0); a bump and a
+        horizontal step give c(0, i).  Each quotient Q(delta) is off by
+        O(delta), 2e-4 to 5e-4 on cells of 1e-4, and 2 Q(delta) - Q(2 delta)
+        cancels that term: the errors seen were 4e-8 to 1.2e-7 on the
+        quadratic m = 1 model and 7e-10 to 6.4e-8 on the m = 2 one."""
+        h = self.BUMP
 
         def quotients(delta):
-            path = SamplePath(np.arange(3) * delta, np.zeros((3, 1)))
+            path = SamplePath(np.arange(3) * delta, np.zeros((3, m)))
 
-            def moved(sign):  # channel 1 bumped by sign * h in cell 0
-                return SamplePath(path.grid, np.array([[0.0], [sign * h], [sign * h]]))
+            def moved(sign):  # channel i bumped by sign * h in cell 0
+                values = np.zeros((3, m))
+                values[1:, i - 1] = sign * h
+                return SamplePath(path.grid, values)
 
             return {
                 (0, 0): (horizontal_derivative(f, path, 1) - horizontal_derivative(f, path, 0)) / delta,
-                (1, 0): (vertical_derivative(f, path, 2, 1, h=h) - vertical_derivative(f, path, 1, 1, h=h))
+                (i, 0): (vertical_derivative(f, path, 2, i, h=h) - vertical_derivative(f, path, 1, i, h=h))
                 / delta,
-                (0, 1): (horizontal_derivative(f, moved(1), 1) - horizontal_derivative(f, moved(-1), 1))
+                (0, i): (horizontal_derivative(f, moved(1), 1) - horizontal_derivative(f, moved(-1), 1))
                 / (2.0 * h),
             }
 
         near, far = quotients(1e-4), quotients(2e-4)
-        for word in near:
-            assert 2.0 * near[word] - far[word] == pytest.approx(float(coefficient(series, word)), abs=self.TOL)
+        return {word: 2.0 * near[word] - far[word] for word in near}
+
+    def test_time_letter_words_of_degree_two(self):
+        model = parse_model(self.QUADRATIC)
+        series = cf_coefficients(model, 2)
+        for word, value in self.time_letter_words(ModelOutput(model), 1, 1).items():
+            assert value == pytest.approx(float(coefficient(series, word)), abs=self.TOL)
         assert (coefficient(series, (1, 0)), coefficient(series, (0, 1))) == (1, 2)  # the order is visible
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_two_channel_time_letter_words_of_degree_two(self, setting, i):
+        f, _, c = setting
+        for word, value in self.time_letter_words(f, 2, i).items():
+            assert value == pytest.approx(c(word), abs=self.TOL)
+        assert c((i, 0)) != c((0, i))  # the order is visible

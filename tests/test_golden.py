@@ -10,9 +10,15 @@ of them has to say why and update the digest on purpose.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cfrealize
 from cfrealize.cli import main
 
 BILINEAR = (
@@ -148,27 +154,27 @@ GOLDEN_STUDIES = {
         "summary.json": "1327430047e0b7ca5ad9cad5eedf85edb40d368381b10833ff97fbe301ecf93e",
     }),
     "hijab_check": (0, {
-        "hijab.json": "21b402ae1e1f4fff337827347813ac260064dfed0c5f70d27bcca8f37b1246e4",
+        "hijab.json": "3425d9303daf1a4c24bf27699fbf1662556de60cccfedb61610424c3795d0d03",
     }),
     "ito_check": (0, {
-        "residuals.json": "ee4ed603503f9899b222dad9cd149d75be26a34d48f56d86a9baa6bf65a8d518",
+        "residuals.json": "b8bae2980a18f7c643b1bfd2064a31eedcef141257c8dad30a1151bf72615f10",
     }),
     "simulate_analytic": (0, {
-        "rep000.csv": "0f5c9ea8f211ded7f80ce6a55130b902c38b711acf8c451ea859a340d0329d5d",
-        "rep001.csv": "cc62fab05648d92f90c106fa48567ae05bd98bdbdf9dbad9339267b9798def3e",
-        "rep002.csv": "5ec77e6fe9d77bae2dd5365f599aa19471165496813297ecade9b76d196d6184",
+        "rep000.csv": "8751a474dbc3f071dd1c6b0490cfd19d675fa78a05e46da1606ce24723036bba",
+        "rep001.csv": "4c3c85886c4b9eebc65ba6567ae673035a740608f8dd82763b1a91fd4018d710",
+        "rep002.csv": "c2e015faaba08c49b267264255e62b0da4a26226b2229efd56512f68643a68e4",
         "summary.json": "8f2744eefd8c85d62b8bbc93dfc3be26145940c488baa2b8b0373d774a1a668d",
     }),
     "simulate_two_channel": (0, {
-        "rep000.csv": "e37176841c38edc882d7b9ec254244d074927e2371b8f08a2920020148276631",
+        "rep000.csv": "484c5633332e943fd390b6225b9aa63d681d2737179c1d58d5dec47d76cddaef",
         "rep001.csv": "45cdf18c741303f609962d5cbb806c5d0bf4af91fc033622d29c565a6a587200",
         "summary.json": "bf189f5c8d285a6c15ac545ed47952e7194948a45905111e4e9339481b300377",
     }),
 }
 
 
-@pytest.mark.parametrize("name", sorted(STUDIES))
-def test_study_artifacts_match_golden_digests(tmp_path, capsys, name):
+def study_digests(tmp_path, name):
+    """The exit code of study ``name`` run in tmp_path, and the digest of each file it wrote."""
     argv, seed = STUDIES[name]
     argv = list(argv)
     if "--model" in argv:
@@ -178,5 +184,44 @@ def test_study_artifacts_match_golden_digests(tmp_path, capsys, name):
         argv[at] = str(model)
     out = tmp_path / "out"
     rc = main(argv + ["--seed", str(seed), "--out", str(out)])
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
-    assert (rc, digests) == GOLDEN_STUDIES[name]
+    return rc, {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name", sorted(STUDIES))
+def test_study_artifacts_match_golden_digests(tmp_path, capsys, name):
+    assert study_digests(tmp_path, name) == GOLDEN_STUDIES[name]
+
+
+# Runs every study in a fresh directory under argv[1] and writes their digests
+# to argv[1]/digests.json.
+CHILD = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+from test_golden import STUDIES, study_digests
+with contextlib.redirect_stdout(io.StringIO()):
+    digests = {name: study_digests(Path(tempfile.mkdtemp(dir=sys.argv[1])), name) for name in STUDIES}
+Path(sys.argv[1], "digests.json").write_text(json.dumps(digests))
+"""
+
+
+def test_study_bytes_do_not_follow_simd_dispatch(tmp_path):
+    """The studies write the same bytes with numpy's AVX-512 loops dispatched
+    and with them switched off (a setting that names a feature the CPU lacks
+    changes nothing, so the two runs then agree trivially).  The processes
+    are compared with each other, so this holds whatever digests are pinned."""
+    package_root = str(Path(cfrealize.__file__).resolve().parent.parent)
+    path = [package_root, str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    runs = []
+    for setting in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}):
+        work = tmp_path / f"run{len(runs)}"
+        work.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, str(work)],
+            capture_output=True, text=True, env={**env, **setting}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads((work / "digests.json").read_text()))
+    assert sorted(runs[0]) == sorted(STUDIES)
+    assert runs[0] == runs[1]

