@@ -29,7 +29,6 @@ from .fps import (
     hankel_column,
     read_series,
     series_linear_combine,
-    series_product,
     shuffle,
     to_float,
     word_index,

@@ -4,7 +4,7 @@ Monte Carlo residual checks of the functional change-of-variable formula.
 Discretized paths are read as piecewise-constant cadlag trajectories: the
 value on [t_j, t_{j+1}) is the grid value at t_j.  That makes the vertical
 bump (adding h to one channel from a grid time onward) exactly representable
-and makes left-endpoint quadrature exact for the running-integral
+and makes left-endpoint quadrature exact for a running integral
 functional.  The horizontal derivative extends the stopped path by one
 grid cell, avoiding any interpolation semantics.
 
@@ -64,37 +64,6 @@ class MemorylessFunctional(CausalFunctional):
         point[..., 0] = grid[j]
         point[..., 1:] = values[..., j, :]
         return self._ev(point)
-
-
-class RunningIntegralFunctional(CausalFunctional):
-    """F(t, w) = integral of w_i over [0, t] (left-endpoint exact for
-    piecewise-constant paths)."""
-
-    def __init__(self, channel: int = 1):
-        if channel < 1:
-            raise ValueError("channel is 1-based")
-        self.channel = channel
-        self.name = f"running_integral_{channel}"
-
-    def value(self, grid, values, j):
-        return values[..., :j, self.channel - 1] @ np.diff(grid[: j + 1])
-
-
-class LinearFilterFunctional(CausalFunctional):
-    """F(t, w) = integral of kernel(t - s) dw_i(s) over [0, t], discretized
-    with left-endpoint kernel weights on each increment."""
-
-    def __init__(self, kernel: MultiPoly, channel: int = 1):
-        if kernel.num_vars != 1:
-            raise ValueError("kernel must be a one-variable polynomial")
-        self.kernel = kernel
-        self._kv = compile_float(kernel)
-        self.channel = channel
-        self.name = f"linear_filter_{channel}"
-
-    def value(self, grid, values, j):
-        weights = self._kv(float(grid[j]) - grid[:j, None])
-        return np.diff(values[..., : j + 1, self.channel - 1], axis=-1) @ weights
 
 
 def _edited_value(f: CausalFunctional, path: SamplePath, j: int, edit):
@@ -198,20 +167,6 @@ def second_vertical_derivative(
     stick to functionals with classical second derivatives.
     """
     return _Cell(f, path, j, default_bump(path) if h is None else h).second(channel_i, channel_j)
-
-
-def causality_defect(f: CausalFunctional, path: SamplePath, j: int, seed: int = 0) -> float:
-    """Max change of f at index j under random perturbation of the strictly
-    later grid values (must be exactly zero for a causal functional)."""
-    rng = np.random.default_rng(seed)
-    base = f.value(path.grid, path.values, j)
-    worst = 0.0
-    for _ in range(4):
-        perturbed = path.values.copy()
-        tail = perturbed[..., j + 1 :, :]
-        tail += rng.standard_normal(tail.shape)
-        worst = max(worst, float(np.max(np.abs(f.value(path.grid, perturbed, j) - base))))
-    return worst
 
 
 @dataclass(frozen=True)

@@ -315,24 +315,6 @@ def series_linear_combine(alpha, r: Series, beta, s: Series) -> Series:
     return Series(r.m, n, combined, r.mode)
 
 
-def series_product(r: Series, s: Series) -> Series:
-    """Concatenation (Cauchy) product, truncated to the smaller validity degree.
-
-    The coefficient of a word w is the sum of r(u)*s(v) over all splittings
-    w = u.v, taken in order of increasing |u|; the product is
-    noncommutative.
-    """
-    _check_pair(r, s)
-    n = min(r.max_degree, s.max_degree)
-    out: dict[Word, object] = {}
-    sc = s.coeffs.items()
-    for u, a in r.coeffs.items():
-        for v, b in sc:
-            if len(u) + len(v) <= n:
-                out[u + v] = out.get(u + v, 0) + a * b
-    return Series(r.m, n, out, r.mode)
-
-
 def shuffle_counts(u: Word, v: Word) -> dict[Word, int]:
     """Multiset of interleavings of u and v as a map word -> multiplicity."""
     return dict(_shuffle_counts(tuple(u), tuple(v)))

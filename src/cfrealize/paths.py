@@ -21,11 +21,15 @@ Conventions shared by everything in this module:
   tables, so series-vs-simulation comparisons are pathwise, not merely in
   distribution, and a diffusion input is the Euler-Ito state of a model.
   A state that is not finite, or past ``DIVERGENCE_GUARD``, stops it with
-  ``DivergenceError``.  ``compile_float`` calls no ``pow``: its monomials
-  are left-to-right products.  So the float bits follow only the ``@``
-  products, which need not round like a left-to-right sum of products
-  (OpenBLAS may fuse multiply-adds): they are reproducible on one BLAS
-  build, whatever numpy's SIMD dispatch.
+  ``DivergenceError``.  Affine fields (``linear_embedding`` of a bilinear
+  model, the Zakai filter) step by the scheme's exact per-cell map in
+  elementwise multiplies and adds of a fixed order: those states follow no
+  BLAS kernel and no SIMD dispatch.  Other fields, the ``compile_float``
+  readouts (whose monomials are left-to-right products, no ``pow``) and
+  ``zakai_readout``'s products follow only their ``@`` products, which need
+  not round like a left-to-right sum of products (OpenBLAS may fuse
+  multiply-adds): they are reproducible on one BLAS build, whatever numpy's
+  SIMD dispatch.
 * Replicate k of a study seeded with s is drawn from its own generator,
   seeded ``replicate_seed(s, k) = s ^ k``, and equals the single path
   sampled with that seed; identical seeds and configuration give
@@ -40,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import prod
 
 import numpy as np
 
@@ -57,6 +62,7 @@ from .symdiff import (
 
 DIVERGENCE_GUARD = 1e12
 GUARD_BLOCK = 64  # simulate_states checks the guard once per this many steps
+AFFINE_MAX_DIM = 3  # the largest n stepped by the affine map (measured crossover)
 
 
 class QSpec:
@@ -121,7 +127,7 @@ class SamplePath:
     """Discretized continuous driving path: values (..., J+1, m) over a
     strictly increasing grid with value 0 at time 0.  Leading axes index
     replicates.  ``q`` optionally records the covariance rate the path was
-    sampled with."""
+    sampled with.  Every value and every increment must be finite."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -136,10 +142,14 @@ class SamplePath:
             raise ValueError("grid must start at 0 and strictly increase")
         if values.ndim < 2 or values.shape[-2] != grid.size:
             raise ValueError("values must have shape (..., len(grid), m)")
-        if not np.isfinite(values).all():
-            *rep, row, _ = np.argwhere(~np.isfinite(values))[0].tolist()
-            where = f"replicate {', '.join(map(str, rep))}, " if rep else ""
-            raise ValueError(f"path value not finite at {where}row {row}")
+        with np.errstate(all="ignore"):  # what overflows is refused below
+            steps = np.diff(values, axis=-2)
+        # A value, then an increment (named by its end row), not finite.
+        for what, table, first in (("value", values, 0), ("increment", steps, 1)):
+            if not np.isfinite(table).all():
+                *rep, row, _ = np.argwhere(~np.isfinite(table))[0].tolist()
+                where = f"replicate {', '.join(map(str, rep))}, " if rep else ""
+                raise ValueError(f"path {what} not finite at {where}row {row + first}")
         if not np.all(values[..., 0, :] == 0.0):
             raise ValueError("path must start at the origin")
         if not values.flags.writeable:
@@ -348,6 +358,77 @@ def exact_rates(path: SamplePath, m: int):
     return exact, q.piece_index(path.grid[:-1])
 
 
+def _affine_parts(fields, n: int):
+    """The transposed matrices (m+1, n, n) and the constants (m+1, n) of
+    affine fields F_i(x) = A_i x + b_i: entry [i, l, k] is A_i[k, l]."""
+    at, b = np.zeros((len(fields), n, n)), np.zeros((len(fields), n))
+    for i, g in enumerate(fields):
+        for k, p in enumerate(g.components):
+            for e, c in p.terms.items():
+                if any(e):
+                    at[i, e.index(1), k] = float(c)
+                else:
+                    b[i, k] = float(c)
+    return at, b
+
+
+def _guard(block, first: int):
+    """Raise ``DivergenceError`` naming the first step of ``block`` (steps
+    on axis 0, the first of them step ``first``) with a state not finite or
+    past ``DIVERGENCE_GUARD``."""
+    ok = abs(block) <= DIVERGENCE_GUARD  # a NaN fails too
+    if not ok.all():
+        bad = first + int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
+        raise DivergenceError(
+            f"state not finite or past divergence guard {DIVERGENCE_GUARD:g} at step {bad}"
+        )
+
+
+def _affine_states(fields, piece, x0, incs, heun: bool) -> np.ndarray:
+    """The states of ``simulate_states`` for affine fields, by the scheme's
+    exact per-cell map (see there).  A block of cells works time-major with
+    the replicates last: a cell's increments (m+1, R), its M^T (n, n, R) and
+    v (n, R), and a state (n, R)."""
+    n, steps = len(x0), incs.shape[-2]
+    at, b = (np.array(p) for p in zip(*(_affine_parts(fs, n) for fs in fields)))
+    dxi = incs.reshape(prod(incs.shape[:-2]), steps, incs.shape[-1])
+    dxi = np.ascontiguousarray(dxi.transpose(1, 2, 0))
+    states = np.empty((dxi.shape[-1], steps + 1, n))
+    x = np.empty((GUARD_BLOCK + 1, n, dxi.shape[-1]))  # x[0] the state before a block
+    x[0] = np.array([float(v) for v in x0])[:, None]
+    states[:, 0] = x[0].T
+    diag = np.arange(n)
+    for a in range(0, steps, GUARD_BLOCK):
+        cells = min(GUARD_BLOCK, steps - a)
+        d, pa, pb = dxi[a : a + cells], at[piece[a : a + cells]], b[piece[a : a + cells]]
+        # t[:, l, p] = B[p, l] and c, each summed over i = 0..m in order
+        t = d[:, 0, None, None] * pa[:, 0, ..., None]
+        c = d[:, 0, None] * pb[:, 0, :, None]
+        for i in range(1, d.shape[1]):
+            t += d[:, i, None, None] * pa[:, i, ..., None]
+            c += d[:, i, None] * pb[:, i, :, None]
+        if heun:  # M = (B + B^2 / 2) + I, v = c + (B c) / 2; sums over p, l in order
+            sq = t[:, :, 0, None] * t[:, None, 0]
+            bc = t[:, 0] * c[:, 0, None]
+            for p in range(1, n):
+                sq += t[:, :, p, None] * t[:, None, p]
+                bc += t[:, p] * c[:, p, None]
+            sq *= 0.5
+            t += sq
+            bc *= 0.5
+            c += bc
+        t[:, diag, diag] += 1.0
+        for mt, v, before, after in zip(t, c, x, x[1:]):
+            np.multiply(mt[0], before[0], out=after)  # (sum_l M[:, l] x_l) + v, l in order
+            for l in range(1, n):
+                after += mt[l] * before[l]
+            after += v
+        _guard(x[1 : cells + 1], a + 1)
+        states[:, a + 1 : a + cells + 1] = x[1 : cells + 1].transpose(2, 0, 1)
+        x[0] = x[cells]
+    return states.reshape(incs.shape[:-2] + states.shape[1:])
+
+
 def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun") -> np.ndarray:
     """States (..., J+1, n) of an analytic model driven by the given path
     (values (..., J+1, m), one state trajectory per replicate): the solution
@@ -363,9 +444,21 @@ def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun"
     ``GUARD_BLOCK`` steps, so a diverging block runs on to its end (under
     ``np.errstate(all="ignore")``) before the first bad step is named.
 
-    The float bits are fixed by the operations, not only by their values:
-    ``compile_float``'s monomials are left-to-right products (no ``pow``),
-    both ``@`` products (which may fuse multiply-adds) stay with these
+    Affine fields F_i(x) = A_i x + b_i (every field of every piece of degree
+    <= 1) in n <= ``AFFINE_MAX_DIM`` dimensions take the scheme's exact map
+    per cell, x_{j+1} = M_j x_j + v_j.  With B = sum_i dxi_i A_i and
+    c = sum_i dxi_i b_i, Heun gives M = (B + B^2 / 2) + I and
+    v = c + (B c) / 2, Euler-Ito M = B + I and v = c.  The maps of one
+    ``GUARD_BLOCK`` of cells are built together, then each cell steps.  Each
+    sum runs over its index in increasing order: i in B and c, p in
+    (B^2)_kl = sum_p B_kp B_pl, l in (B c)_k and in (M x)_k, to which v_k is
+    added last.  These are separate elementwise multiplies and adds, so
+    these states follow no BLAS kernel and no SIMD dispatch.
+
+    Other fields take the polynomial loop, whose float bits are fixed by the
+    operations, not only by their values: ``compile_float``'s monomials are
+    left-to-right products (no ``pow``), both ``@`` products (which may fuse
+    multiply-adds, so the bits follow the BLAS kernel) stay with these
     operand shapes and this contiguity, and x is stepped as its own array,
     not as a strided view of the states.
     """
@@ -379,8 +472,12 @@ def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun"
     else:
         raise ValueError(f"unknown method {method!r}")
     # fields[p] lists F_0..F_m in the cells of piece p; piece[j] names cell j's.
-    evals = [compile_float([c for g in fs for c in g.components]) for fs in fields]
     incs = path.increments()
+    comps = [c for fs in fields for g in fs for c in g.components]
+    if model.n <= AFFINE_MAX_DIM and all(c.total_degree() <= 1 for c in comps):
+        with np.errstate(all="ignore"):  # the guard reports what overflows
+            return _affine_states(fields, piece, model.x0, incs, method == "heun")
+    evals = [compile_float([c for g in fs for c in g.components]) for fs in fields]
     shape = incs.shape[:-2] + (model.m + 1, model.n)
     x = np.empty(shape[:-2] + (model.n,))
     x[...] = [float(v) for v in model.x0]
@@ -398,12 +495,7 @@ def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun"
                     drift = (drift + (dxi @ f(x + drift).reshape(shape))[..., 0, :]) * 0.5
                 x = x + drift
                 states[..., j, :] = x
-            ok = abs(states[..., a + 1 : j + 1, :]) <= DIVERGENCE_GUARD  # a NaN fails too
-            if not ok.all():
-                bad = a + 1 + int(np.argmin(ok.all(axis=-1).reshape(-1, j - a).all(axis=0)))
-                raise DivergenceError(
-                    f"state not finite or past divergence guard {DIVERGENCE_GUARD:g} at step {bad}"
-                )
+            _guard(np.moveaxis(states[..., a + 1 : j + 1, :], -2, 0), a + 1)
     return states
 
 

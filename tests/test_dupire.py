@@ -17,10 +17,7 @@ from cfrealize import (
 from cfrealize.cli import main
 from cfrealize.dupire import (
     CausalFunctional,
-    LinearFilterFunctional,
     MemorylessFunctional,
-    RunningIntegralFunctional,
-    causality_defect,
     default_bump,
     functional_ito_residual,
     hijab_decomposition_check,
@@ -38,6 +35,8 @@ from cfrealize.symdiff import (
     parse_polynomial,
     poly_eval,
 )
+
+from helpers import LinearFilterFunctional, RunningIntegralFunctional, causality_defect
 
 
 def P(text, n):

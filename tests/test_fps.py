@@ -29,7 +29,6 @@ from cfrealize import (
     read_model,
     sample_brownian,
     series_linear_combine,
-    series_product,
     shuffle,
     standard_bracketing,
     to_float,
@@ -50,6 +49,8 @@ from cfrealize.fps import (
     word_key,
     words_of_degree,
 )
+
+from helpers import series_product
 
 words_strategy = st.lists(st.integers(0, 2), max_size=4).map(tuple)
 

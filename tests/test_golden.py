@@ -141,29 +141,29 @@ STUDIES = {
 
 GOLDEN_STUDIES = {
     "compare_bilinear": (0, {
-        "rep000.csv": "d1501b1022ebf6468936187b76f4367f51ec3bd8e139a59ce6cd861362542898",
-        "rep001.csv": "0698a761a4182da28949297aec4da25f1983ec55532e027ae41a034b01fb4f40",
-        "summary.json": "e8c8a8e7889e95ad96f74a89a954aed34bdc870fc1e6a46264b3dee7cbebea91",
+        "rep000.csv": "4d41f0161554060b45ea39dc485feb2aa4189ad8f01f2c06d6a8500ea5951bda",
+        "rep001.csv": "18be424be80180be82912b8b69755760ae0f66d74209483caf36d831280344e5",
+        "summary.json": "1fa9dc95d8b0152dbc178c2ef711107d82b710663bec236d8268f23ff4553762",
     }),
     "demo_zakai": (0, {
         "model.txt": "e24001076e807426a2b01076e2ddab0ef49a317e77e68d2b5d204385078275a9",
-        "rep000.csv": "d549f43dbce90345ab97b7e5cdcf143ba4f2f94b01cf2b759c0830d52856b861",
-        "rep001.csv": "0c9952b0f280b93447fc80b88db2f14877dbf746e905e15f491679faa79e24e1",
-        "rep002.csv": "f2363e1e12815c90a5ff810d9f37ad47071e1f04ccf72380f58821d83b16f250",
-        "rep003.csv": "a6e11dcbc456ef4c4cbb600bbf2ac05e2243d6db566bb28b35cbe0ee459a1dd7",
-        "summary.json": "1327430047e0b7ca5ad9cad5eedf85edb40d368381b10833ff97fbe301ecf93e",
+        "rep000.csv": "4cc8f593ddfa7dbb21e920ce4f1198755f772ce59b321736785ed45e401fcb5e",
+        "rep001.csv": "4f3e4f6903f79bed8e2739241576a54293538245a6bc200ab31133bd3571eaa1",
+        "rep002.csv": "543b26c7347b44c71459bdfb3a93a546fcd78504d04457d41c62511d72e44d61",
+        "rep003.csv": "1ca0dc46f1bd5a849b7bdc152ee166b6cb90e559e74bf936522a92c302a39a38",
+        "summary.json": "c7d5e73514646a65e0fe715b609bad5318079795fd77edee32c5efd08d452451",
     }),
     "hijab_check": (0, {
-        "hijab.json": "3425d9303daf1a4c24bf27699fbf1662556de60cccfedb61610424c3795d0d03",
+        "hijab.json": "652a26ba880c5e6f2e4d762b7708bd7396bc18289a3559a82dbc5c9eaf6d099c",
     }),
     "ito_check": (0, {
         "residuals.json": "b8bae2980a18f7c643b1bfd2064a31eedcef141257c8dad30a1151bf72615f10",
     }),
     "simulate_analytic": (0, {
-        "rep000.csv": "8751a474dbc3f071dd1c6b0490cfd19d675fa78a05e46da1606ce24723036bba",
-        "rep001.csv": "4c3c85886c4b9eebc65ba6567ae673035a740608f8dd82763b1a91fd4018d710",
-        "rep002.csv": "c2e015faaba08c49b267264255e62b0da4a26226b2229efd56512f68643a68e4",
-        "summary.json": "8f2744eefd8c85d62b8bbc93dfc3be26145940c488baa2b8b0373d774a1a668d",
+        "rep000.csv": "532c3cd3976ef2500e6527fb84d84f1c44ea5013a5c86da64fd6fb4bea3be7db",
+        "rep001.csv": "f840ffcaa1da4b18836d4df89db14d711b52abb87ce4643671d9bd97339f0871",
+        "rep002.csv": "5a4d4deb6912852b8b9c0334f839d1c272b71f61804908e4401ede6e0ca6fae8",
+        "summary.json": "7707e74dbc30118275857f8adb2ab7e1e0b40387be33203b79d951b7db616e99",
     }),
     "simulate_two_channel": (0, {
         "rep000.csv": "484c5633332e943fd390b6225b9aa63d681d2737179c1d58d5dec47d76cddaef",
@@ -225,3 +225,48 @@ def test_study_bytes_do_not_follow_simd_dispatch(tmp_path):
         runs.append(json.loads((work / "digests.json").read_text()))
     assert sorted(runs[0]) == sorted(STUDIES)
     assert runs[0] == runs[1]
+
+
+# Prints the digests of simulate_states on the golden ANALYTIC model and the
+# demo-zakai filter embedding, each with both schemes, as one JSON list.
+STATES_CHILD = """
+import hashlib, json
+from cfrealize import QSpec, make_grid, parse_model, sample_brownian, simulate_states
+from cfrealize.paths import zakai_build
+from cfrealize.symdiff import linear_embedding
+from test_golden import ANALYTIC
+zakai = zakai_build([[-1, 1], [1, -1]], [0, 1], [0, 1], ["1/2", "1/2"])
+path = sample_brownian(QSpec.identity(1), make_grid(1.0, 256), 3, 5)
+print(json.dumps([
+    hashlib.sha256(simulate_states(model, path, method).tobytes()).hexdigest()
+    for model in (parse_model(ANALYTIC), linear_embedding(zakai))
+    for method in ("heun", "euler_ito")
+]))
+"""
+
+
+def test_affine_states_do_not_follow_blas_kernel_or_simd_dispatch():
+    """Affine fields step by elementwise multiplies and adds in a fixed
+    order, so their states keep their bytes under two other OpenBLAS kernels
+    and without numpy's AVX-512 loops.  (The ``@`` loop's states move under
+    both kernels on an AVX-512 host.)"""
+    package_root = str(Path(cfrealize.__file__).resolve().parent.parent)
+    path = [package_root, str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
+        env.pop(name, None)
+    runs = []
+    for setting in (
+        {},
+        {"OPENBLAS_CORETYPE": "Haswell"},
+        {"OPENBLAS_CORETYPE": "Prescott"},
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", STATES_CHILD],
+            capture_output=True, text=True, env={**env, **setting}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert len(runs[0]) == 4
+    assert all(run == runs[0] for run in runs[1:])

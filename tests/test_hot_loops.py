@@ -7,13 +7,18 @@ evaluator built on ``np.multiply.reduce`` of a power table, and a
 row-by-row CSV join.  ``compile_float`` forms each monomial as a product of
 its variables taken left to right and calls no ``pow``; for polynomials of
 degree <= 1 that is the power table's bits, for higher degrees it is those
-of a per-point product in Python floats, the second reference.  The new
+of a per-point product in Python floats, the second reference.  Affine
+fields in at most ``AFFINE_MAX_DIM`` dimensions step by the scheme's exact
+per-cell map instead: ``reference_affine_states`` applies it to each
+replicate in Python floats, in the same order of operations, and the step
+loop stays the oracle of their values within a rounding bound.  The new
 code must give the same bytes, not merely close floats.
 """
 
 import random
 import warnings
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -21,7 +26,14 @@ import pytest
 from cfrealize import QSpec, make_grid, parse_model, sample_brownian, simulate_states
 from cfrealize.cli import _write_replicates
 from cfrealize.errors import DivergenceError
-from cfrealize.paths import DIVERGENCE_GUARD, GUARD_BLOCK, SamplePath, exact_rates
+from cfrealize.paths import (
+    AFFINE_MAX_DIM,
+    DIVERGENCE_GUARD,
+    GUARD_BLOCK,
+    SamplePath,
+    exact_rates,
+    zakai_build,
+)
 from cfrealize.symdiff import MultiPoly, compile_float, linear_embedding, stratonovich_to_ito_drift
 
 from conftest import rand_analytic, rand_bilinear, rand_poly
@@ -84,12 +96,24 @@ def reference_evaluator(polys):
     return (reference_compile_float if affine else reference_product_float)(polys)
 
 
-def reference_simulate_states(model, path, method, guard=DIVERGENCE_GUARD):
+def reference_fields(model, path, method):
+    """F_0..F_m of each piece of the path's covariance, and the piece of each cell."""
     if method == "heun":
-        fields, piece = [model.fields], np.zeros(path.steps, dtype=int)
-    else:
-        rates, piece = exact_rates(path, model.m)
-        fields = [(stratonovich_to_ito_drift(model, r), *model.fields[1:]) for r in rates]
+        return [model.fields], np.zeros(path.steps, dtype=int)
+    rates, piece = exact_rates(path, model.m)
+    return [(stratonovich_to_ito_drift(model, r), *model.fields[1:]) for r in rates], piece
+
+
+def takes_map(model, path, method):
+    """Whether ``simulate_states`` steps this model by the affine map."""
+    fields, _ = reference_fields(model, path, method)
+    degrees = [c.total_degree() for fs in fields for g in fs for c in g.components]
+    return model.n <= AFFINE_MAX_DIM and max(degrees) <= 1
+
+
+def reference_loop_states(model, path, method, guard=DIVERGENCE_GUARD):
+    """Heun or Euler-Ito through a ``step`` closure, one ``@`` per stage."""
+    fields, piece = reference_fields(model, path, method)
     evals = [reference_evaluator([c for g in fs for c in g.components]) for fs in fields]
     incs = path.increments()
     shape = incs.shape[:-2] + (model.m + 1, model.n)
@@ -112,6 +136,67 @@ def reference_simulate_states(model, path, method, guard=DIVERGENCE_GUARD):
         if np.any(np.abs(x) > guard):
             raise DivergenceError(f"step {j + 1}")
     return states
+
+
+def ordered_sum(terms):
+    """The terms added left to right from the first (a 0.0 start would turn -0.0 into 0.0)."""
+    terms = iter(terms)
+    total = next(terms)
+    for t in terms:
+        total = total + t
+    return total
+
+
+def reference_affine_states(model, path, method, guard=DIVERGENCE_GUARD):
+    """Each replicate stepped in Python floats by the map of affine fields
+    F_i(x) = A_i x + b_i: B = sum_i dxi_i A_i and c = sum_i dxi_i b_i; Heun
+    M = (B + 0.5 * B B) + I and v = c + 0.5 * B c, Euler-Ito M = B + I and
+    v = c; then x' = (sum_l M[:, l] x_l) + v.  Every sum runs left to right
+    over its index, as ``simulate_states`` adds."""
+    fields, piece = reference_fields(model, path, method)
+    n, heun = model.n, method == "heun"
+    parts = []
+    for fs in fields:
+        mats = [[[0.0] * n for _ in range(n)] for _ in fs]
+        consts = [[0.0] * n for _ in fs]
+        for a, b, g in zip(mats, consts, fs):
+            for k, p in enumerate(g.components):
+                for e, c in p.terms.items():
+                    if any(e):
+                        a[k][e.index(1)] = float(c)
+                    else:
+                        b[k] = float(c)
+        parts.append((mats, consts))
+    incs = path.increments()
+    cells = incs.reshape(prod(incs.shape[:-2]), path.steps, model.m + 1)
+    states = np.empty((len(cells), path.grid.size, n))
+    for r, dxis in enumerate(cells.tolist()):
+        x = [float(v) for v in model.x0]
+        states[r, 0] = x
+        for j, dxi in enumerate(dxis):
+            mats, consts = parts[piece[j]]
+            b = [[ordered_sum(d * a[k][l] for d, a in zip(dxi, mats)) for l in range(n)] for k in range(n)]
+            c = [ordered_sum(d * v[k] for d, v in zip(dxi, consts)) for k in range(n)]
+            mx, v = b, c
+            if heun:
+                mx = [
+                    [b[k][l] + 0.5 * ordered_sum(b[k][p] * b[p][l] for p in range(n)) for l in range(n)]
+                    for k in range(n)
+                ]
+                v = [c[k] + 0.5 * ordered_sum(b[k][l] * c[l] for l in range(n)) for k in range(n)]
+            for k in range(n):
+                mx[k][k] = mx[k][k] + 1.0
+            x = [ordered_sum(mx[k][l] * x[l] for l in range(n)) + v[k] for k in range(n)]
+            states[r, j + 1] = x
+            if any(abs(xk) > guard for xk in x):
+                raise DivergenceError(f"step {j + 1}")
+    return states.reshape(incs.shape[:-2] + states.shape[1:])
+
+
+def reference_simulate_states(model, path, method, guard=DIVERGENCE_GUARD):
+    """The reference for the stepper ``simulate_states`` picks."""
+    affine = takes_map(model, path, method)
+    return (reference_affine_states if affine else reference_loop_states)(model, path, method, guard)
 
 
 def reference_divergence(model, path, method):
@@ -196,6 +281,62 @@ class TestIntegratorBytes:
             assert single.tobytes() == reference_compile_float(polys[0])(x).tobytes()
 
 
+# The bilinear model of the pathwise_mc benchmark workload.
+PATHWISE_BILINEAR = (
+    "type = bilinear\nn = 2\nm = 1\nx0 = 1, 1/2\nA0 = -1, 1/2, 0, -1/2\nA1 = 1/2, 0, 1/4, -1/4\nC = 1, -1\n"
+)
+
+
+def zakai_embedding():
+    """The linear embedding of the filter model demo-zakai simulates."""
+    return linear_embedding(zakai_build([[-1, 1], [1, -1]], [0, 1], [0, 1], ["1/2", "1/2"]))
+
+
+class TestAffineMap:
+    """Affine fields step by the exact per-cell map of the scheme, whose
+    bits are those of ``reference_affine_states``; the ``@`` loop stays the
+    oracle of its values."""
+
+    def test_map_matches_loop_reference_within_bound(self):
+        rng = random.Random(2201)
+        grid = make_grid(0.25, 1024)
+        worst = 0.0
+        for k in range(10):
+            n, m = rng.randint(1, 3), rng.randint(1, 2)
+            model = rand_analytic(rng, n, m, field_deg=1)
+            for method, q in (
+                ("heun", QSpec.identity(m)),
+                ("euler_ito", QSpec.identity(m)),
+                ("euler_ito", piecewise_q(m)),
+            ):
+                path = sample_brownian(q, grid, 400 + k, 3)
+                assert takes_map(model, path, method)
+                got = simulate_states(model, path, method)
+                want = reference_loop_states(model, path, method)
+                worst = max(worst, (abs(got - want) / np.maximum(1.0, abs(want))).max())
+        assert worst <= 1e-11, worst
+
+    def test_study_models_take_their_stepper(self):
+        from test_acceptance import QUADRATIC_MODEL
+        from test_golden import TWO_CHANNEL
+
+        affine = [parse_model(QUADRATIC_MODEL), linear_embedding(parse_model(PATHWISE_BILINEAR))]
+        cases = [(model, True) for model in (*affine, zakai_embedding())]
+        cases.append((parse_model(TWO_CHANNEL), False))  # quadratic fields
+        grid = make_grid(1.0, 200)
+        for model, affine in cases:
+            for method in ("heun", "euler_ito"):
+                path = sample_brownian(QSpec.identity(model.m), grid, 11, 4)
+                assert takes_map(model, path, method) == affine
+                got = simulate_states(model, path, method).tobytes()
+                loop = reference_loop_states(model, path, method).tobytes()
+                if affine:
+                    assert got == reference_affine_states(model, path, method).tobytes()
+                    assert got != loop
+                else:
+                    assert got == loop
+
+
 def rand_affine(rng, n, constant):
     """A polynomial of degree <= 1 in n variables, with a constant term or without."""
     exponents = [tuple(int(i == k) for i in range(n)) for k in range(n)]
@@ -263,8 +404,9 @@ class TestBlockedGuard:
     DivergenceError must name the step a per-step guard names."""
 
     # x = x0 + W on both schemes, so a spike in the path is a spike in x.
-    # A spike of 1e308 is finite in the path, but the Heun state is
-    # (1e308 + 1e308) * 0.5 = inf and, one step on, inf - inf = NaN.
+    # These fields are affine, so the spike of 1e308 is the state's.  In
+    # the polynomial loop the Heun state would be (1e308 + 1e308) * 0.5 = inf
+    # and, one step on, inf - inf = NaN: see SPIKE_MODELS below.
     SPIKE_MODEL = "n = 1\nm = 1\nx0 = 0\ng0 = 0\ng1 = 1\nh = x1\n"
 
     @pytest.mark.parametrize("replicates", [None, 3])
@@ -289,6 +431,29 @@ class TestBlockedGuard:
         values = np.zeros((101, 1))
         values[50:, 0] = DIVERGENCE_GUARD
         assert divergence(model, SamplePath(make_grid(1.0, 100), values), method) is None
+
+    # The same spikes through either stepper: the polynomial loop (x2 stays
+    # 0, so x1 = W) and the affine map of fields that couple the states.
+    SPIKE_MODELS = {
+        "loop": "n = 2\nm = 1\nx0 = 0, 0\ng0 = 0, x2^2\ng1 = 1, 0\nh = x1\n",
+        "map": "n = 2\nm = 1\nx0 = 0, 1\ng0 = -1/2*x1, x1 - x2\ng1 = 1, 1/4*x2\nh = x1\n",
+    }
+
+    @pytest.mark.parametrize("replicates", [None, 3])
+    @pytest.mark.parametrize("method", ["heun", "euler_ito"])
+    @pytest.mark.parametrize("stepper", sorted(SPIKE_MODELS))
+    def test_spikes_name_the_reference_step(self, stepper, method, replicates):
+        model = parse_model(self.SPIKE_MODELS[stepper])
+        for bad in (1, 64, 65, 90, 100):
+            for spike in (2e12, -2e12, 1e308, -1e308):
+                values = np.zeros((3, 101, 1))
+                values[2, bad, 0] = spike
+                values[0, min(bad + 3, 100), 0] = spike  # a later trip elsewhere
+                path = SamplePath(make_grid(1.0, 100), values if replicates else values[2])
+                assert takes_map(model, path, method) == (stepper == "map")
+                want = reference_divergence(model, path, method)
+                assert want.endswith(f" at step {bad}"), want
+                assert divergence(model, path, method) == want, (bad, spike)
 
     def test_random_models_name_the_reference_step(self):
         rng = random.Random(2012)

@@ -111,6 +111,25 @@ class TestSamplePath:
         values[5:] = 0.0
         assert SamplePath(grid, values).increments().shape == (8, 2)
 
+    def test_overflowing_increments_refused_without_warning(self):
+        # Rows 1.7e308 then -1.7e308 are finite, their difference is not: the
+        # path is refused before an increment reaches a step loop.
+        model = parse_model("n = 1\nm = 1\nx0 = 0\ng0 = 0\ng1 = 1\nh = x1\n")
+        grid = make_grid(1.0, 4)
+        values = np.zeros((5, 1))
+        values[2], values[3] = 1.7e308, -1.7e308
+        batch = np.zeros((2, 5, 1))
+        batch[1] = values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^path increment not finite at row 3$"):
+                simulate_states(model, SamplePath(grid, values))
+            with pytest.raises(ValueError, match="^path increment not finite at replicate 1, row 3$"):
+                simulate_states(model, SamplePath(grid, batch))
+            values[3] = 0.0  # each increment finite: the state trips the guard
+            with pytest.raises(DivergenceError, match="at step 2$"):
+                simulate_states(model, SamplePath(grid, values))
+
 
 class TestSampleBrownian:
     def test_increment_covariance_oracle(self):
