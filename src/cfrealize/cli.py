@@ -85,10 +85,12 @@ def _check_cells(cells: int, flags: str) -> None:
 
 def _check_study(args, width: int, scale: int = 1) -> None:
     """Reject a study before anything is built or sampled: a replicate count
-    below 1, or paths and states of --reps x (--grid * scale + 1) x width
-    cells past MAX_CELLS."""
+    or a grid step count below 1, or paths and states of --reps x
+    (--grid * scale + 1) x width cells past MAX_CELLS."""
     if args.reps < 1:
         raise CFError(f"--reps must be at least 1, got {args.reps}")
+    if args.grid < 1:
+        raise CFError(f"--grid must be at least 1, got {args.grid}")
     cells = args.reps * (args.grid * scale + 1) * width
     _check_cells(cells, f"--reps {args.reps} and --grid {args.grid}")
 

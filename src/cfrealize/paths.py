@@ -21,15 +21,12 @@ Conventions shared by everything in this module:
   tables, so series-vs-simulation comparisons are pathwise, not merely in
   distribution, and a diffusion input is the Euler-Ito state of a model.
   A state that is not finite, or past ``DIVERGENCE_GUARD``, stops it with
-  ``DivergenceError``.  Affine fields (``linear_embedding`` of a bilinear
-  model, the Zakai filter) step by the scheme's exact per-cell map in
-  elementwise multiplies and adds of a fixed order: those states follow no
-  BLAS kernel and no SIMD dispatch.  Other fields, the ``compile_float``
-  readouts (whose monomials are left-to-right products, no ``pow``) and
-  ``zakai_readout``'s products follow only their ``@`` products, which need
-  not round like a left-to-right sum of products (OpenBLAS may fuse
-  multiply-adds): they are reproducible on one BLAS build, whatever numpy's
-  SIMD dispatch.
+  ``DivergenceError``.  The states, the ``compile_float`` readouts and
+  ``zakai_readout`` are elementwise multiplies and adds, each sum in a fixed
+  order and each monomial a left-to-right product (no ``pow``).  No BLAS
+  product (which may fuse multiply-adds) enters them, so their bytes follow
+  neither the BLAS kernel nor numpy's SIMD dispatch; a study's one product,
+  ``sample_brownian``'s Cholesky factor, is exact for the identity Q.
 * Replicate k of a study seeded with s is drawn from its own generator,
   seeded ``replicate_seed(s, k) = s ^ k``, and equals the single path
   sampled with that seed; identical seeds and configuration give
@@ -43,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import prod
 
@@ -61,7 +59,7 @@ from .symdiff import (
 )
 
 DIVERGENCE_GUARD = 1e12
-GUARD_BLOCK = 64  # simulate_states checks the guard once per this many steps
+GUARD_BLOCK = 64  # simulate_states checks the guard at least once per this many steps
 AFFINE_MAX_DIM = 3  # the largest n stepped by the affine map (measured crossover)
 
 
@@ -358,18 +356,18 @@ def exact_rates(path: SamplePath, m: int):
     return exact, q.piece_index(path.grid[:-1])
 
 
-def _affine_parts(fields, n: int):
-    """The transposed matrices (m+1, n, n) and the constants (m+1, n) of
-    affine fields F_i(x) = A_i x + b_i: entry [i, l, k] is A_i[k, l]."""
-    at, b = np.zeros((len(fields), n, n)), np.zeros((len(fields), n))
-    for i, g in enumerate(fields):
-        for k, p in enumerate(g.components):
-            for e, c in p.terms.items():
-                if any(e):
-                    at[i, e.index(1), k] = float(c)
-                else:
-                    b[i, k] = float(c)
-    return at, b
+def _monomial_table(fields, n: int):
+    """The fields' monomials 1, x_1..x_n, then the others in sorted order,
+    each as its variables left to right; and their coefficients (P, m+1, T,
+    n), entry [p, i, t, k] that of monomial t in component k of F_i in
+    piece p."""
+    base = [tuple(int(i == l) for i in range(n)) for l in range(-1, n)]  # 1, x_1..x_n
+    others = {e for fs in fields for g in fs for c in g.components for e in c.terms} - set(base)
+    monomials = base + sorted(others)
+    coef = np.array(
+        [[[[float(c.terms.get(e, 0)) for c in g.components] for e in monomials] for g in fs] for fs in fields]
+    )
+    return [[i for i, a in enumerate(e) for _ in range(a)] for e in monomials], coef
 
 
 def _guard(block, first: int):
@@ -384,49 +382,57 @@ def _guard(block, first: int):
         )
 
 
-def _affine_states(fields, piece, x0, incs, heun: bool) -> np.ndarray:
-    """The states of ``simulate_states`` for affine fields, by the scheme's
-    exact per-cell map (see there).  A block of cells works time-major with
-    the replicates last: a cell's increments (m+1, R), its M^T (n, n, R) and
-    v (n, R), and a state (n, R)."""
-    n, steps = len(x0), incs.shape[-2]
-    at, b = (np.array(p) for p in zip(*(_affine_parts(fs, n) for fs in fields)))
-    dxi = incs.reshape(prod(incs.shape[:-2]), steps, incs.shape[-1])
-    dxi = np.ascontiguousarray(dxi.transpose(1, 2, 0))
-    states = np.empty((dxi.shape[-1], steps + 1, n))
-    x = np.empty((GUARD_BLOCK + 1, n, dxi.shape[-1]))  # x[0] the state before a block
-    x[0] = np.array([float(v) for v in x0])[:, None]
-    states[:, 0] = x[0].T
-    diag = np.arange(n)
-    for a in range(0, steps, GUARD_BLOCK):
-        cells = min(GUARD_BLOCK, steps - a)
-        d, pa, pb = dxi[a : a + cells], at[piece[a : a + cells]], b[piece[a : a + cells]]
-        # t[:, l, p] = B[p, l] and c, each summed over i = 0..m in order
-        t = d[:, 0, None, None] * pa[:, 0, ..., None]
-        c = d[:, 0, None] * pb[:, 0, :, None]
-        for i in range(1, d.shape[1]):
-            t += d[:, i, None, None] * pa[:, i, ..., None]
-            c += d[:, i, None] * pb[:, i, :, None]
-        if heun:  # M = (B + B^2 / 2) + I, v = c + (B c) / 2; sums over p, l in order
-            sq = t[:, :, 0, None] * t[:, None, 0]
-            bc = t[:, 0] * c[:, 0, None]
-            for p in range(1, n):
-                sq += t[:, :, p, None] * t[:, None, p]
-                bc += t[:, p] * c[:, p, None]
-            sq *= 0.5
-            t += sq
-            bc *= 0.5
-            c += bc
-        t[:, diag, diag] += 1.0
-        for mt, v, before, after in zip(t, c, x, x[1:]):
-            np.multiply(mt[0], before[0], out=after)  # (sum_l M[:, l] x_l) + v, l in order
-            for l in range(1, n):
-                after += mt[l] * before[l]
-            after += v
-        _guard(x[1 : cells + 1], a + 1)
-        states[:, a + 1 : a + cells + 1] = x[1 : cells + 1].transpose(2, 0, 1)
-        x[0] = x[cells]
-    return states.reshape(incs.shape[:-2] + states.shape[1:])
+def _map_cells(coefs, x, heun: bool) -> None:
+    """Step x[0] (n, R) through cells (cells, n+1, n, R) of the coefficients
+    of 1, x_1..x_n by the exact map of affine fields (see
+    ``simulate_states``), writing x[1], x[2], ...: row 0 of a cell is c, row
+    1 + l holds B[:, l]."""
+    t, c = coefs[:, 1:], coefs[:, 0]
+    n = c.shape[1]
+    if heun:  # M = (B + B^2 / 2) + I, v = c + (B c) / 2; sums over p, l in order
+        sq = t[:, :, 0, None] * t[:, None, 0]
+        bc = t[:, 0] * c[:, 0, None]
+        for p in range(1, n):
+            sq += t[:, :, p, None] * t[:, None, p]
+            bc += t[:, p] * c[:, p, None]
+        sq *= 0.5
+        t += sq
+        bc *= 0.5
+        c += bc
+    t[:, range(n), range(n)] += 1.0
+    for mt, v, before, after in zip(t, c, x, x[1:]):
+        np.multiply(mt[0], before[0], out=after)  # (sum_l M[:, l] x_l) + v, l in order
+        for l in range(1, n):
+            after += mt[l] * before[l]
+        after += v
+
+
+def _kernel_cells(coefs, x, heun: bool, factors) -> None:
+    """Step x[0] (n, R) through cells (cells, T, n, R) of the coefficients
+    of the monomials ``factors`` by the polynomial kernel (see
+    ``simulate_states``), writing x[1], x[2], ..."""
+    n = x.shape[1]
+    mono, terms = np.ones((len(factors), x.shape[-1])), np.empty(coefs.shape[1:])
+    higher = list(zip(mono[n + 1 :], factors[n + 1 :]))  # the monomials of degree >= 2
+    later = list(terms[2:])
+
+    def drift(y, ct):
+        mono[1 : n + 1] = y
+        for row, (a, b, *more) in higher:
+            np.multiply(y[a], y[b], out=row)
+            for c in more:
+                row *= y[c]
+        np.multiply(mono[:, None], ct, out=terms)
+        total = terms[0] + terms[1]
+        for term in later:
+            total += term
+        return total
+
+    for ct, before, after in zip(coefs, x, x[1:]):
+        d = drift(before, ct)
+        if heun:
+            d = (d + drift(before + d, ct)) * 0.5
+        np.add(before, d, out=after)
 
 
 def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun") -> np.ndarray:
@@ -441,26 +447,26 @@ def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun"
     covariance rate piece by piece, else with the identity.  A state that is
     not finite, or past ``DIVERGENCE_GUARD`` in absolute value, raises
     ``DivergenceError`` naming its step.  The guard reads the states once per
-    ``GUARD_BLOCK`` steps, so a diverging block runs on to its end (under
+    block of steps, so a diverging block runs on to its end (under
     ``np.errstate(all="ignore")``) before the first bad step is named.
 
-    Affine fields F_i(x) = A_i x + b_i (every field of every piece of degree
-    <= 1) in n <= ``AFFINE_MAX_DIM`` dimensions take the scheme's exact map
-    per cell, x_{j+1} = M_j x_j + v_j.  With B = sum_i dxi_i A_i and
-    c = sum_i dxi_i b_i, Heun gives M = (B + B^2 / 2) + I and
-    v = c + (B c) / 2, Euler-Ito M = B + I and v = c.  The maps of one
-    ``GUARD_BLOCK`` of cells are built together, then each cell steps.  Each
-    sum runs over its index in increasing order: i in B and c, p in
-    (B^2)_kl = sum_p B_kp B_pl, l in (B c)_k and in (M x)_k, to which v_k is
-    added last.  These are separate elementwise multiplies and adds, so
-    these states follow no BLAS kernel and no SIMD dispatch.
-
-    Other fields take the polynomial loop, whose float bits are fixed by the
-    operations, not only by their values: ``compile_float``'s monomials are
-    left-to-right products (no ``pow``), both ``@`` products (which may fuse
-    multiply-adds, so the bits follow the BLAS kernel) stay with these
-    operand shapes and this contiguity, and x is stepped as its own array,
-    not as a strided view of the states.
+    One driver steps time-major with the replicates last, a state (n, R).
+    Per block it contracts the increments into the fields' monomial
+    coefficients C_j[t] = sum_i dxi_{i,j} coef_i[t] (monomials 1, x_1..x_n,
+    then the others sorted; fewer cells than ``GUARD_BLOCK`` when there are
+    more than n + 1, so C is never larger than an affine block's).  Affine
+    fields (every field of every piece of degree <= 1) in
+    n <= ``AFFINE_MAX_DIM`` dimensions then take the scheme's exact map
+    x_{j+1} = M_j x_j + v_j: with c and B the constant and linear parts of
+    C_j, Heun gives M = (B + B^2 / 2) + I and v = c + (B c) / 2, Euler-Ito
+    M = B + I and v = c.  Other fields take the kernel
+    x_{j+1} = x_j + (D(x_j) + D(x_j + D(x_j))) * 0.5 (Heun) or x_j + D(x_j)
+    (Euler-Ito), with D(y) = sum_t mono_t(y) C_j[t] and each monomial a
+    left-to-right product of its variables.  Every sum runs over its index
+    in increasing order from its first term (i; t; p in
+    (B^2)_kl = sum_p B_kp B_pl; l in (B c)_k and (M x)_k, v_k added last) in
+    separate elementwise multiplies and adds, so the states follow no BLAS
+    kernel and no SIMD dispatch.
     """
     if model.m != path.m:
         raise ValueError(f"model has m={model.m} channels, path has {path.m}")
@@ -472,31 +478,29 @@ def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun"
     else:
         raise ValueError(f"unknown method {method!r}")
     # fields[p] lists F_0..F_m in the cells of piece p; piece[j] names cell j's.
+    factors, coef = _monomial_table(fields, model.n)
+    affine = model.n <= AFFINE_MAX_DIM and len(factors) == model.n + 1
+    cells_step = _map_cells if affine else partial(_kernel_cells, factors=factors)
     incs = path.increments()
-    comps = [c for fs in fields for g in fs for c in g.components]
-    if model.n <= AFFINE_MAX_DIM and all(c.total_degree() <= 1 for c in comps):
-        with np.errstate(all="ignore"):  # the guard reports what overflows
-            return _affine_states(fields, piece, model.x0, incs, method == "heun")
-    evals = [compile_float([c for g in fs for c in g.components]) for fs in fields]
-    shape = incs.shape[:-2] + (model.m + 1, model.n)
-    x = np.empty(shape[:-2] + (model.n,))
-    x[...] = [float(v) for v in model.x0]
-    states = np.empty(shape[:-2] + (path.grid.size, model.n))
-    states[..., 0, :] = x
-    # Cell j's increments as one row (..., 1, m+1), a view of incs.
-    rows = np.moveaxis(incs[..., None, :], -3, 0)
-    piece = piece.tolist()
+    dxi = incs.reshape(prod(incs.shape[:-2]), path.steps, model.m + 1)
+    dxi = np.ascontiguousarray(dxi.transpose(1, 2, 0))[:, :, None, None]  # (J, m+1, 1, 1, R)
+    states = np.empty((dxi.shape[-1], path.grid.size, model.n))
+    x = np.empty((GUARD_BLOCK + 1, model.n, dxi.shape[-1]))  # x[0] the state before a block
+    x[0] = np.array([float(v) for v in model.x0])[:, None]
+    states[:, 0] = x[0].T
+    block = max(1, GUARD_BLOCK * (model.n + 1) // len(factors))  # C no larger than an affine block
     with np.errstate(all="ignore"):  # the guard reports what overflows
-        for a in range(0, path.steps, GUARD_BLOCK):
-            for j in range(a + 1, min(a + GUARD_BLOCK, path.steps) + 1):
-                f, dxi = evals[piece[j - 1]], rows[j - 1]
-                drift = (dxi @ f(x).reshape(shape))[..., 0, :]
-                if method == "heun":
-                    drift = (drift + (dxi @ f(x + drift).reshape(shape))[..., 0, :]) * 0.5
-                x = x + drift
-                states[..., j, :] = x
-            _guard(np.moveaxis(states[..., a + 1 : j + 1, :], -2, 0), a + 1)
-    return states
+        for a in range(0, path.steps, block):
+            cells = min(block, path.steps - a)
+            d, pc = dxi[a : a + cells], coef[piece[a : a + cells], ..., None]
+            c = d[:, 0] * pc[:, 0]  # (cells, T, n, R)
+            for i in range(1, model.m + 1):
+                c += d[:, i] * pc[:, i]
+            cells_step(c, x, method == "heun")
+            _guard(x[1 : cells + 1], a + 1)
+            states[:, a + 1 : a + cells + 1] = x[1 : cells + 1].transpose(2, 0, 1)
+            x[0] = x[cells]
+    return states.reshape(incs.shape[:-2] + states.shape[1:])
 
 
 def simulate_analytic(model: AnalyticModel, path: SamplePath, method: str = "heun") -> np.ndarray:
@@ -572,7 +576,9 @@ def normalize_filter(sigma_phi: np.ndarray, sigma_one: np.ndarray) -> np.ndarray
 def zakai_readout(model: BilinearModel, path: SamplePath):
     """Simulate a filter model along every replicate of the path; returns
     (sigma_phi, sigma_one), each (..., J+1): the states of its linear
-    embedding against phi and against the all-ones vector."""
-    states = simulate_states(linear_embedding(model), path)
-    phi = np.array([float(v) for v in model.c])
-    return states @ phi, states @ np.ones(model.n)
+    embedding against phi and against the all-ones vector, through
+    ``compile_float``."""
+    embedding = linear_embedding(model)
+    ones = MultiPoly(model.n, {tuple(int(i == k) for i in range(model.n)): 1 for k in range(model.n)})
+    readouts = compile_float([embedding.readout, ones])(simulate_states(embedding, path))
+    return tuple(np.moveaxis(readouts, -1, 0))

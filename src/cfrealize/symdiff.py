@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AlphabetError, MonomialBudgetError, ParseError
 from .exactla import RowSpan, over_common_denominator
-from .fps import MAX_CELLS, RATIONAL, Series, read_ascii, split_lines
+from .fps import RATIONAL, Series, read_ascii, split_lines
 
 Exponents = tuple[int, ...]
 
@@ -218,50 +218,42 @@ def compile_float(polys):
     """Compile a polynomial, or k polynomials in the same variables, into a
     numpy evaluator of points x (..., num_vars) giving (...) or (..., k).
 
-    An evaluation is M @ C: the table M (..., terms) of the sorted monomials
-    times their coefficient matrix C (terms, k).  A monomial is the product
-    of its variables left to right, repeats included: x1^2*x2 is
-    (x1 * x1) * x2.  Column t of M starts as its first variable, gathered by
-    ``x.take`` (1.0 for the constant, row 0), and layer d multiplies the
-    columns of degree > d, in place, by their (d+1)-th variable.  No ``pow``
-    is called and each multiply is correctly rounded, so the bits follow only
-    the ``@`` products.  A larger x is evaluated in leading-axis blocks of at
-    most MAX_CELLS // terms floats (read when the evaluator is compiled).
+    Each output sums its own terms c * monomial in sorted monomial order,
+    started from its first term.  A monomial is the product of its
+    variables left to right, repeats included: x1^2*x2 is (x1 * x1) * x2,
+    and the constant monomial is 1.0.  The monomials are formed one at a
+    time, each shared by the outputs that use it, so a call's memory does
+    not grow with the number of terms.  Every operation is an elementwise
+    multiply or add, each correctly rounded, so the bits follow neither a
+    BLAS kernel nor numpy's SIMD dispatch.
     """
     single = isinstance(polys, MultiPoly)
     polys = [polys] if single else list(polys)
-    num_vars = polys[0].num_vars
-    monomials = sorted({e for p in polys for e in p.terms})
-    coef = np.array([[float(p.terms.get(e, 0)) for p in polys] for e in monomials])
-    coef = coef.reshape(len(monomials), len(polys))  # (0, k) when every polynomial is zero
-    factors = [[i for i, a in enumerate(e) for _ in range(a)] for e in monomials]  # left to right
-    first = np.array([f[0] if f else 0 for f in factors], dtype=np.intp)
-    layers = [  # layer d: (columns of degree > d, their (d+1)-th variables)
-        np.array([(t, f[d]) for t, f in enumerate(factors) if len(f) > d], dtype=np.intp).T
-        for d in range(1, max(map(len, factors), default=0))
+    firsts = [min(p.terms, default=None) for p in polys]
+    # Per monomial: its variables left to right, and (output, coefficient,
+    # whether the term starts the output's sum) of each output using it.
+    plan = [
+        (
+            [i for i, a in enumerate(e) for _ in range(a)],
+            [(k, float(p.terms[e]), e == f) for k, (p, f) in enumerate(zip(polys, firsts)) if e in p.terms],
+        )
+        for e in sorted({e for p in polys for e in p.terms})
     ]
-    limit = MAX_CELLS // max(len(monomials), 1)  # the most floats of x in one block
-    constant = (0,) * num_vars in monomials[:1]
 
     def ev(x):
         x = np.asarray(x, dtype=float)
-        if x.size > limit and x.ndim > 1:
-            rows = limit // x[0].size
-            if not rows:  # one leading entry is past the bound: split its own axis
-                return np.stack([ev(block) for block in x])
-            # A power of two: OpenBLAS 0.3.31 gave one call's bytes for row
-            # blocks of 4, 8, 16, ... rows of a 2-D x, but not of 2 or 3.
-            rows = 1 << (rows.bit_length() - 1)
-            return np.concatenate([ev(x[i : i + rows]) for i in range(0, len(x), rows)])
-        if not num_vars:  # nothing to gather: the constant's column, from a zero one
-            x = np.zeros(x.shape[:-1] + (1,))
-        mono = x.take(first, axis=-1)
-        if constant:
-            mono[..., 0] = 1.0
-        for cols, var in layers:
-            mono[..., cols] *= x.take(var, axis=-1)
-        out = mono @ coef
-        return out[..., 0] if single else out
+        out = np.zeros((len(polys),) + x.shape[:-1])
+        mono, term = np.empty(x.shape[:-1]), np.empty(x.shape[:-1])
+        for factors, uses in plan:
+            v = x[..., factors[0]] if factors else 1.0
+            for i in factors[1:]:
+                v = np.multiply(v, x[..., i], out=mono)
+            for k, c, first in uses:
+                if first:
+                    np.multiply(v, c, out=out[k, ...])
+                else:
+                    out[k, ...] += np.multiply(v, c, out=term)
+        return out[0] if single else np.moveaxis(out, 0, -1)
 
     return ev
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,16 @@ def rand_analytic(rng, n, m, field_deg=2):
     readout = rand_poly(rng, n, 2, density=0.8)
     x0 = tuple(Fraction(rng.randint(-1, 1)) for _ in range(n))
     return AnalyticModel(n, m, x0, fields, readout)
+
+
+def traced_peak(fn, *args):
+    """The peak bytes tracemalloc traces while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

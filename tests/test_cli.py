@@ -198,25 +198,35 @@ class TestBadCounts:
         assert err.startswith("error: coefficient of word (0, 0, 0, 0, 0, 0, 0, 0) has more than")
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["simulate", "--model", "M"],
-            ["compare", "--model", "M", "--deg", "2"],
-            ["ito-check"],
-            ["hijab-check", "--model", "M"],
-            ["demo-zakai"],
-        ],
-    )
-    @pytest.mark.parametrize("reps", [0, -3])
-    def test_replicate_count_below_one_rejected(self, tmp_path, capsys, command, reps):
+    STUDY_COMMANDS = [
+        ["simulate", "--model", "M"],
+        ["compare", "--model", "M", "--deg", "2"],
+        ["ito-check"],
+        ["hijab-check", "--model", "M"],
+        ["demo-zakai"],
+    ]
+
+    @staticmethod
+    def refused_study(tmp_path, capsys, command, flags):
+        """The error output of a study refused with exit code 1; nothing is written."""
         model = write(tmp_path / "model.txt", QUADRATIC_MODEL)
         out = tmp_path / "out"
         argv = [model if a == "M" else a for a in command]
-        rc = main(argv + ["--reps", str(reps), "--seed", "1", "--out", str(out)])
-        assert rc == 1
-        assert f"--reps must be at least 1, got {reps}" in capsys.readouterr().err
+        assert main(argv + flags + ["--seed", "1", "--out", str(out)]) == 1
         assert not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", STUDY_COMMANDS)
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_replicate_count_below_one_rejected(self, tmp_path, capsys, command, reps):
+        err = self.refused_study(tmp_path, capsys, command, ["--reps", str(reps)])
+        assert f"--reps must be at least 1, got {reps}" in err
+
+    @pytest.mark.parametrize("command", STUDY_COMMANDS)
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_grid_below_one_rejected(self, tmp_path, capsys, command, grid):
+        err = self.refused_study(tmp_path, capsys, command, ["--reps", "2", "--grid", str(grid)])
+        assert err == f"error: --grid must be at least 1, got {grid}\n"
 
 
 class TestRank:

@@ -166,9 +166,9 @@ GOLDEN_STUDIES = {
         "summary.json": "7707e74dbc30118275857f8adb2ab7e1e0b40387be33203b79d951b7db616e99",
     }),
     "simulate_two_channel": (0, {
-        "rep000.csv": "484c5633332e943fd390b6225b9aa63d681d2737179c1d58d5dec47d76cddaef",
-        "rep001.csv": "45cdf18c741303f609962d5cbb806c5d0bf4af91fc033622d29c565a6a587200",
-        "summary.json": "bf189f5c8d285a6c15ac545ed47952e7194948a45905111e4e9339481b300377",
+        "rep000.csv": "3a34772cea081446b2a88ea0e0c9f4422a398462fe4e97c4619b41c505288173",
+        "rep001.csv": "7cacd3fb53592b0a1c8742f63da31e9b36b6e7ee5839b6ef20d4586aa750f811",
+        "summary.json": "0c83a5eff17c7d276cff4e9e84c621d691cca4f473ddb9176c1005e1da606de7",
     }),
 }
 
@@ -192,64 +192,36 @@ def test_study_artifacts_match_golden_digests(tmp_path, capsys, name):
     assert study_digests(tmp_path, name) == GOLDEN_STUDIES[name]
 
 
-# Runs every study in a fresh directory under argv[1] and writes their digests
-# to argv[1]/digests.json.
+# Runs every study in a fresh directory under argv[1] and writes their
+# digests, with those of simulate_states on the golden ANALYTIC model, the
+# demo-zakai filter embedding and the TWO_CHANNEL model, each with both
+# schemes, to argv[1]/digests.json.
 CHILD = """
-import contextlib, io, json, sys, tempfile
+import contextlib, hashlib, io, json, sys, tempfile
 from pathlib import Path
-from test_golden import STUDIES, study_digests
+from cfrealize import QSpec, make_grid, parse_model, sample_brownian, simulate_states
+from cfrealize.paths import zakai_build
+from cfrealize.symdiff import linear_embedding
+from test_golden import ANALYTIC, STUDIES, TWO_CHANNEL, study_digests
 with contextlib.redirect_stdout(io.StringIO()):
     digests = {name: study_digests(Path(tempfile.mkdtemp(dir=sys.argv[1])), name) for name in STUDIES}
+zakai = linear_embedding(zakai_build([[-1, 1], [1, -1]], [0, 1], [0, 1], ["1/2", "1/2"]))
+models = {"analytic": parse_model(ANALYTIC), "zakai": zakai, "two_channel": parse_model(TWO_CHANNEL)}
+for name, model in models.items():
+    path = sample_brownian(QSpec.identity(model.m), make_grid(1.0, 256), 3, 5)
+    for method in ("heun", "euler_ito"):
+        states = simulate_states(model, path, method)
+        digests[f"states {name} {method}"] = hashlib.sha256(states.tobytes()).hexdigest()
 Path(sys.argv[1], "digests.json").write_text(json.dumps(digests))
 """
 
 
-def test_study_bytes_do_not_follow_simd_dispatch(tmp_path):
-    """The studies write the same bytes with numpy's AVX-512 loops dispatched
-    and with them switched off (a setting that names a feature the CPU lacks
-    changes nothing, so the two runs then agree trivially).  The processes
-    are compared with each other, so this holds whatever digests are pinned."""
-    package_root = str(Path(cfrealize.__file__).resolve().parent.parent)
-    path = [package_root, str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    env.pop("NPY_DISABLE_CPU_FEATURES", None)
-    runs = []
-    for setting in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}):
-        work = tmp_path / f"run{len(runs)}"
-        work.mkdir()
-        proc = subprocess.run(
-            [sys.executable, "-c", CHILD, str(work)],
-            capture_output=True, text=True, env={**env, **setting}, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        runs.append(json.loads((work / "digests.json").read_text()))
-    assert sorted(runs[0]) == sorted(STUDIES)
-    assert runs[0] == runs[1]
-
-
-# Prints the digests of simulate_states on the golden ANALYTIC model and the
-# demo-zakai filter embedding, each with both schemes, as one JSON list.
-STATES_CHILD = """
-import hashlib, json
-from cfrealize import QSpec, make_grid, parse_model, sample_brownian, simulate_states
-from cfrealize.paths import zakai_build
-from cfrealize.symdiff import linear_embedding
-from test_golden import ANALYTIC
-zakai = zakai_build([[-1, 1], [1, -1]], [0, 1], [0, 1], ["1/2", "1/2"])
-path = sample_brownian(QSpec.identity(1), make_grid(1.0, 256), 3, 5)
-print(json.dumps([
-    hashlib.sha256(simulate_states(model, path, method).tobytes()).hexdigest()
-    for model in (parse_model(ANALYTIC), linear_embedding(zakai))
-    for method in ("heun", "euler_ito")
-]))
-"""
-
-
-def test_affine_states_do_not_follow_blas_kernel_or_simd_dispatch():
-    """Affine fields step by elementwise multiplies and adds in a fixed
-    order, so their states keep their bytes under two other OpenBLAS kernels
-    and without numpy's AVX-512 loops.  (The ``@`` loop's states move under
-    both kernels on an AVX-512 host.)"""
+@pytest.fixture(scope="module")
+def digests_per_setting(tmp_path_factory):
+    """The child's digests under the default setting, two other OpenBLAS
+    kernels and without numpy's AVX-512 loops, one process each.  (A setting
+    that names a kernel or feature the CPU lacks changes nothing, so the runs
+    then agree trivially.)"""
     package_root = str(Path(cfrealize.__file__).resolve().parent.parent)
     path = [package_root, str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
@@ -262,11 +234,30 @@ def test_affine_states_do_not_follow_blas_kernel_or_simd_dispatch():
         {"OPENBLAS_CORETYPE": "Prescott"},
         {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
     ):
+        work = tmp_path_factory.mktemp("digests")
         proc = subprocess.run(
-            [sys.executable, "-c", STATES_CHILD],
+            [sys.executable, "-c", CHILD, str(work)],
             capture_output=True, text=True, env={**env, **setting}, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        runs.append(json.loads(proc.stdout))
-    assert len(runs[0]) == 4
+        runs.append(json.loads((work / "digests.json").read_text()))
+    return runs
+
+
+def test_study_bytes_do_not_follow_simd_dispatch(digests_per_setting):
+    """The studies write the same bytes under every setting: each float is
+    formed by elementwise multiplies and adds in a fixed order.  The
+    processes are compared with each other, so this holds whatever digests
+    are pinned."""
+    runs = [{name: run[name] for name in STUDIES} for run in digests_per_setting]
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_affine_states_do_not_follow_blas_kernel_or_simd_dispatch(digests_per_setting):
+    """simulate_states keeps its bytes under every setting, for the affine
+    ANALYTIC and Zakai fields and for the TWO_CHANNEL fields, with both
+    schemes.  (The ``@`` loop's states moved under both kernels on an
+    AVX-512 host.)"""
+    runs = [{k: v for k, v in run.items() if k.startswith("states ")} for run in digests_per_setting]
+    assert len(runs[0]) == 6
     assert all(run == runs[0] for run in runs[1:])

@@ -1,18 +1,18 @@
 """Byte-identity oracles for the pathwise hot loops.
 
 The state integrator, the float polynomial evaluator and the replicate CSV
-writer were rewritten for speed with the same arithmetic.  The references
-below are the earlier forms: a step loop through a ``step`` closure, an
-evaluator built on ``np.multiply.reduce`` of a power table, and a
-row-by-row CSV join.  ``compile_float`` forms each monomial as a product of
-its variables taken left to right and calls no ``pow``; for polynomials of
-degree <= 1 that is the power table's bits, for higher degrees it is those
-of a per-point product in Python floats, the second reference.  Affine
-fields in at most ``AFFINE_MAX_DIM`` dimensions step by the scheme's exact
-per-cell map instead: ``reference_affine_states`` applies it to each
-replicate in Python floats, in the same order of operations, and the step
-loop stays the oracle of their values within a rounding bound.  The new
-code must give the same bytes, not merely close floats.
+writer were rewritten for speed; the references below fix their arithmetic
+in Python floats, so the new code must give the same bytes, not merely
+close floats.  ``reference_evaluator`` sums each output's own terms in
+sorted monomial order, a monomial being its variables multiplied left to
+right.  ``reference_states`` steps each replicate in Python floats: every
+cell contracts its increments into the fields' monomial coefficients, then
+affine fields in at most ``AFFINE_MAX_DIM`` dimensions take the scheme's
+exact per-cell map and every other field the polynomial kernel, in the
+same order of operations as ``simulate_states``.  The earlier integrator,
+one ``@`` per Heun stage on a power-table evaluator, stays as
+``reference_loop_states``, the oracle of both steppers' values within a
+rounding bound.  The CSV reference is a row-by-row join.
 """
 
 import random
@@ -36,64 +36,65 @@ from cfrealize.paths import (
 )
 from cfrealize.symdiff import MultiPoly, compile_float, linear_embedding, stratonovich_to_ito_drift
 
-from conftest import rand_analytic, rand_bilinear, rand_poly
+from conftest import rand_analytic, rand_bilinear, rand_poly, traced_peak
 
 
-def reference_table(polys):
-    """The sorted monomials of the polynomials and their coefficient matrix (terms, k)."""
+def ordered_sum(terms):
+    """The terms added left to right from the first (a 0.0 start would turn -0.0 into 0.0)."""
+    terms = iter(terms)
+    total = next(terms)
+    for t in terms:
+        total = total + t
+    return total
+
+
+def ordered_product(factors):
+    """The factors multiplied left to right from the first."""
+    factors = iter(factors)
+    total = next(factors)
+    for f in factors:
+        total = total * f
+    return total
+
+
+def monomial(point, e):
+    """The monomial with exponents e at a point: its variables left to right, repeats included."""
+    factors = [xi for xi, a in zip(point, e) for _ in range(a)]
+    return ordered_product(factors) if factors else 1.0
+
+
+def reference_evaluator(polys):
+    """Each output at each point in Python floats: its own terms c * monomial
+    in sorted monomial order, added left to right from the first (0.0 for
+    the zero polynomial)."""
+    single = isinstance(polys, MultiPoly)
+    polys = [polys] if single else list(polys)
+
+    def value(p, point):
+        terms = [float(c) * monomial(point, e) for e, c in sorted(p.terms.items())]
+        return ordered_sum(terms) if terms else 0.0
+
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        points = x.reshape(prod(x.shape[:-1]), x.shape[-1]).tolist()
+        out = np.array([[value(p, point) for p in polys] for point in points])
+        out = out.reshape(x.shape[:-1] + (len(polys),))
+        return out[..., 0] if single else out
+
+    return ev
+
+
+def power_table_evaluator(polys):
+    """prod(x ** E) @ C: the sorted monomials' power table times their
+    coefficient matrix, the evaluator of ``reference_loop_states``."""
     monomials = sorted({e for p in polys for e in p.terms})
     row = {e: t for t, e in enumerate(monomials)}
     coef = np.zeros((len(monomials), len(polys)))
     for k, p in enumerate(polys):
         for e, c in p.terms.items():
             coef[row[e], k] = float(c)
-    return monomials, coef
-
-
-def reference_compile_float(polys):
-    """prod(x ** E) @ C, the power table: the reference of degree <= 1."""
-    single = isinstance(polys, MultiPoly)
-    polys = [polys] if single else list(polys)
-    monomials, coef = reference_table(polys)
     expo = np.array(monomials, dtype=float).reshape(len(monomials), polys[0].num_vars)
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        out = np.multiply.reduce(x[..., None, :] ** expo, axis=-1) @ coef
-        return out[..., 0] if single else out
-
-    return ev
-
-
-def reference_product_float(polys):
-    """Each monomial at each point in Python floats, 1.0 times its variables
-    taken left to right, repeats included, then the same ``@ C``: the
-    reference of degree >= 2."""
-    single = isinstance(polys, MultiPoly)
-    polys = [polys] if single else list(polys)
-    monomials, coef = reference_table(polys)
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        table = []
-        for point in x.reshape(-1, x.shape[-1]).tolist():
-            for e in monomials:
-                v = 1.0
-                for xi, a in zip(point, e):
-                    for _ in range(a):
-                        v *= xi
-                table.append(v)
-        out = np.array(table).reshape(x.shape[:-1] + (len(monomials),)) @ coef
-        return out[..., 0] if single else out
-
-    return ev
-
-
-def reference_evaluator(polys):
-    """The reference for the kind of polynomial: the power table up to degree 1, products above."""
-    listed = [polys] if isinstance(polys, MultiPoly) else polys
-    affine = all(p.total_degree() <= 1 for p in listed)
-    return (reference_compile_float if affine else reference_product_float)(polys)
+    return lambda x: np.multiply.reduce(x[..., None, :] ** expo, axis=-1) @ coef
 
 
 def reference_fields(model, path, method):
@@ -114,7 +115,7 @@ def takes_map(model, path, method):
 def reference_loop_states(model, path, method, guard=DIVERGENCE_GUARD):
     """Heun or Euler-Ito through a ``step`` closure, one ``@`` per stage."""
     fields, piece = reference_fields(model, path, method)
-    evals = [reference_evaluator([c for g in fs for c in g.components]) for fs in fields]
+    evals = [power_table_evaluator([c for g in fs for c in g.components]) for fs in fields]
     incs = path.increments()
     shape = incs.shape[:-2] + (model.m + 1, model.n)
     x = np.empty(shape[:-2] + (model.n,))
@@ -138,65 +139,77 @@ def reference_loop_states(model, path, method, guard=DIVERGENCE_GUARD):
     return states
 
 
-def ordered_sum(terms):
-    """The terms added left to right from the first (a 0.0 start would turn -0.0 into 0.0)."""
-    terms = iter(terms)
-    total = next(terms)
-    for t in terms:
-        total = total + t
-    return total
+def reference_table(fields, n):
+    """The monomials 1, x_1..x_n, then the others of the fields in sorted
+    order; and per piece and field the coefficient of each monomial in each
+    component, [p][i][t][k]."""
+    base = [tuple(int(i == l) for i in range(n)) for l in range(-1, n)]
+    others = {e for fs in fields for g in fs for c in g.components for e in c.terms} - set(base)
+    monomials = base + sorted(others)
+    coef = [
+        [[[float(c.terms.get(e, 0)) for c in g.components] for e in monomials] for g in fs]
+        for fs in fields
+    ]
+    return monomials, coef
 
 
-def reference_affine_states(model, path, method, guard=DIVERGENCE_GUARD):
-    """Each replicate stepped in Python floats by the map of affine fields
-    F_i(x) = A_i x + b_i: B = sum_i dxi_i A_i and c = sum_i dxi_i b_i; Heun
-    M = (B + 0.5 * B B) + I and v = c + 0.5 * B c, Euler-Ito M = B + I and
-    v = c; then x' = (sum_l M[:, l] x_l) + v.  Every sum runs left to right
-    over its index, as ``simulate_states`` adds."""
+def map_step(cc, x, heun):
+    """One cell of affine fields from C[t][k], the coefficients of 1, x_1..x_n:
+    B[k][l] = C[1 + l][k] and c[k] = C[0][k]; Heun M = (B + 0.5 * B B) + I and
+    v = c + 0.5 * B c, Euler-Ito M = B + I and v = c; x' = (sum_l M[k][l] x_l) + v."""
+    n = len(x)
+    b = [[cc[1 + l][k] for l in range(n)] for k in range(n)]
+    mx, v = b, cc[0]
+    if heun:
+        mx = [
+            [b[k][l] + 0.5 * ordered_sum(b[k][p] * b[p][l] for p in range(n)) for l in range(n)]
+            for k in range(n)
+        ]
+        v = [v[k] + 0.5 * ordered_sum(b[k][l] * v[l] for l in range(n)) for k in range(n)]
+    for k in range(n):
+        mx[k][k] = mx[k][k] + 1.0
+    return [ordered_sum(mx[k][l] * x[l] for l in range(n)) + v[k] for k in range(n)]
+
+
+def kernel_step(cc, x, heun, monomials):
+    """One cell of the polynomial kernel from C[t][k]: D(y) = sum_t mono_t(y) C[t],
+    Heun x + (D(x) + D(x + D(x))) * 0.5, Euler-Ito x + D(x)."""
+
+    def drift(y):
+        mono = [monomial(y, e) for e in monomials]
+        return [ordered_sum(m * ct[k] for m, ct in zip(mono, cc)) for k in range(len(y))]
+
+    d = drift(x)
+    if heun:
+        d = [(a + b) * 0.5 for a, b in zip(d, drift([xk + dk for xk, dk in zip(x, d)]))]
+    return [xk + dk for xk, dk in zip(x, d)]
+
+
+def reference_states(model, path, method, guard=DIVERGENCE_GUARD):
+    """Each replicate stepped in Python floats: per cell the increments
+    contracted into C[t][k] = sum_i dxi_i coef_i[t][k], then the affine map
+    or the polynomial kernel, whichever ``simulate_states`` takes.  Every
+    sum runs left to right over its index, as ``simulate_states`` adds."""
     fields, piece = reference_fields(model, path, method)
-    n, heun = model.n, method == "heun"
-    parts = []
-    for fs in fields:
-        mats = [[[0.0] * n for _ in range(n)] for _ in fs]
-        consts = [[0.0] * n for _ in fs]
-        for a, b, g in zip(mats, consts, fs):
-            for k, p in enumerate(g.components):
-                for e, c in p.terms.items():
-                    if any(e):
-                        a[k][e.index(1)] = float(c)
-                    else:
-                        b[k] = float(c)
-        parts.append((mats, consts))
+    monomials, table = reference_table(fields, model.n)
+    heun, affine = method == "heun", takes_map(model, path, method)
     incs = path.increments()
     cells = incs.reshape(prod(incs.shape[:-2]), path.steps, model.m + 1)
-    states = np.empty((len(cells), path.grid.size, n))
+    states = np.empty((len(cells), path.grid.size, model.n))
     for r, dxis in enumerate(cells.tolist()):
         x = [float(v) for v in model.x0]
         states[r, 0] = x
         for j, dxi in enumerate(dxis):
-            mats, consts = parts[piece[j]]
-            b = [[ordered_sum(d * a[k][l] for d, a in zip(dxi, mats)) for l in range(n)] for k in range(n)]
-            c = [ordered_sum(d * v[k] for d, v in zip(dxi, consts)) for k in range(n)]
-            mx, v = b, c
-            if heun:
-                mx = [
-                    [b[k][l] + 0.5 * ordered_sum(b[k][p] * b[p][l] for p in range(n)) for l in range(n)]
-                    for k in range(n)
-                ]
-                v = [c[k] + 0.5 * ordered_sum(b[k][l] * c[l] for l in range(n)) for k in range(n)]
-            for k in range(n):
-                mx[k][k] = mx[k][k] + 1.0
-            x = [ordered_sum(mx[k][l] * x[l] for l in range(n)) + v[k] for k in range(n)]
+            coef = table[piece[j]]
+            cc = [
+                [ordered_sum(d * ci[t][k] for d, ci in zip(dxi, coef)) for k in range(model.n)]
+                for t in range(len(monomials))
+            ]
+            x = map_step(cc, x, heun) if affine else kernel_step(cc, x, heun, monomials)
             states[r, j + 1] = x
             if any(abs(xk) > guard for xk in x):
                 raise DivergenceError(f"step {j + 1}")
     return states.reshape(incs.shape[:-2] + states.shape[1:])
-
-
-def reference_simulate_states(model, path, method, guard=DIVERGENCE_GUARD):
-    """The reference for the stepper ``simulate_states`` picks."""
-    affine = takes_map(model, path, method)
-    return (reference_affine_states if affine else reference_loop_states)(model, path, method, guard)
 
 
 def reference_divergence(model, path, method):
@@ -204,7 +217,7 @@ def reference_divergence(model, path, method):
     whose state is not finite or past the guard, read off the unguarded
     reference states (None when there is none)."""
     with np.errstate(all="ignore"):
-        states = reference_simulate_states(model, path, method, guard=np.inf)
+        states = reference_states(model, path, method, guard=np.inf)
     for j in range(1, path.grid.size):
         if not abs(states[..., j, :]).max(initial=0.0) <= DIVERGENCE_GUARD:
             return f"state not finite or past divergence guard {DIVERGENCE_GUARD:g} at step {j}"
@@ -247,7 +260,7 @@ class TestIntegratorBytes:
                 ):
                     path = sample_brownian(q, grid, 100 + k, replicates)
                     try:
-                        want = reference_simulate_states(model, path, method)
+                        want = reference_states(model, path, method)
                     except DivergenceError:
                         with pytest.raises(DivergenceError):
                             simulate_states(model, path, method)
@@ -274,11 +287,11 @@ class TestIntegratorBytes:
     def test_evaluator_in_zero_variables(self):
         polys = [MultiPoly.const(0, 3), MultiPoly.const(0, -0.5), MultiPoly.zero(0)]
         for x in (np.empty(0), np.empty((4, 0))):
-            got, want = compile_float(polys)(x), reference_compile_float(polys)(x)
+            got, want = compile_float(polys)(x), reference_evaluator(polys)(x)
             assert got.shape == x.shape[:-1] + (3,)
             assert got.tobytes() == want.tobytes()
             single = compile_float(polys[0])(x)
-            assert single.tobytes() == reference_compile_float(polys[0])(x).tobytes()
+            assert single.tobytes() == reference_evaluator(polys[0])(x).tobytes()
 
 
 # The bilinear model of the pathwise_mc benchmark workload.
@@ -292,28 +305,49 @@ def zakai_embedding():
     return linear_embedding(zakai_build([[-1, 1], [1, -1]], [0, 1], [0, 1], ["1/2", "1/2"]))
 
 
+def worst_loop_gap(rng, models, field_deg, grid, seed):
+    """The largest |x - x_loop| / max(1, |x_loop|) of ``simulate_states``
+    against the ``@`` loop over random models of the given field degree,
+    under Heun, Euler-Ito and piecewise Q, and the runs compared (a run
+    that diverges in both is skipped)."""
+    worst, compared = 0.0, 0
+    for k in range(models):
+        n, m = rng.randint(1, 3), rng.randint(1, 2)
+        model = rand_analytic(rng, n, m, field_deg=field_deg)
+        if max(c.total_degree() for g in model.fields for c in g.components) < min(field_deg, 2):
+            continue  # a draw of degree-2 fields that came out affine
+        for method, q in (
+            ("heun", QSpec.identity(m)),
+            ("euler_ito", QSpec.identity(m)),
+            ("euler_ito", piecewise_q(m)),
+        ):
+            path = sample_brownian(q, grid, seed + k, 3)
+            assert takes_map(model, path, method) == (field_deg <= 1)
+            try:
+                want = reference_loop_states(model, path, method)
+            except DivergenceError:
+                with pytest.raises(DivergenceError):
+                    simulate_states(model, path, method)
+                continue
+            got = simulate_states(model, path, method)
+            worst = max(worst, (abs(got - want) / np.maximum(1.0, abs(want))).max())
+            compared += 1
+    return worst, compared
+
+
 class TestAffineMap:
-    """Affine fields step by the exact per-cell map of the scheme, whose
-    bits are those of ``reference_affine_states``; the ``@`` loop stays the
-    oracle of its values."""
+    """Affine fields step by the exact per-cell map of the scheme and other
+    fields by the polynomial kernel, whose bits are those of
+    ``reference_states``; the ``@`` loop stays the oracle of their values."""
 
     def test_map_matches_loop_reference_within_bound(self):
-        rng = random.Random(2201)
-        grid = make_grid(0.25, 1024)
-        worst = 0.0
-        for k in range(10):
-            n, m = rng.randint(1, 3), rng.randint(1, 2)
-            model = rand_analytic(rng, n, m, field_deg=1)
-            for method, q in (
-                ("heun", QSpec.identity(m)),
-                ("euler_ito", QSpec.identity(m)),
-                ("euler_ito", piecewise_q(m)),
-            ):
-                path = sample_brownian(q, grid, 400 + k, 3)
-                assert takes_map(model, path, method)
-                got = simulate_states(model, path, method)
-                want = reference_loop_states(model, path, method)
-                worst = max(worst, (abs(got - want) / np.maximum(1.0, abs(want))).max())
+        worst, compared = worst_loop_gap(random.Random(2201), 10, 1, make_grid(0.25, 1024), 400)
+        assert compared == 30
+        assert worst <= 1e-11, worst
+
+    def test_kernel_matches_loop_reference_within_bound(self):
+        worst, compared = worst_loop_gap(random.Random(2301), 60, 2, make_grid(0.0625, 256), 500)
+        assert compared >= 130  # 141 of 180 runs; the rest diverge in both or are affine
         assert worst <= 1e-11, worst
 
     def test_study_models_take_their_stepper(self):
@@ -329,12 +363,23 @@ class TestAffineMap:
                 path = sample_brownian(QSpec.identity(model.m), grid, 11, 4)
                 assert takes_map(model, path, method) == affine
                 got = simulate_states(model, path, method).tobytes()
-                loop = reference_loop_states(model, path, method).tobytes()
-                if affine:
-                    assert got == reference_affine_states(model, path, method).tobytes()
-                    assert got != loop
-                else:
-                    assert got == loop
+                assert got == reference_states(model, path, method).tobytes()
+                assert got != reference_loop_states(model, path, method).tobytes()
+
+
+class TestStepperMemory:
+    """The driver contracts the increments into the monomial coefficients a
+    few cells at a time, so the peak of a run does not grow with the
+    fields' number of monomials."""
+
+    FIELDS = "n = 3\nm = 1\nx0 = 0, 0, 0\ng0 = {}, 0, 0\ng1 = 1, 1/2, 1/3\nh = x1\n"
+
+    def test_peak_does_not_grow_with_the_monomials(self):
+        many = parse_model(self.FIELDS.format("1/100*(x1 + x2 + x3 + 1)^3"))  # 20 monomials
+        few = parse_model(self.FIELDS.format("1/100*x1^2"))  # 5 monomials
+        path = sample_brownian(QSpec.identity(1), make_grid(0.5, 128), 5, 200)
+        peak_many, peak_few = (traced_peak(simulate_states, model, path) for model in (many, few))
+        assert peak_many <= 1.2 * peak_few, (peak_many, peak_few)
 
 
 def rand_affine(rng, n, constant):
@@ -349,14 +394,14 @@ def rand_affine(rng, n, constant):
 
 
 class TestAffineEvaluatorBytes:
-    """A degree <= 1 polynomial's monomial table is the gather of x's
-    columns alone, with no multiply; its bits must be those of the power
-    table, since x ** 0 = 1, x ** 1 = x and 1.0 * a = a."""
+    """Degree <= 1 polynomials, the fields and readouts of the affine
+    studies, give the bits of ``reference_evaluator`` on random, strided
+    and special inputs."""
 
     @staticmethod
     def assert_reference_bytes(polys, x):
         for arg in (polys, polys[0]):
-            got, want = compile_float(arg)(x), reference_compile_float(arg)(x)
+            got, want = compile_float(arg)(x), reference_evaluator(arg)(x)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (x.shape, arg)
 
@@ -405,8 +450,8 @@ class TestBlockedGuard:
 
     # x = x0 + W on both schemes, so a spike in the path is a spike in x.
     # These fields are affine, so the spike of 1e308 is the state's.  In
-    # the polynomial loop the Heun state would be (1e308 + 1e308) * 0.5 = inf
-    # and, one step on, inf - inf = NaN: see SPIKE_MODELS below.
+    # the polynomial kernel the Heun state would be (1e308 + 1e308) * 0.5 =
+    # inf and, one step on, inf - inf = NaN: see SPIKE_MODELS below.
     SPIKE_MODEL = "n = 1\nm = 1\nx0 = 0\ng0 = 0\ng1 = 1\nh = x1\n"
 
     @pytest.mark.parametrize("replicates", [None, 3])
@@ -432,8 +477,9 @@ class TestBlockedGuard:
         values[50:, 0] = DIVERGENCE_GUARD
         assert divergence(model, SamplePath(make_grid(1.0, 100), values), method) is None
 
-    # The same spikes through either stepper: the polynomial loop (x2 stays
-    # 0, so x1 = W) and the affine map of fields that couple the states.
+    # The same spikes through either stepper: the step loop of the
+    # polynomial kernel (x2 stays 0, so x1 = W) and the affine map of fields
+    # that couple the states.
     SPIKE_MODELS = {
         "loop": "n = 2\nm = 1\nx0 = 0, 0\ng0 = 0, x2^2\ng1 = 1, 0\nh = x1\n",
         "map": "n = 2\nm = 1\nx0 = 0, 1\ng0 = -1/2*x1, x1 - x2\ng1 = 1, 1/4*x2\nh = x1\n",
@@ -489,7 +535,7 @@ class TestBlockedGuard:
         model = parse_model(self.OVERFLOWING[name])
         path = sample_brownian(QSpec.identity(1), make_grid(4.0, 512), 9, replicates)
         with np.errstate(all="ignore"):
-            states = reference_simulate_states(model, path, "heun", guard=np.inf)
+            states = reference_states(model, path, "heun", guard=np.inf)
         assert not np.isfinite(states[..., 1:GUARD_BLOCK, :]).all()  # the block overflows
         for method in ("heun", "euler_ito"):
             with warnings.catch_warnings():

@@ -38,7 +38,7 @@ from cfrealize.symdiff import (
     ito_correction,
     poly_to_string,
 )
-from conftest import rand_bilinear, rand_fraction, rand_poly
+from conftest import rand_bilinear, rand_fraction, rand_poly, traced_peak
 
 
 def P(text, n):
@@ -97,48 +97,51 @@ class TestPolyBasics:
 
 
 class TestFloatEvaluatorBlocks:
-    """compile_float evaluates a large x in leading-axis blocks of at most
-    MAX_CELLS // terms floats, so its monomial table stays bounded too."""
+    """compile_float works point by point, so a caller may evaluate a large
+    x in leading-axis blocks: the blocks give the bytes of one call, and
+    their peak follows the block, not x."""
 
     READOUT = "(x1 + x2 + x3 + 1)^6"  # 84 monomials in 3 variables
 
-    @staticmethod
-    def traced(ev, x):
-        tracemalloc.start()
-        try:
-            return ev(x), tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    # (40, 257, 3): replicates of states, split into blocks of 8 whole
-    # replicates; (40, 3): one step's states, split into blocks of 8 rows.
-    @pytest.mark.parametrize("shape", [(40, 257, 3), (40, 3)])
+    # (40, 257, 3): replicates of states, in blocks of 8 whole replicates;
+    # (40 * 257, 3): one step's states, in blocks of 2056 rows.
+    @pytest.mark.parametrize("shape", [(40, 257, 3), (40 * 257, 3)])
     @pytest.mark.parametrize("several", [False, True])
-    def test_blocks_give_one_call_bytes_under_a_lower_peak(self, monkeypatch, shape, several):
+    def test_blocks_give_one_call_bytes_under_a_lower_peak(self, shape, several):
         import numpy as np
 
         h = P(self.READOUT, 3)
         assert len(h.terms) == 84
-        polys = [h, P("x1*x2 - 3*x3^2 + 1/7", 3)] if several else h
+        ev = compile_float([h, P("x1*x2 - 3*x3^2 + 1/7", 3)] if several else h)
         x = np.random.default_rng(7).standard_normal(shape)
-        whole, whole_peak = self.traced(compile_float(polys), x)
-        monkeypatch.setattr(symdiff, "MAX_CELLS", 9 * x[0].size * 84)
-        blocked, blocked_peak = self.traced(compile_float(polys), x)
-        assert blocked.shape == whole.shape
-        assert blocked.tobytes() == whole.tobytes()
-        assert blocked_peak < whole_peak / 3
+        whole = ev(x)
+        blocked = np.empty_like(whole)
+        size = len(x) // 5
 
-    def test_entry_past_bound_splits_its_own_axis(self, monkeypatch):
+        def fill():
+            for i in range(0, len(x), size):
+                blocked[i:i + size] = ev(x[i:i + size])
+
+        whole_peak, blocked_peak = traced_peak(ev, x), traced_peak(fill)
+        assert blocked.tobytes() == whole.tobytes()
+        assert blocked_peak < whole_peak / 3, (blocked_peak, whole_peak)
+
+
+class TestFloatEvaluatorMemory:
+    """compile_float forms one monomial at a time, so the peak of a call
+    does not grow with the number of terms."""
+
+    def test_peak_does_not_grow_with_the_monomials(self):
         import numpy as np
 
-        h = P(self.READOUT, 3)
-        x = np.random.default_rng(8).standard_normal((2, 3, 65, 3))
-        whole = compile_float(h)(x)
-        monkeypatch.setattr(symdiff, "MAX_CELLS", 65 * 3 * 84 - 1)  # under one (65, 3) entry
-        blocked = compile_float(h)(x)
-        assert blocked.shape == whole.shape
-        # Other gemm calls round differently; the sum of 84 terms cancels.
-        np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-14 * abs(whole).max())
+        small = P("x1*x2 - 3*x3^2 + 1/7", 3)
+        many = [P("(x1 + x2 + x3 + 1)^6", 3), small]  # 84 monomials
+        few = [small, P("2*x1*x2 + x1", 3)]  # 4 monomials
+        assert len({e for p in many for e in p.terms}) == 84
+        assert len({e for p in few for e in p.terms}) == 4
+        x = np.random.default_rng(7).standard_normal((40, 257, 3))
+        peak_many, peak_few = (traced_peak(compile_float(polys), x) for polys in (many, few))
+        assert abs(peak_many - peak_few) <= 0.1 * peak_few, (peak_many, peak_few)
 
 
 class TestLieDerivative:
