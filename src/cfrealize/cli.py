@@ -4,7 +4,9 @@ Every command is a pure function of its input files, flags, and seed:
 repeated invocations produce byte-identical outputs.  Stochastic commands
 require an explicit --seed; there is no wall-clock default.  They sample all
 their noise in ``_study_path``.  Reports always carry the truncation
-parameters and tolerances they were computed with.
+parameters and tolerances they were computed with.  The per-replicate CSVs
+of a study are written by up to one worker per usable CPU (forked children
+after every number is computed); their bytes do not depend on how many.
 """
 
 from __future__ import annotations
@@ -104,12 +106,47 @@ def _series_coefficients(model, deg: int):
 def _write_replicates(out: str, grid, columns: dict[str, np.ndarray], count: int) -> None:
     """One CSV per replicate k < count, rep<k>.csv, from (R, J+1) columns.
     The header and time column are formatted once, into a template that
-    %-formats a replicate's values row by row (%r of a float is its repr)."""
+    %-formats a replicate's values row by row (%r of a float is its repr).
+
+    The files are independent, so up to one worker per usable CPU writes
+    them: this process writes replicates k = 0, W, 2W, ... and W - 1 forked
+    children the others (k = w mod W), each ending in ``os._exit``.  Every
+    child is reaped before this returns or raises.  A child that fails has
+    its replicates written again here, where a real error raises with its
+    own path; so is the share of a fork that fails.  The bytes do not
+    depend on W; with one replicate nothing forks."""
     row = ",%r" * len(columns) + "\n"
     template = ",".join(["t", *columns]) + "\n" + "".join([repr(t) + row for t in grid.tolist()])
-    for rep in range(count):
-        values = np.stack([col[rep] for col in columns.values()], axis=-1).ravel().tolist()
-        _atomic_write(os.path.join(out, f"rep{rep:03d}.csv"), template % tuple(values))
+
+    def write(reps) -> None:
+        for rep in reps:
+            values = np.stack([col[rep] for col in columns.values()], axis=-1).ravel().tolist()
+            _atomic_write(os.path.join(out, f"rep{rep:03d}.csv"), template % tuple(values))
+
+    affinity = getattr(os, "sched_getaffinity", None)  # the usable CPUs, where the OS tells
+    workers = min(count, len(affinity(0)) if affinity else 1)
+    shares = [range(w, count, workers) for w in range(workers)]
+    children, failed = {}, []
+    try:
+        for share in shares[1:]:
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this share is written here
+                failed.append(share)
+                continue
+            if pid == 0:  # the child: write its share, never return
+                status = 1
+                try:
+                    write(share)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[pid] = share
+        write(shares[0])
+    finally:
+        failed += [share for pid, share in children.items() if os.waitpid(pid, 0)[1] != 0]
+    for share in failed:
+        write(share)
 
 
 def cmd_coeffs(args) -> int:

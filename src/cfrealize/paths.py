@@ -451,11 +451,12 @@ def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun"
     ``np.errstate(all="ignore")``) before the first bad step is named.
 
     One driver steps time-major with the replicates last, a state (n, R).
-    Per block it contracts the increments into the fields' monomial
-    coefficients C_j[t] = sum_i dxi_{i,j} coef_i[t] (monomials 1, x_1..x_n,
-    then the others sorted; fewer cells than ``GUARD_BLOCK`` when there are
-    more than n + 1, so C is never larger than an affine block's).  Affine
-    fields (every field of every piece of degree <= 1) in
+    Per block it takes the increments from the path values (no copy of the
+    whole increment stream is held) and contracts them into the fields'
+    monomial coefficients C_j[t] = sum_i dxi_{i,j} coef_i[t] (monomials 1,
+    x_1..x_n, then the others sorted; fewer cells than ``GUARD_BLOCK`` when
+    there are more than n + 1, so C is never larger than an affine block's).
+    Affine fields (every field of every piece of degree <= 1) in
     n <= ``AFFINE_MAX_DIM`` dimensions then take the scheme's exact map
     x_{j+1} = M_j x_j + v_j: with c and B the constant and linear parts of
     C_j, Heun gives M = (B + B^2 / 2) + I and v = c + (B c) / 2, Euler-Ito
@@ -481,26 +482,33 @@ def simulate_states(model: AnalyticModel, path: SamplePath, method: str = "heun"
     factors, coef = _monomial_table(fields, model.n)
     affine = model.n <= AFFINE_MAX_DIM and len(factors) == model.n + 1
     cells_step = _map_cells if affine else partial(_kernel_cells, factors=factors)
-    incs = path.increments()
-    dxi = incs.reshape(prod(incs.shape[:-2]), path.steps, model.m + 1)
-    dxi = np.ascontiguousarray(dxi.transpose(1, 2, 0))[:, :, None, None]  # (J, m+1, 1, 1, R)
-    states = np.empty((dxi.shape[-1], path.grid.size, model.n))
-    x = np.empty((GUARD_BLOCK + 1, model.n, dxi.shape[-1]))  # x[0] the state before a block
+    lead = path.values.shape[:-2]
+    # (J+1, m, R): each block's increments are taken from it when it is stepped
+    values = path.values.reshape(prod(lead), path.grid.size, model.m).transpose(1, 2, 0)
+    dt = np.diff(path.grid)[:, None, None, None]
+    reps = values.shape[-1]
+    states = np.empty((reps, path.grid.size, model.n))
+    x = np.empty((GUARD_BLOCK + 1, model.n, reps))  # x[0] the state before a block
     x[0] = np.array([float(v) for v in model.x0])[:, None]
     states[:, 0] = x[0].T
     block = max(1, GUARD_BLOCK * (model.n + 1) // len(factors))  # C no larger than an affine block
+    dw = np.empty((block, model.m, 1, 1, reps))  # a block's dW_1..dW_m per cell
     with np.errstate(all="ignore"):  # the guard reports what overflows
         for a in range(0, path.steps, block):
             cells = min(block, path.steps - a)
-            d, pc = dxi[a : a + cells], coef[piece[a : a + cells], ..., None]
-            c = d[:, 0] * pc[:, 0]  # (cells, T, n, R)
-            for i in range(1, model.m + 1):
-                c += d[:, i] * pc[:, i]
+            d, pc = dw[:cells], coef[piece[a : a + cells], ..., None]
+            np.subtract(values[a + 1 : a + cells + 1], values[a : a + cells], out=d[:, :, 0, 0])
+            # (cells, T, n, R), summed in place so that two blocks of C at most are live;
+            # i = 1 then i = 0 is the sum over i = 0, 1, since addition commutes
+            c = d[:, 0] * pc[:, 1]
+            c += dt[a : a + cells] * pc[:, 0]
+            for i in range(2, model.m + 1):
+                c += d[:, i - 1] * pc[:, i]
             cells_step(c, x, method == "heun")
             _guard(x[1 : cells + 1], a + 1)
             states[:, a + 1 : a + cells + 1] = x[1 : cells + 1].transpose(2, 0, 1)
             x[0] = x[cells]
-    return states.reshape(incs.shape[:-2] + states.shape[1:])
+    return states.reshape(lead + states.shape[1:])
 
 
 def simulate_analytic(model: AnalyticModel, path: SamplePath, method: str = "heun") -> np.ndarray:

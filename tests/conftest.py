@@ -1,3 +1,4 @@
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -52,6 +53,27 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def count_forks(monkeypatch, cpus: int) -> list:
+    """Make ``cpus`` CPUs usable by this process (whatever the host has) and
+    wrap ``os.fork``; the returned list gets one entry per fork this process
+    makes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child() -> None:
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

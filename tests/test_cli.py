@@ -1,17 +1,21 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cfrealize
-from cfrealize import coefficient, read_series
-from cfrealize.cli import _emit, build_parser, main
+from cfrealize import cli, coefficient, read_series
+from cfrealize.cli import _emit, _write_replicates, build_parser, main
 from cfrealize.errors import CFError
 from cfrealize.fps import MAX_CELLS, MAX_WORDS, word_count
+from conftest import assert_no_child, count_forks
 
 DRIFT_MODEL = "n = 1\nm = 1\nx0 = 0\ng0 = 1\ng1 = 0\nh = x1\n"
 SCALAR_BILINEAR = (
@@ -554,15 +558,98 @@ class TestChecks:
         assert not out.exists()
 
 
-def run_module(*argv):
-    """Run ``python -m cfrealize`` in a child process that imports the same
-    cfrealize as this process, however pytest found it."""
+def run_python(*argv):
+    """Run Python in a child process that imports the same cfrealize as this
+    process, however pytest found it."""
     package_root = str(Path(cfrealize.__file__).resolve().parent.parent)
     path = [package_root, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    return subprocess.run(
-        [sys.executable, "-m", "cfrealize", *argv], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def run_module(*argv):
+    """Run ``python -m cfrealize`` as ``run_python`` does."""
+    return run_python("-m", "cfrealize", *argv)
+
+
+class TestReplicateWorkers:
+    """The replicate CSVs are written by forked workers: a failed write
+    surfaces here as one error line, and no child outlives a call."""
+
+    GRID = np.linspace(0.0, 1.0, 5)
+
+    @staticmethod
+    def columns(count):
+        return {"W1": np.arange(count * 5.0).reshape(count, 5) / 3}
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_directory_in_the_way_is_one_error_line(self, tmp_path, capsys, monkeypatch, cpus):
+        forks = count_forks(monkeypatch, cpus)
+        model = write(tmp_path / "model.txt", QUADRATIC_MODEL)
+        out = tmp_path / "cmp"
+        (out / "rep001.csv").mkdir(parents=True)
+        argv = ["compare", "--model", model, "--deg", "2", "--grid", "16", "--reps", "3"]
+        assert main(argv + ["--seed", "1", "--out", str(out)]) == 1
+        assert len(forks) == cpus - 1
+        assert_no_child()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert repr(str(out / "rep001.csv")) in err
+        assert (out / "rep001.csv").is_dir()
+        assert not (out / "summary.json").exists()
+        assert not [p.name for p in out.iterdir() if p.name.startswith(".tmp-")]
+
+    def test_own_share_raising_waits_for_the_running_child(self, tmp_path, monkeypatch):
+        count_forks(monkeypatch, 2)
+        parent, atomic_write = os.getpid(), cli._atomic_write
+
+        def failing_here(path, text):
+            if os.getpid() == parent:
+                raise OSError(f"refused {path}")
+            time.sleep(0.3)  # the child still runs when this process raises
+            atomic_write(path, text)
+
+        monkeypatch.setattr(cli, "_atomic_write", failing_here)
+        with pytest.raises(OSError, match="refused .*rep000.csv"):
+            _write_replicates(str(tmp_path), self.GRID, self.columns(2), 2)
+        assert (tmp_path / "rep001.csv").is_file()  # the child's write ended first
+        assert_no_child()
+
+    @pytest.mark.parametrize("how", ["killed", "raises"])
+    def test_failed_child_share_is_written_here(self, tmp_path, monkeypatch, how):
+        _write_replicates(str(tmp_path / "want"), self.GRID, self.columns(5), 5)
+        forks = count_forks(monkeypatch, 3)
+        parent, atomic_write = os.getpid(), cli._atomic_write
+
+        def failing_in_children(path, text):
+            if os.getpid() != parent:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise KeyboardInterrupt
+            atomic_write(path, text)
+
+        monkeypatch.setattr(cli, "_atomic_write", failing_in_children)
+        _write_replicates(str(tmp_path / "got"), self.GRID, self.columns(5), 5)
+        assert len(forks) == 2
+        assert_no_child()
+        assert read_bytes_map(tmp_path / "got") == read_bytes_map(tmp_path / "want")
+
+    def test_children_flush_no_stdio_and_run_no_atexit(self, tmp_path):
+        # stdout to a pipe is block-buffered: a child that flushed it, or ran
+        # the atexit hook, would print its line twice
+        script = (
+            "import atexit, os\n"
+            "import numpy as np\n"
+            "from cfrealize.cli import _write_replicates\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "atexit.register(print, 'atexit')\n"
+            "print('before')\n"
+            f"_write_replicates({str(tmp_path)!r}, np.linspace(0, 1, 3), {{'W1': np.zeros((3, 3))}}, 3)\n"
+        )
+        proc = run_python("-c", script)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "before\natexit\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rep000.csv", "rep001.csv", "rep002.csv"]
 
 
 class TestEntryPoint:

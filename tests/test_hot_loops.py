@@ -12,9 +12,11 @@ exact per-cell map and every other field the polynomial kernel, in the
 same order of operations as ``simulate_states``.  The earlier integrator,
 one ``@`` per Heun stage on a power-table evaluator, stays as
 ``reference_loop_states``, the oracle of both steppers' values within a
-rounding bound.  The CSV reference is a row-by-row join.
+rounding bound.  The CSV reference is a row-by-row join, which the files
+must match however many workers write them.
 """
 
+import os
 import random
 import warnings
 from fractions import Fraction
@@ -36,7 +38,7 @@ from cfrealize.paths import (
 )
 from cfrealize.symdiff import MultiPoly, compile_float, linear_embedding, stratonovich_to_ito_drift
 
-from conftest import rand_analytic, rand_bilinear, rand_poly, traced_peak
+from conftest import assert_no_child, count_forks, rand_analytic, rand_bilinear, rand_poly, traced_peak
 
 
 def ordered_sum(terms):
@@ -544,18 +546,58 @@ class TestBlockedGuard:
             assert message == reference_divergence(model, path, method)
 
 
+def special_columns(count):
+    """A grid and W1, Y_sim, pi columns for ``count`` replicates: replicates
+    0 and 1 of Y_sim hold special values forwards and backwards, the others
+    random draws at 1e8; pi is -Y_sim."""
+    grid = np.concatenate([[0.0], np.cumsum([0.1, 1 / 3, 0.7, 1e-05, 2.5, 1 / 7])])
+    special = [-0.0, 1e-05, 1e16, 5e-324, -1.5e-300, 0.1 + 0.2, 2.0**0.5]
+    gen = np.random.default_rng(1709)
+    w = gen.standard_normal((count, grid.size))
+    y = np.array([special, special[::-1], *(gen.standard_normal(grid.size) * 1e8 for _ in range(count - 2))])
+    return grid, {"W1": w, "Y_sim": y, "pi": -y}
+
+
+def assert_reference_files(directory, grid, columns, count):
+    assert sorted(p.name for p in directory.iterdir()) == [f"rep{k:03d}.csv" for k in range(count)]
+    for rep in range(count):
+        want = reference_csv(grid, {name: col[rep] for name, col in columns.items()})
+        assert (directory / f"rep{rep:03d}.csv").read_text() == want, rep
+
+
 class TestCsvBytes:
     def test_rows_match_reference_join(self, tmp_path):
-        grid = np.concatenate([[0.0], np.cumsum([0.1, 1 / 3, 0.7, 1e-05, 2.5, 1 / 7])])
-        special = [-0.0, 1e-05, 1e16, 5e-324, -1.5e-300, 0.1 + 0.2, 2.0**0.5]
-        gen = np.random.default_rng(1709)
-        w = gen.standard_normal((3, grid.size))
-        y = np.array([special, special[::-1], gen.standard_normal(grid.size) * 1e8])
-        columns = {"W1": w, "Y_sim": y, "pi": -y}
+        grid, columns = special_columns(3)
         _write_replicates(str(tmp_path), grid, columns, 2)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["rep000.csv", "rep001.csv"]
-        for rep in range(2):
-            want = reference_csv(grid, {name: col[rep] for name, col in columns.items()})
-            assert (tmp_path / f"rep{rep:03d}.csv").read_text() == want
+        assert_reference_files(tmp_path, grid, columns, 2)
         text = (tmp_path / "rep000.csv").read_text()
         assert ",-0.0,0.0\n" in text and ",5e-324,-5e-324\n" in text
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_bytes_do_not_depend_on_the_workers(self, tmp_path, monkeypatch, count, cpus):
+        grid, columns = special_columns(count)
+        forks = count_forks(monkeypatch, cpus)
+        _write_replicates(str(tmp_path), grid, columns, count)
+        assert len(forks) == cpus - 1
+        assert_no_child()
+        assert_reference_files(tmp_path, grid, columns, count)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_no_more_workers_than_replicates(self, tmp_path, monkeypatch, cpus):
+        grid, columns = special_columns(3)
+        forks = count_forks(monkeypatch, cpus)
+        _write_replicates(str(tmp_path / "one"), grid, columns, 1)
+        assert forks == []
+        _write_replicates(str(tmp_path / "two"), grid, columns, 2)
+        assert len(forks) == min(2, cpus) - 1
+        assert_no_child()
+        assert_reference_files(tmp_path / "two", grid, columns, 2)
+
+    def test_one_worker_without_an_affinity_call(self, tmp_path, monkeypatch):
+        grid, columns = special_columns(3)
+        forks = count_forks(monkeypatch, 3)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        _write_replicates(str(tmp_path), grid, columns, 3)
+        assert forks == []
+        assert_reference_files(tmp_path, grid, columns, 3)
