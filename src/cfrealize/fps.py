@@ -128,14 +128,15 @@ def _canonical_level(k: int, nums, dens) -> tuple[tuple[int, ...], int]:
                 raise ValueError(f"need one denominator per value of level {k}")
             gcds = list(map(math.gcd, nums, dens))
             if gcds.count(1) != len(gcds):  # values not in lowest terms
-                nums = [c // g for c, g in zip(nums, gcds)]
-                dens = [d // g for d, g in zip(dens, gcds)]
-            den = 1
-            for d in set(dens):
+                nums = list(map(operator.floordiv, nums, gcds))
+                dens = list(map(operator.floordiv, dens, gcds))
+            den, distinct = 1, set(dens)
+            for d in distinct:
                 den = math.lcm(den, d)
                 if den.bit_length() * len(nums) > MAX_LEVEL_BITS:
                     raise LevelSizeError(message, k, dens.index(d))
-            return tuple([c * (den // d) for c, d in zip(nums, dens)]), den
+            scales = {d: den // d for d in distinct}
+            return tuple(map(operator.mul, nums, map(scales.__getitem__, dens))), den
         den = operator.index(dens)
     except TypeError:
         raise ModeMismatchError("a rational level holds integers over an integer") from None
@@ -379,18 +380,26 @@ def to_float(r: Series) -> Series:
 # The empty word is the empty string.  format_series writes every record in
 # canonical form: the letters exactly as above, then a rational value as n/d
 # in lowest terms (-?[0-9]+/[0-9]+) or a float value as its repr(), so values
-# round-trip exactly and are finite.  parse_series reads a canonical record
-# without parsing its word or calling Fraction(str), reduces n/d, and scales
-# each level's values to numerators over the lcm of their reduced d: the
-# canonical level layout.  Any other form still parses: letters that int()
-# accepts, in order, and a value that Fraction(str) (rational mode, within
-# MAX_VALUE_DIGITS and MAX_VALUE_EXPONENT) or float() (float mode) accepts.
-# A rational level whose lcm, counted once per record of the level, has more
-# than MAX_LEVEL_BITS bits is a ParseError naming the record at which it
-# passed that bound; Series refuses such a level too, so every series
-# format_series writes reads back.  Lines end at \n, \r\n or \r; any other
-# character str.splitlines breaks at (form feed, vertical tab, \x1c-\x1e,
-# ...) is a ParseError naming its line.
+# round-trip exactly and are finite.  Both directions handle a canonical
+# file as whole columns of text.  format_series fills one template, the word
+# column with a value slot on each line, with a single %.  parse_series
+# reads a file whose header is canonical and whose every line is the
+# expected word, ';' and a value made of the characters of n/d or of a float
+# repr by splitting it into cells once per level and turning the value cells
+# with map(int) or map(float); Series reduces each n/d and scales the level
+# to numerators over the lcm of the reduced d: the canonical level layout.
+# Every other file, and every one whose values make no series, takes the
+# per-record reader, _parse_records: the only general reader and the source
+# of every ParseError, which reads the column reader's files to the same
+# series.  It accepts blank lines, letters that int() accepts, in order, and
+# a value that Fraction(str) (rational mode, within MAX_VALUE_DIGITS and
+# MAX_VALUE_EXPONENT) or float() (float mode) accepts.  A rational level
+# whose lcm, counted once per record of the level, has more than
+# MAX_LEVEL_BITS bits is a ParseError naming the record at which it passed
+# that bound; Series refuses such a level too, so every series format_series
+# writes reads back.  Lines end at \n, \r\n or \r; any other character
+# str.splitlines breaks at (form feed, vertical tab, \x1c-\x1e, ...) is a
+# ParseError naming its line.
 
 _CANONICAL_VALUE = re.compile(r"-?[0-9]+/[0-9]+")
 
@@ -407,6 +416,19 @@ MAX_VALUE_DIGITS = 4300
 MAX_VALUE_EXPONENT = 10**4
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
+_HEADER_NUMBER = re.compile(r"-?[0-9]+")
+_CANONICAL_HEADER = re.compile(
+    r"cfseries m=([1-9][0-9]{0,6}) N=(0|[1-9][0-9]?) mode=(rational|float)"
+)
+# What the column reader deletes from a body to leave its separators, and
+# what each line must leave: words are made of digits and commas, rational
+# values of digits, '-' and one '/', float values of a repr's characters.
+_COLUMN_CHARS = {
+    RATIONAL: (str.maketrans("", "", "0123456789,-"), ";/\n"),
+    FLOAT: (str.maketrans("", "", "0123456789,-+.e"), ";\n"),
+}
+_CELL_BREAKS = str.maketrans(";/", "\n\n")
+
 
 def _value_too_large(text: str) -> bool:
     """Whether a non-canonical rational value's text has more than
@@ -420,61 +442,131 @@ def _value_too_large(text: str) -> bool:
         return False
 
 
-def _record_prefixes(m: int, n: int) -> list[str]:
-    """The prefix ``"<comma-joined letters>;"`` of every record of a degree-n
-    series file, in graded-lex order; each level extends the one before."""
-    digits = [str(c) for c in range(m + 1)]
-    level, texts = [""], [""]
+def _word_columns(m: int, n: int) -> list[str]:
+    """The words of degree k over {0..m}, for each k <= n, as a series file
+    spells them: comma-joined letters, one word per line, in lex order.
+    Level k + 1 puts each letter before every line of level k."""
+    letters = [str(c) for c in range(m + 1)]
+    levels = [""]
     for k in range(n):
-        level = digits if k == 0 else [t + "," + d for t in level for d in digits]
-        texts += level
-    return [t + ";" for t in texts]
+        last = levels[-1]
+        levels.append(
+            "\n".join(c + "," + last.replace("\n", "\n" + c + ",") for c in letters)
+            if k
+            else "\n".join(letters)
+        )
+    return levels
 
 
 def format_series(r: Series) -> str:
     if r.mode == RATIONAL:
-        texts = []
-        try:
-            for level, den in zip(r.levels, r.dens):
-                gcds = map(math.gcd, level, repeat(den))
-                texts += ["%d/%d" % (c // g, den // g) for c, g in zip(level, gcds)]
-        except ValueError:  # an integer past the interpreter's digit limit
-            for w, c in r.coeffs.items():
-                try:
-                    "%d/%d" % c.as_integer_ratio()
-                except ValueError:
-                    limit = sys.get_int_max_str_digits()
-                    raise CFError(f"coefficient of word {w} has more than {limit} digits") from None
-            raise
+        slot, nums, dens = "%d/%d", [], []
+        for level, den in zip(r.levels, r.dens):
+            gcds = list(map(math.gcd, level, repeat(den)))
+            nums += map(operator.floordiv, level, gcds)
+            dens += map(operator.floordiv, repeat(den), gcds)
+        values = [None] * (2 * len(nums))
+        values[0::2], values[1::2] = nums, dens
+        del nums, dens
     else:
-        values = list(chain.from_iterable(r.levels))
+        slot, values = "%r", list(chain.from_iterable(r.levels))
         if not all(map(math.isfinite, values)):
             for w, c in zip(words_up_to(r.m, r.max_degree), values):
                 if not math.isfinite(c):
                     raise CFError(f"coefficient of word {w} is not finite: {c!r}")
-        texts = list(map(repr, values))
-    records = map(str.__add__, _record_prefixes(r.m, r.max_degree), texts)
-    return "\n".join([f"cfseries m={r.m} N={r.max_degree} mode={r.mode}", *records]) + "\n"
+    template = (
+        f"cfseries m={r.m} N={r.max_degree} mode={r.mode}\n"
+        + "\n".join(_word_columns(r.m, r.max_degree)).replace("\n", f";{slot}\n")
+        + f";{slot}\n"
+    )
+    try:
+        return template % tuple(values)
+    except ValueError:  # an integer past the interpreter's digit limit
+        for w, c in r.coeffs.items():
+            try:
+                "%d/%d" % c.as_integer_ratio()
+            except ValueError:
+                limit = sys.get_int_max_str_digits()
+                raise CFError(f"coefficient of word {w} has more than {limit} digits") from None
+        raise
 
 
 def parse_series(text: str) -> Series:
+    """The series of the text of a series file (see the format above)."""
+    head, _, body = text.partition("\n")
+    canonical = _CANONICAL_HEADER.fullmatch(head)
+    if canonical:
+        m, n, mode = int(canonical[1]), int(canonical[2]), canonical[3]
+        series = _parse_columns(m, n, mode, body)
+        if series is not None:
+            return series
+    return _parse_records(text)
+
+
+def _parse_columns(m: int, n: int, mode: str, body: str) -> Series | None:
+    """The series of a canonical header's body read a column at a time, or
+    None if some line is not the expected word, ';' and a value the column
+    reader takes, or the values make no series; _parse_records then reads
+    the file."""
+    count = body.count("\n")
+    # As in _parse_records, a header at or past the count's bit length
+    # cannot match it and is not summed.
+    if n >= count.bit_length() or count > MAX_WORDS or word_count(m, n) != count:
+        return None
+    table, separators = _COLUMN_CHARS[mode]
+    # The separators left, in order, show that every line is <word>;<value>,
+    # so splitting at them puts each word and value at its own stride.
+    if body.translate(table) != separators * count:
+        return None
+    stride, columns = len(separators), _word_columns(m, n)
+    levels, dens = [None] * (n + 1), [None] * (n + 1)
+    rest = body[:-1].translate(_CELL_BREAKS)
+    try:
+        # From the last level down, splitting off one level's cells at a time.
+        for k in range(n, -1, -1):
+            cells = rest.rsplit("\n", stride * (m + 1) ** k)
+            if k:  # level 0's cells are all that is left
+                rest = cells.pop(0)
+            if "\n".join(cells[0::stride]) != columns[k]:
+                return None
+            del cells[0::stride]
+            if mode == FLOAT:
+                levels[k] = list(map(float, cells))
+            else:
+                dens[k] = list(map(int, cells[1::2]))
+                del cells[1::2]
+                levels[k] = list(map(int, cells))
+    except ValueError:  # not a number, or past the interpreter's digit limit
+        return None
+    if mode == FLOAT:
+        if not all(map(math.isfinite, chain.from_iterable(levels))):
+            return None
+        return Series(m, n, mode=FLOAT, levels=levels)
+    if min(map(min, dens)) < 1:
+        return None
+    try:
+        return Series(m, n, mode=RATIONAL, levels=levels, dens=dens)
+    except LevelSizeError:
+        return None
+
+
+def _parse_records(text: str) -> Series:
+    """The series of a series file read record by record (see above)."""
     lines = split_lines(text, "series")
     if not lines:
         raise ParseError("empty series file", line=1)
     head = lines[0].split()
     if len(head) != 4 or head[0] != "cfseries":
         raise ParseError("malformed series header", line=1, token=lines[0])
-    try:
-        m = int(head[1].removeprefix("m="))
-        n = int(head[2].removeprefix("N="))
-    except ValueError:
-        raise ParseError("malformed series header", line=1, token=lines[0]) from None
+    m, n = _header_number(head[1], "m="), _header_number(head[2], "N=")
     if m < 1:
         raise ParseError(
             "alphabet max letter in series header must be >= 1", line=1, token=head[1]
         )
     if n < 0:
         raise ParseError("negative degree bound in series header", line=1, token=head[2])
+    if not head[3].startswith("mode="):
+        raise ParseError("malformed series header", line=1, token=head[3])
     mode = head[3].removeprefix("mode=")
     if mode not in (RATIONAL, FLOAT):
         raise ParseError("unknown scalar mode in series header", line=1, token=head[3])
@@ -497,7 +589,8 @@ def parse_series(text: str) -> Series:
     values, dens = [], []  # each value is values[k] / dens[k]
     ends = [word_count(m, d) for d in range(n + 1)]  # level d is records [ends[d-1], ends[d])
     built = [0] * (n + 1)  # bits Fraction(str) built in each level
-    for k, (ln, prefix) in enumerate(zip(body, _record_prefixes(m, n))):
+    prefixes = ("\n".join(_word_columns(m, n)) + ";").replace("\n", ";\n").split("\n")
+    for k, (ln, prefix) in enumerate(zip(body, prefixes)):
         if ln.startswith(prefix):
             vtxt = ln[len(prefix) :]
         else:
@@ -552,6 +645,18 @@ def parse_series(text: str) -> Series:
     except LevelSizeError as exc:
         i = word_count(m, exc.degree - 1) + exc.index
         raise record_error(i, str(exc), str(dens[i])) from None
+
+
+def _header_number(token: str, key: str) -> int:
+    """The integer of the series header field ``token``, which must be
+    ``key`` followed by -?[0-9]+; ParseError naming the token otherwise."""
+    digits = token.removeprefix(key)
+    try:
+        if token.startswith(key) and _HEADER_NUMBER.fullmatch(digits):
+            return int(digits)
+    except ValueError:  # past the interpreter's digit limit
+        pass
+    raise ParseError("malformed series header", line=1, token=token)
 
 
 # Characters other than \n and \r that str.splitlines breaks lines at.

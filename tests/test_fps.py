@@ -363,6 +363,30 @@ class TestSeriesFile:
             parse_series(f"cfseries {header} mode=rational\n;1/1\n")
         assert (err.value.line, err.value.token) == (1, header.split()[0])
 
+    @pytest.mark.parametrize(
+        "header, token",
+        [
+            ("1 1 rational", "1"),
+            ("m=+1 N=1 mode=rational", "m=+1"),
+            ("m=1_0 N=1 mode=rational", "m=1_0"),
+            ("m=\u0661 N=1 mode=rational", "m=\u0661"),
+            ("M=1 N=1 mode=rational", "M=1"),
+            ("m=1 N=+1 mode=rational", "N=+1"),
+            ("m=1 N=0x1 mode=rational", "N=0x1"),
+            ("m=1 N=1 rational", "rational"),
+            ("m=1 N=1 Mode=rational", "Mode=rational"),
+            (f"m={'1' * 4301} N=1 mode=rational", f"m={'1' * 4301}"),
+        ],
+        ids=["bare", "plus", "underscore", "arabic-digit", "key-case", "n-plus", "hex",
+             "bare-mode", "mode-case", "digit-limit"],
+    )
+    def test_malformed_header_field_names_its_token(self, header, token):
+        # int() alone reads most of these tokens, as m = N = 1 or as m = 10.
+        with pytest.raises(ParseError) as err:
+            parse_series(f"cfseries {header}\n;0/1\n0;0/1\n1;0/1\n")
+        got = (err.value.message, err.value.line, err.value.token)
+        assert got == ("malformed series header", 1, token)
+
     def test_rational_value_past_float_range_parses(self):
         s = Series(1, 1, {(1,): Fraction(10**400, 3)})
         assert parse_series(format_series(s)) == s
@@ -442,7 +466,8 @@ def reference_format(s):
     lines = [f"cfseries m={s.m} N={s.max_degree} mode={s.mode}"]
     for w in words_up_to(s.m, s.max_degree):
         c = coefficient(s, w)
-        value = f"{c.numerator}/{c.denominator}" if s.mode == RATIONAL else repr(c)
+        # A float zero of either sign is written as 0.0.
+        value = f"{c.numerator}/{c.denominator}" if s.mode == RATIONAL else repr(c or 0.0)
         lines.append(",".join(map(str, w)) + ";" + value)
     return "\n".join(lines) + "\n"
 
@@ -454,6 +479,22 @@ def dense_series(m, n, seed):
         return Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**6))
 
     return Series(m, n, {w: value() for w in words_up_to(m, n)})
+
+
+# Floats whose repr() takes each of its forms: signed zeros, subnormals,
+# the normal range's ends, and both sides of the switches to exponent
+# notation at 1e16 and 1e-4.
+FLOAT_SPECIALS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1e16, -1e16, 9999999999999998.0, 1.0000000000000002e16, 1e-5, -1e-5, 0.0001,
+    9.999999999999999e-05, 1.7976931348623157e308, -1.7976931348623157e308, 1e22, 0.1, -1.5,
+]
+
+
+def float_specials(m, n):
+    words = words_up_to(m, n)
+    values = {w: FLOAT_SPECIALS[i % len(FLOAT_SPECIALS)] for i, w in enumerate(words)}
+    return Series(m, n, values, FLOAT)
 
 
 DIGITS = st.text("0123456789", min_size=1, max_size=8)
@@ -476,6 +517,103 @@ VALUE_TEXTS = st.one_of(
          "/2", "1/", "1/-2", "", "0/1", "1" * 4301 + "/1"]
     ),
 )
+
+
+def read_outcome(read, text):
+    """The series ``read`` gives for ``text``, or its ParseError's
+    (message, line, token)."""
+    try:
+        return read(text)
+    except ParseError as err:
+        return err.message, err.line, err.token
+
+
+FLOAT_TEXTS = st.one_of(
+    st.sampled_from(["1", "1.5", "+1.0", "-0.0", ".5", "5.", "1e5", "1E5", "1e+05", "1e999",
+                     "-1e999", "inf", "nan", "1_0.0", " 1.0", "1.0 ", "0x1p0", "1e", "e5", "1-2",
+                     "1,0", "--1.0", "1.0e-400", ""]),
+    st.floats().map(repr),
+    VALUE_TEXTS,
+)
+
+
+def _record_index(draw, lines):
+    return draw(st.integers(1, len(lines) - 1))
+
+
+def _blank_line(draw, lines):
+    lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+
+
+def _stray_break(draw, lines):
+    i = draw(st.integers(0, len(lines) - 1))
+    at = draw(st.integers(0, len(lines[i])))
+    lines[i] = lines[i][:at] + draw(st.sampled_from(STRAY_BREAKS)) + lines[i][at:]
+
+
+def _shift_separator(draw, lines):
+    # A record's ';' becomes a line break, or a line break a ';'.
+    i = _record_index(draw, lines)
+    if draw(st.booleans()) or i == len(lines) - 1:
+        lines[i] = lines[i].replace(";", "\n", 1)
+    else:
+        lines[i : i + 2] = [lines[i] + ";" + lines[i + 1]]
+
+
+def _swap_separators(draw, lines):
+    # w;v / w2;v2 becomes w / v;w2;v2: the same cells and separator counts.
+    i = _record_index(draw, lines)
+    if i < len(lines) - 1 and ";" in lines[i]:
+        word, value = lines[i].split(";", 1)
+        lines[i : i + 2] = [word, value + ";" + lines[i + 1]]
+
+
+def _other_value(draw, lines):
+    i = _record_index(draw, lines)
+    value = draw(FLOAT_TEXTS if "mode=float" in lines[0] else VALUE_TEXTS)
+    lines[i] = lines[i].split(";", 1)[0] + ";" + value
+
+
+def _out_of_order(draw, lines):
+    i, j = _record_index(draw, lines), _record_index(draw, lines)
+    if ";" in lines[i] and ";" in lines[j]:
+        (wi, vi), (wj, vj) = lines[i].split(";", 1), lines[j].split(";", 1)
+        lines[i], lines[j] = f"{wj};{vi}", f"{wi};{vj}"
+
+
+def _int_word(draw, lines):
+    # Letters that int() reads: 0,01 and +1 spell the words (0, 1) and (1,).
+    i = _record_index(draw, lines)
+    word, semicolon, value = lines[i].partition(";")
+    if word and semicolon:
+        letters = word.split(",")
+        k = draw(st.integers(0, len(letters) - 1))
+        letters[k] = draw(st.sampled_from(["0{}", "+{}", " {}", "{} ", "{}_0"])).format(letters[k])
+        lines[i] = ",".join(letters) + ";" + value
+
+
+def _header_spacing(draw, lines):
+    lines[0] = lines[0].replace(" ", draw(st.sampled_from(["  ", "\t", " \t"])))
+
+
+MUTATIONS = [_blank_line, _stray_break, _shift_separator, _swap_separators, _other_value,
+             _out_of_order, _int_word, _header_spacing]
+
+
+@st.composite
+def mutated_series_files(draw):
+    """format_series of a random rational or float series, then up to three
+    mutations, each line ended by \n or \r\n."""
+    m, n = draw(st.integers(1, 2)), draw(st.integers(0, 3))
+    mode = draw(st.sampled_from([RATIONAL, FLOAT]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    value = st.fractions() if mode == RATIONAL else finite
+    coeffs = draw(st.dictionaries(st.sampled_from(words_up_to(m, n)), value))
+    lines = format_series(Series(m, n, coeffs, mode)).splitlines()
+    for mutate in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        mutate(draw, lines)
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return newline.join(lines) + newline
 
 
 class TestSeriesRecords:
@@ -544,8 +682,9 @@ class TestSeriesRecords:
             dense_series(2, 8, 1),
             to_float(dense_series(2, 8, 2)),
             Series(2, 8, {(1,): 1, (2, 0, 1): Fraction(-3, 7), (0,) * 8: Fraction(10**30, 11)}),
+            float_specials(2, 4),
         ],
-        ids=["dense", "float", "sparse"],
+        ids=["dense", "float", "sparse", "float-specials"],
     )
     def test_large_layout_byte_identical(self, series):
         text = format_series(series)
@@ -553,6 +692,60 @@ class TestSeriesRecords:
         back = parse_series(text)
         assert back == series
         assert format_series(back) == text
+
+    @pytest.mark.parametrize(
+        "series",
+        [
+            dense_series(2, 8, 1),
+            to_float(dense_series(2, 8, 2)),
+            SERIES,
+            to_float(SERIES),
+            Series.zero(1, 0),
+            Series(3, 2, {(3, 3): Fraction(-(10**40), 7)}),
+            float_specials(2, 4),
+        ],
+        ids=["dense", "float", "small", "small-float", "zero", "m3", "float-specials"],
+    )
+    def test_canonical_files_stay_on_the_column_reader(self, series, monkeypatch):
+        # dense_series(2, 8, 1) has a 47 724-bit level-8 denominator.
+        text = format_series(series)
+
+        def refuse(*args):
+            raise AssertionError("a canonical file left the column reader")
+
+        monkeypatch.setattr(fps, "_parse_records", refuse)
+        monkeypatch.setattr(fps, "Fraction", refuse)
+        assert parse_series(text) == series
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_series_files())
+    def test_column_reader_agrees_with_record_reader(self, text):
+        assert read_outcome(parse_series, text) == read_outcome(fps._parse_records, text)
+
+    @pytest.mark.parametrize(
+        "text, message, token",
+        [
+            # The words "", "0", "1" and float values at the even and odd
+            # places of a split at ';' and line breaks, but line 3 has no ';'.
+            ("cfseries m=1 N=1 mode=float\n;1\n0\n1;1;0\n", "missing ';' in series record", "0"),
+            # w;v / w2;v2 written as w / v;w2;v2: the same cells, separators
+            # and line count.
+            ("cfseries m=1 N=1 mode=float\n;1.0\n0\n0.5;1;0.25\n",
+             "missing ';' in series record", "0"),
+            ("cfseries m=1 N=1 mode=rational\n;1/2\n0\n1/3;1;1/4\n",
+             "missing ';' in series record", "0"),
+            # ... and as w;v;w2 / v2.
+            ("cfseries m=1 N=1 mode=float\n;1.0\n0;0.5;1\n0.25\n", "bad coefficient value",
+             "0.5;1"),
+            ("cfseries m=1 N=1 mode=rational\n;1/2\n0;1/3;1\n1/4\n", "bad coefficient value",
+             "1/3;1"),
+        ],
+        ids=["float-shift", "float-swap", "rational-swap", "float-merge", "rational-merge"],
+    )
+    def test_shifted_separators_take_the_record_reader(self, text, message, token):
+        with pytest.raises(ParseError) as err:
+            parse_series(text)
+        assert (err.value.message, err.value.line, err.value.token) == (message, 3, token)
 
 
 # -- the integer level layout against a Fraction-only reference ---------------
