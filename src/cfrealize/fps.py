@@ -32,10 +32,9 @@ import math
 import operator
 import re
 import sys
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, islice, product, repeat
+from itertools import chain, product, repeat
 from types import MappingProxyType
 
 from .errors import (
@@ -373,53 +372,38 @@ def to_float(r: Series) -> Series:
 
 # -- series file format ---------------------------------------------------
 #
-# Header line:   cfseries m=<m> N=<N> mode=<rational|float>
-# Then one record per word of degree <= N in graded-lex order, that is the
-# levels one after another:
+# A series file is exactly what format_series writes, and parse_series is its
+# one reader.  Header line, with single spaces:
+#     cfseries m=<m> N=<N> mode=<rational|float>
+# m in 1..9999999 and N in 0..99, without leading zeros.  Then one record per
+# word of degree <= N in graded-lex order, that is the levels one after
+# another:
 #     <comma-joined letters>;<value>
-# The empty word is the empty string.  format_series writes every record in
-# canonical form: the letters exactly as above, then a rational value as n/d
-# in lowest terms (-?[0-9]+/[0-9]+) or a float value as its repr(), so values
-# round-trip exactly and are finite.  Both directions handle a canonical
-# file as whole columns of text.  format_series fills one template, the word
-# column with a value slot on each line, with a single %.  parse_series
-# reads a file whose header is canonical and whose every line is the
-# expected word, ';' and a value made of the characters of n/d or of a float
-# repr by splitting it into cells once per level and turning the value cells
-# with map(int) or map(float); Series reduces each n/d and scales the level
-# to numerators over the lcm of the reduced d: the canonical level layout.
-# Every other file, and every one whose values make no series, takes the
-# per-record reader, _parse_records: the only general reader and the source
-# of every ParseError, which reads the column reader's files to the same
-# series.  It accepts blank lines, letters that int() accepts, in order, and
-# a value that Fraction(str) (rational mode, within MAX_VALUE_DIGITS and
-# MAX_VALUE_EXPONENT) or float() (float mode) accepts.  A rational level
-# whose lcm, counted once per record of the level, has more than
-# MAX_LEVEL_BITS bits is a ParseError naming the record at which it passed
-# that bound; Series refuses such a level too, so every series format_series
-# writes reads back.  Lines end at \n, \r\n or \r; any other character
-# str.splitlines breaks at (form feed, vertical tab, \x1c-\x1e, ...) is a
-# ParseError naming its line.
+# The words are spelled as _word_columns spells them; the empty word is the
+# empty string.  A rational value is n/d (-?[0-9]+/[0-9]+) with d > 0,
+# reduced on reading; format_series writes it in lowest terms.  A float value
+# is text of [0-9.e+-] that float() reads as a finite double; format_series
+# writes its repr(), so values round-trip exactly.  Lines end at \n, \r\n or
+# \r, as split_lines breaks them.
+#
+# Both directions handle a file as whole columns of text.  format_series
+# fills one template, the word column with a value slot on each line, with a
+# single %.  parse_series checks each line's separators, splits the body into
+# cells once per level, compares the word cells with the word column and
+# turns the value cells with map(int) or map(float); Series reduces each n/d
+# and scales the level to numerators over the lcm of the reduced d.  A
+# rational level past MAX_LEVEL_BITS is a ParseError naming its record, taken
+# from the LevelSizeError.  Any other file the columns refuse is read once
+# more, line by line, by _refusal, which names its first line that is not the
+# header or <expected word>;<value>, with its token, else the record count.
 
-_CANONICAL_VALUE = re.compile(r"-?[0-9]+/[0-9]+")
-
-# A rational value in any other form is read by Fraction(str), which builds
-# the integer its text spells out, so its text is bounded first.  The digits:
-# int(str) refuses more than 4300 by default, which already bounds each half
-# of a canonical n/d.
-MAX_VALUE_DIGITS = 4300
-# The decimal exponent: Fraction("1e1000000") takes half a second to build a
-# 3.3-million-bit numerator, while 10**10000 has 33 220 bits and takes a
-# quarter of a millisecond; every four-digit exponent still reads.  The
-# numerator and denominator bits these values build are also summed per
-# level, and a level past MAX_LEVEL_BITS of them is refused at its record.
-MAX_VALUE_EXPONENT = 10**4
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
-
-_HEADER_NUMBER = re.compile(r"-?[0-9]+")
-_CANONICAL_HEADER = re.compile(
-    r"cfseries m=([1-9][0-9]{0,6}) N=(0|[1-9][0-9]?) mode=(rational|float)"
+_HEADER_FIELDS = (
+    # (a field as written, the same key with a value below range, its message)
+    ("m=([1-9][0-9]{0,6})", "m=(0+|-[0-9]+)", "alphabet max letter in series header must be >= 1"),
+    ("N=(0|[1-9][0-9]?)", "N=-[0-9]+", "negative degree bound in series header"),
+    ("mode=(rational|float)", "mode=.*", "unknown scalar mode in series header"),
 )
+_CANONICAL_HEADER = re.compile(" ".join(["cfseries", *[field for field, _, _ in _HEADER_FIELDS]]))
 # What the column reader deletes from a body to leave its separators, and
 # what each line must leave: words are made of digits and commas, rational
 # values of digits, '-' and one '/', float values of a repr's characters.
@@ -428,25 +412,15 @@ _COLUMN_CHARS = {
     FLOAT: (str.maketrans("", "", "0123456789,-+.e"), ";\n"),
 }
 _CELL_BREAKS = str.maketrans(";/", "\n\n")
-
-
-def _value_too_large(text: str) -> bool:
-    """Whether a non-canonical rational value's text has more than
-    MAX_VALUE_DIGITS digits or a decimal exponent past MAX_VALUE_EXPONENT."""
-    if sum(map(str.isdigit, text)) > MAX_VALUE_DIGITS:
-        return True
-    exp = _EXPONENT.search(text)
-    try:
-        return bool(exp) and abs(int(exp[1])) > MAX_VALUE_EXPONENT
-    except ValueError:  # not an exponent Fraction(str) reads either
-        return False
+_LETTER = re.compile("0|[1-9][0-9]*")
 
 
 def _word_columns(m: int, n: int) -> list[str]:
     """The words of degree k over {0..m}, for each k <= n, as a series file
     spells them: comma-joined letters, one word per line, in lex order.
-    Level k + 1 puts each letter before every line of level k."""
-    letters = [str(c) for c in range(m + 1)]
+    Level k + 1 puts each letter before every line of level k; the letters
+    are not listed for n = 0, where m may be as large as the header allows."""
+    letters = [str(c) for c in range(m + 1)] if n else []
     levels = [""]
     for k in range(n):
         last = levels[-1]
@@ -493,26 +467,28 @@ def format_series(r: Series) -> str:
 
 def parse_series(text: str) -> Series:
     """The series of the text of a series file (see the format above)."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     head, _, body = text.partition("\n")
-    canonical = _CANONICAL_HEADER.fullmatch(head)
-    if canonical:
-        m, n, mode = int(canonical[1]), int(canonical[2]), canonical[3]
-        series = _parse_columns(m, n, mode, body)
+    header = _CANONICAL_HEADER.fullmatch(head)
+    if header:
+        if body and not body.endswith("\n"):
+            body += "\n"  # the last line break may be left out
+        series = _parse_columns(int(header[1]), int(header[2]), header[3], body)
         if series is not None:
             return series
-    return _parse_records(text)
+    raise _refusal(text)
 
 
 def _parse_columns(m: int, n: int, mode: str, body: str) -> Series | None:
     """The series of a canonical header's body read a column at a time, or
-    None if some line is not the expected word, ';' and a value the column
-    reader takes, or the values make no series; _parse_records then reads
-    the file."""
+    None if some line is not the expected word, ';' and a value, or the
+    record count is not the header's."""
     count = body.count("\n")
-    # As in _parse_records, a header at or past the count's bit length
-    # cannot match it and is not summed.
-    if n >= count.bit_length() or count > MAX_WORDS or word_count(m, n) != count:
+    # A header at or past the count's bit length cannot match it and is not summed.
+    if n >= count.bit_length() or word_count(m, n) != count:
         return None
+    check_word_count(m, n)
     table, separators = _COLUMN_CHARS[mode]
     # The separators left, in order, show that every line is <word>;<value>,
     # so splitting at them puts each word and value at its own stride.
@@ -546,117 +522,61 @@ def _parse_columns(m: int, n: int, mode: str, body: str) -> Series | None:
         return None
     try:
         return Series(m, n, mode=RATIONAL, levels=levels, dens=dens)
-    except LevelSizeError:
-        return None
+    except LevelSizeError as exc:
+        k, i = exc.degree, exc.index
+        line = 2 + word_count(m, k - 1) + i
+        raise ParseError(str(exc), line=line, token=str(dens[k][i])) from None
 
 
-def _parse_records(text: str) -> Series:
-    """The series of a series file read record by record (see above)."""
+def _refusal(text: str) -> ParseError:
+    """The ParseError of a series file's text that the column reader
+    refuses: the header's bad token, else the first record that is not the
+    expected word, ';' and a value, else the record count."""
     lines = split_lines(text, "series")
     if not lines:
-        raise ParseError("empty series file", line=1)
-    head = lines[0].split()
+        return ParseError("empty series file", line=1)
+    head = lines[0].split(" ")
     if len(head) != 4 or head[0] != "cfseries":
-        raise ParseError("malformed series header", line=1, token=lines[0])
-    m, n = _header_number(head[1], "m="), _header_number(head[2], "N=")
-    if m < 1:
-        raise ParseError(
-            "alphabet max letter in series header must be >= 1", line=1, token=head[1]
-        )
-    if n < 0:
-        raise ParseError("negative degree bound in series header", line=1, token=head[2])
-    if not head[3].startswith("mode="):
-        raise ParseError("malformed series header", line=1, token=head[3])
-    mode = head[3].removeprefix("mode=")
-    if mode not in (RATIONAL, FLOAT):
-        raise ParseError("unknown scalar mode in series header", line=1, token=head[3])
-    body = [ln for ln in lines[1:] if ln.strip()]
-    # Compare counts before listing words, so an oversized header fails fast.
-    # word_count(m, n) > 2**n, so an n at or past the body count's bit length
-    # cannot match and is rejected without summing its word count.
-    if n >= len(body).bit_length() or word_count(m, n) != len(body):
-        raise ParseError(
-            f"header m={m}, N={n} does not match the {len(body)} records found",
-            line=len(lines),
-        )
+        return ParseError("malformed series header", line=1, token=lines[0])
+    for token, (field, below, message) in zip(head[1:], _HEADER_FIELDS):
+        if not re.fullmatch(field, token):
+            message = message if re.fullmatch(below, token) else "malformed series header"
+            return ParseError(message, line=1, token=token)
+    m, n, mode = int(head[1][2:]), int(head[2][2:]), head[3][5:]
+    words = (w for k in range(n + 1) for w in product(range(m + 1), repeat=k))
+    for i, (line, w) in enumerate(zip(lines[1:], words), 2):
+        word, semicolon, value = line.partition(";")
+        if not semicolon:
+            return ParseError("missing ';' in series record", line=i, token=line)
+        if word != ",".join(map(str, w)):
+            if word and not all(map(_LETTER.fullmatch, word.split(","))):
+                return ParseError("malformed word in series record", line=i, token=word)
+            return ParseError(f"record out of order: expected word {w}", line=i, token=word)
+        message = _value_refusal(value, mode)
+        if message:
+            return ParseError(message, line=i, token=value)
+    return ParseError(
+        f"header m={m}, N={n} does not match the {len(lines) - 1} records found", line=len(lines)
+    )
 
-    def record_error(k: int, message: str, token: str) -> ParseError:
-        # Blank lines are skipped, so record k's line is counted only here.
-        nonblank = (i for i, ln in enumerate(lines[1:], 2) if ln.strip())
-        return ParseError(message, line=next(islice(nonblank, k, None)), token=token)
 
-    expected = None  # words_up_to(m, n), listed at the first record without its prefix
-    values, dens = [], []  # each value is values[k] / dens[k]
-    ends = [word_count(m, d) for d in range(n + 1)]  # level d is records [ends[d-1], ends[d])
-    built = [0] * (n + 1)  # bits Fraction(str) built in each level
-    prefixes = ("\n".join(_word_columns(m, n)) + ";").replace("\n", ";\n").split("\n")
-    for k, (ln, prefix) in enumerate(zip(body, prefixes)):
-        if ln.startswith(prefix):
-            vtxt = ln[len(prefix) :]
+def _value_refusal(value: str, mode: str) -> str | None:
+    """Why the column reader refuses a record's value text, or None."""
+    try:
+        if mode == FLOAT:
+            if not math.isfinite(float(value)):
+                return "non-finite coefficient value"
+            if not value.strip("0123456789.e+-"):
+                return None
         else:
-            if ";" not in ln:
-                raise record_error(k, "missing ';' in series record", ln)
-            wtxt, vtxt = ln.split(";", 1)
-            try:
-                w = tuple(map(int, wtxt.split(","))) if wtxt else EMPTY_WORD
-            except ValueError:
-                raise record_error(k, "malformed word in series record", wtxt) from None
-            expected = expected or words_up_to(m, n)
-            if w != expected[k]:
-                raise record_error(k, f"record out of order: expected word {expected[k]}", wtxt)
-        den = 1
-        try:
-            if mode == FLOAT:
-                val = float(vtxt)
-            elif vtxt == "0/1":
-                val = 0
-            elif _CANONICAL_VALUE.fullmatch(vtxt):
-                num, den = vtxt.split("/")
-                val, den = int(num), int(den)
-                if not den:
-                    raise ZeroDivisionError
-            elif _value_too_large(vtxt):
-                raise record_error(
-                    k,
-                    f"coefficient value past {MAX_VALUE_DIGITS} digits"
-                    f" or decimal exponent {MAX_VALUE_EXPONENT}",
-                    vtxt,
-                )
-            else:
-                val, den = Fraction(vtxt).as_integer_ratio()
-                d = bisect_right(ends, k)
-                built[d] += val.bit_length() + den.bit_length()
-                if built[d] > MAX_LEVEL_BITS:
-                    raise record_error(
-                        k, f"degree-{d} coefficient values spell more than {MAX_LEVEL_BITS} bits", vtxt
-                    )
-        except (ValueError, ZeroDivisionError):
-            raise record_error(k, "bad coefficient value", vtxt) from None
-        if mode == FLOAT and not math.isfinite(val):
-            raise record_error(k, "non-finite coefficient value", vtxt)
-        values.append(val)
-        dens.append(den)
-    parts = [slice(a, b) for a, b in zip([0, *ends], ends)]
-    levels = [values[p] for p in parts]
-    if mode == FLOAT:
-        return Series(m, n, mode=FLOAT, levels=levels)
-    try:
-        return Series(m, n, mode=RATIONAL, levels=levels, dens=[dens[p] for p in parts])
-    except LevelSizeError as exc:
-        i = word_count(m, exc.degree - 1) + exc.index
-        raise record_error(i, str(exc), str(dens[i])) from None
-
-
-def _header_number(token: str, key: str) -> int:
-    """The integer of the series header field ``token``, which must be
-    ``key`` followed by -?[0-9]+; ParseError naming the token otherwise."""
-    digits = token.removeprefix(key)
-    try:
-        if token.startswith(key) and _HEADER_NUMBER.fullmatch(digits):
-            return int(digits)
-    except ValueError:  # past the interpreter's digit limit
+            num, den = value.split("/")
+            if value.isascii() and num.removeprefix("-").isdigit() and den.isdigit():
+                int(num)  # ValueError past the interpreter's digit limit
+                if int(den) > 0:
+                    return None
+    except ValueError:
         pass
-    raise ParseError("malformed series header", line=1, token=token)
+    return "bad coefficient value"
 
 
 # Characters other than \n and \r that str.splitlines breaks lines at.

@@ -314,6 +314,28 @@ class TestRank:
             "error: malformed word in series record near 'x' (line 3)\n"
         )
 
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            ("0;1/2", "0;1.5", "bad coefficient value near '1.5' (line 3)"),
+            (";0/1\n", ";0/1\n\n", "missing ';' in series record near '' (line 3)"),
+            ("0;1/2", "0;+1/2", "bad coefficient value near '+1/2' (line 3)"),
+            ("cfseries m=1", "cfseries  m=1",
+             "malformed series header near 'cfseries  m=1 N=1 mode=rational' (line 1)"),
+        ],
+        ids=["decimal", "blank-line", "plus", "header-spacing"],
+    )
+    def test_form_outside_the_language_refused(self, tmp_path, capsys, old, new, error):
+        text = "cfseries m=1 N=1 mode=rational\n;0/1\n0;1/2\n1;0/1\n".replace(old, new)
+        series = write(tmp_path / "series.txt", text)
+        out = tmp_path / "out"
+        # The unchanged file gives a rank.json under these flags.
+        rc = main(["rank", "--series", series, "--rows", "0", "--cols", "1", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {error}\n")
+        assert not (out / "rank.json").exists()
+
 
 class TestParserReuse:
     def fresh_stdout(self, argv, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import struct
 import tracemalloc
 from fractions import Fraction
@@ -355,13 +356,15 @@ class TestSeriesFile:
     def test_negative_degree_bound_names_header_token(self, n):
         with pytest.raises(ParseError) as err:
             parse_series(f"cfseries m=1 N={n} mode=rational\n")
-        assert (err.value.line, err.value.token) == (1, f"N={n}")
+        assert (err.value.message, err.value.line, err.value.token) == (
+            "negative degree bound in series header", 1, f"N={n}")
 
     @pytest.mark.parametrize("header", ["m=0 N=0", "m=-2 N=1"])
     def test_alphabet_below_one_names_header_token(self, header):
         with pytest.raises(ParseError) as err:
             parse_series(f"cfseries {header} mode=rational\n;1/1\n")
-        assert (err.value.line, err.value.token) == (1, header.split()[0])
+        assert (err.value.message, err.value.line, err.value.token) == (
+            "alphabet max letter in series header must be >= 1", 1, header.split()[0])
 
     @pytest.mark.parametrize(
         "header, token",
@@ -401,6 +404,20 @@ class TestSeriesFile:
         with pytest.raises(ParseError):
             parse_series("\n".join(good[:-1]) + "\n")
 
+    def test_wide_alphabet_at_degree_zero_lists_no_letters(self):
+        # N = 0 has one word for any m; listing the m + 1 letters took 6 MB
+        # here, and about 600 MB at the header's largest m.
+        s = Series(999_999, 0, {(): Fraction(1, 2)})
+        tracemalloc.start()
+        try:
+            text = format_series(s)
+            assert parse_series(text) == s
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == "cfseries m=999999 N=0 mode=rational\n;1/2\n"
+        assert peak < 2**20
+
     def test_oversized_header_fails_before_listing_words(self):
         # m=3, N=11 would list 5.6 million words; the record count alone
         # rejects the file.
@@ -421,7 +438,8 @@ class TestSeriesFile:
         ids=["exp", "signed-exp", "underscored-exp", "signed-ratio", "decimal"],
     )
     def test_oversized_value_fails_before_building(self, value):
-        # Fraction("1e1000000") took 0.54 s and built a 3.3-million-bit numerator
+        # Fraction("1e1000000") takes half a second to build a 3.3-million-bit
+        # numerator; a rational value is only n/d, so none of these is built.
         text = f"cfseries m=1 N=1 mode=rational\n;1/2\n0;{value}\n1;0/1\n"
         tracemalloc.start()
         try:
@@ -431,14 +449,12 @@ class TestSeriesFile:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert (err.value.line, err.value.token) == (3, value)
-        assert err.value.message.startswith("coefficient value past")
+        assert (err.value.message, err.value.line, err.value.token) == (
+            "bad coefficient value", 3, value)
 
-    def test_level_bits_of_non_canonical_values_bounded(self, monkeypatch):
-        # Each 1e10000 is within the value bounds and spells 33 221 bits.
-        # With room for 10 of them per level, levels 0-3 (15 records) parse
-        # and the 11th record of level 4, record 25 on line 27, is refused.
-        monkeypatch.setattr(fps, "MAX_LEVEL_BITS", 10 * 33221)
+    def test_level_bits_of_non_canonical_values_bounded(self):
+        # 1e10000 spells a 33 221-bit integer, which an exponent no longer
+        # may: the first record, on line 2, is refused.
         text = "cfseries m=1 N=9 mode=rational\n" + "".join(
             f"{','.join(map(str, w))};1e10000\n" for w in words_up_to(1, 9)
         )
@@ -450,15 +466,17 @@ class TestSeriesFile:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert (err.value.line, err.value.token) == (27, "1e10000")
-        assert err.value.message == "degree-4 coefficient values spell more than 332210 bits"
+        assert (err.value.message, err.value.line, err.value.token) == (
+            "bad coefficient value", 2, "1e10000")
 
-    @pytest.mark.parametrize(
-        "value, want", [("1e10000", 10**10000), ("-25e-3", Fraction(-1, 40))], ids=["1e4", "dec"]
-    )
-    def test_values_within_bounds_parse(self, value, want):
+    @pytest.mark.parametrize("value", ["1e10000", "-25e-3"], ids=["1e4", "dec"])
+    def test_values_within_bounds_parse(self, value):
+        # Exponents and decimals are refused, naming their record.
         text = f"cfseries m=1 N=0 mode=rational\n;{value}\n"
-        assert parse_series(text) == Series(1, 0, {(): want})
+        with pytest.raises(ParseError) as err:
+            parse_series(text)
+        assert (err.value.message, err.value.line, err.value.token) == (
+            "bad coefficient value", 2, value)
 
 
 def reference_format(s):
@@ -470,6 +488,69 @@ def reference_format(s):
         value = f"{c.numerator}/{c.denominator}" if s.mode == RATIONAL else repr(c or 0.0)
         lines.append(",".join(map(str, w)) + ";" + value)
     return "\n".join(lines) + "\n"
+
+
+def reference_parse(text):
+    """The series of a series file read line by line, as the format comment
+    states the language: Fraction reads each n/d and float each float; a
+    ParseError names the first line outside the language."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    for i, line in enumerate(lines, 1):
+        stray = re.search("[" + "".join(STRAY_BREAKS) + "]", line)
+        if stray:
+            raise ParseError(f"line-break character 0x{ord(stray[0]):02x} in series file", line=i)
+    if not lines:
+        raise ParseError("empty series file", line=1)
+    head = lines[0].split(" ")
+    if len(head) != 4 or head[0] != "cfseries":
+        raise ParseError("malformed series header", line=1, token=lines[0])
+    for token, good, low, message in [
+        (head[1], "m=[1-9][0-9]{0,6}", "m=(0+|-[0-9]+)",
+         "alphabet max letter in series header must be >= 1"),
+        (head[2], "N=(0|[1-9][0-9]?)", "N=-[0-9]+", "negative degree bound in series header"),
+        (head[3], "mode=(rational|float)", "mode=.*", "unknown scalar mode in series header"),
+    ]:
+        if not re.fullmatch(good, token):
+            raise ParseError(message if re.fullmatch(low, token) else "malformed series header",
+                             line=1, token=token)
+    m, n, mode = int(head[1][2:]), int(head[2][2:]), head[3][5:]
+    words = itertools.chain.from_iterable(
+        itertools.product(range(m + 1), repeat=k) for k in range(n + 1))
+    values, dens = [], []
+    for i, (line, w) in enumerate(zip(lines[1:], words), 2):
+        if ";" not in line:
+            raise ParseError("missing ';' in series record", line=i, token=line)
+        word, value = line.split(";", 1)
+        if word != ",".join(map(str, w)):
+            letters = "(0|[1-9][0-9]*)"
+            message = (f"record out of order: expected word {w}"
+                       if re.fullmatch(f"({letters}(,{letters})*)?", word)
+                       else "malformed word in series record")
+            raise ParseError(message, line=i, token=word)
+        try:
+            if mode == RATIONAL:
+                if not re.fullmatch("-?[0-9]+/[0-9]+", value):
+                    raise ValueError
+                values.append(Fraction(value))
+                dens.append(value.split("/")[1])
+            else:
+                values.append(float(value))
+                if not math.isfinite(values[-1]):
+                    raise ParseError("non-finite coefficient value", line=i, token=value)
+                if not re.fullmatch("[0-9.e+-]+", value):
+                    raise ValueError
+        except (ValueError, ZeroDivisionError):
+            raise ParseError("bad coefficient value", line=i, token=value) from None
+    if len(values) != len(lines) - 1 or next(words, None) is not None:
+        raise ParseError(f"header m={m}, N={n} does not match the {len(lines) - 1} records found",
+                         line=len(lines))
+    try:
+        return Series(m, n, dict(zip(words_up_to(m, n), values)), mode)
+    except LevelSizeError as exc:
+        i = word_count(m, exc.degree - 1) + exc.index
+        raise ParseError(str(exc), line=i + 2, token=str(int(dens[i]))) from None
 
 
 def dense_series(m, n, seed):
@@ -617,19 +698,24 @@ def mutated_series_files(draw):
 
 
 class TestSeriesRecords:
-    """parse_series reads canonical records without parsing their words and
-    takes every other record the long way; both give the same series and
-    the same errors."""
+    """parse_series reads a file as columns, without parsing its words; a
+    file the columns refuse is read record by record, once, to name its
+    first line outside the language.  reference_parse, read line by line
+    with Fraction and float, gives the same series and the same errors."""
 
     SERIES = Series(1, 2, {(0,): 1, (1,): Fraction(-1, 2), (0, 1): 3, (1, 1): Fraction(2, 3)})
 
     @settings(max_examples=300, deadline=None)
     @given(VALUE_TEXTS)
     def test_value_parses_as_fraction_of_its_text(self, value):
+        # Exactly -?[0-9]+/[0-9]+ over a nonzero denominator reads, within
+        # the interpreter's digit limit (which Fraction(str) keeps as well).
         text = format_series(Series.zero(1, 2)).replace("\n1,0;0/1\n", f"\n1,0;{value}\n")
         try:
+            if not re.fullmatch("-?[0-9]+/[0-9]*[1-9][0-9]*", value):
+                raise ValueError
             want = Fraction(value)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             with pytest.raises(ParseError) as err:
                 parse_series(text)
             got = (err.value.message, err.value.line, err.value.token)
@@ -641,9 +727,15 @@ class TestSeriesRecords:
         "record, written", [("0;", " 0;"), ("1;", "+1;"), ("0,1;", "0,01;"), ("1,1;", "1, 1;")]
     )
     def test_word_text_int_accepts_still_parses(self, record, written):
+        # A word is spelled only as format_series spells it: letters that
+        # int() reads otherwise are refused, naming the word's line.
         text = format_series(self.SERIES).replace(f"\n{record}", f"\n{written}")
         assert f"\n{written}" in text
-        assert parse_series(text) == self.SERIES
+        line = text[: text.index(f"\n{written}")].count("\n") + 2
+        with pytest.raises(ParseError) as err:
+            parse_series(text)
+        got = (err.value.message, err.value.line, err.value.token)
+        assert got == ("malformed word in series record", line, written[:-1])
 
     def test_out_of_order_record_names_expected_word(self):
         text = format_series(self.SERIES).replace("\n0,1;", "\n1,0;", 1)
@@ -670,11 +762,54 @@ class TestSeriesRecords:
     )
     def test_errors_after_blank_lines_name_physical_line(self, record, message, token):
         lines = format_series(self.SERIES).splitlines()
-        # Blank lines 2, 3 and 8; the faulty record replaces word (0, 1), on line 9.
+        # Blank lines 2, 3 and 8; the faulty record replaces word (0, 1), on
+        # line 9.  A blank line is not a record: the first is refused.
         text = "\n".join([lines[0], "", "  ", *lines[1:5], "\t", record, *lines[6:]]) + "\n"
         with pytest.raises(ParseError) as err:
             parse_series(text)
-        assert (err.value.message, err.value.line, err.value.token) == (message, 9, token)
+        got = (err.value.message, err.value.line, err.value.token)
+        assert got == ("missing ';' in series record", 2, "")
+        # Without the blank lines, the faulty record is named on its line, 6.
+        text = "\n".join([*lines[:5], record, *lines[6:]]) + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_series(text)
+        assert (err.value.message, err.value.line, err.value.token) == (message, 6, token)
+
+    @pytest.mark.parametrize(
+        "old, new, line, message, token",
+        [
+            ("\n0;", "\n\n0;", 3, "missing ';' in series record", ""),
+            ("\n0,1;", "\n0,01;", 6, "malformed word in series record", "0,01"),
+            ("\n1;", "\n+1;", 4, "malformed word in series record", "+1"),
+            ("cfseries ", "cfseries  ", 1, "malformed series header",
+             "cfseries  m=1 N=2 mode=rational"),
+            ("m=1 ", "m=01 ", 1, "malformed series header", "m=01"),
+            ("-1/2", "-0.5", 4, "bad coefficient value", "-0.5"),
+            ("-1/2", "-5e-1", 4, "bad coefficient value", "-5e-1"),
+            ("-1/2", "-1_0/20", 4, "bad coefficient value", "-1_0/20"),
+            ("\n0;1/1", "\n0;+1/1", 3, "bad coefficient value", "+1/1"),
+            ("-1/2", "-1/2 ", 4, "bad coefficient value", "-1/2 "),
+            ("mode=rational", "mode=exact", 1, "unknown scalar mode in series header",
+             "mode=exact"),
+        ],
+        ids=["blank", "zero-padded", "plus-word", "header-spacing", "header-zero-padded",
+             "decimal", "exponent", "underscore", "plus-value", "padded-value", "unknown-mode"],
+    )
+    def test_lenient_forms_refused_at_their_line(self, old, new, line, message, token):
+        text = format_series(self.SERIES)
+        assert text.count(old) == 1
+        with pytest.raises(ParseError) as err:
+            parse_series(text.replace(old, new))
+        assert (err.value.message, err.value.line, err.value.token) == (message, line, token)
+
+    @pytest.mark.parametrize("value", ["1E5", " 1.0", "1.0 ", "1_0.0", "0x1p0", "1,0", "Infinity"])
+    def test_float_value_outside_the_language_refused(self, value):
+        # float() reads all but two of these; a float value is only [0-9.e+-].
+        text = format_series(to_float(self.SERIES)).replace("\n1;-0.5\n", f"\n1;{value}\n")
+        with pytest.raises(ParseError) as err:
+            parse_series(text)
+        message = "non-finite coefficient value" if value == "Infinity" else "bad coefficient value"
+        assert (err.value.message, err.value.line, err.value.token) == (message, 4, value)
 
     @pytest.mark.parametrize(
         "series",
@@ -713,14 +848,14 @@ class TestSeriesRecords:
         def refuse(*args):
             raise AssertionError("a canonical file left the column reader")
 
-        monkeypatch.setattr(fps, "_parse_records", refuse)
+        monkeypatch.setattr(fps, "_refusal", refuse)
         monkeypatch.setattr(fps, "Fraction", refuse)
         assert parse_series(text) == series
 
     @settings(max_examples=400, deadline=None)
     @given(mutated_series_files())
-    def test_column_reader_agrees_with_record_reader(self, text):
-        assert read_outcome(parse_series, text) == read_outcome(fps._parse_records, text)
+    def test_reader_agrees_with_reference_parse(self, text):
+        assert read_outcome(parse_series, text) == read_outcome(reference_parse, text)
 
     @pytest.mark.parametrize(
         "text, message, token",
@@ -843,19 +978,31 @@ class TestLevelLayout:
             num, den = map(int, value.split("/"))
             variants = [
                 f"{num * k}/{den * k}",
-                f"+{num}/{den}" if num >= 0 else f"{num * 2}/{den * 2}",
+                f"{num * 2}/{den * 2}",
                 "-0/5" if num == 0 else value,
             ]
             rewritten.append(f"{prefix};{variants[i % 3]}")
         back = parse_series("\n".join([head, *rewritten]) + "\n")
         assert back == s
         assert_canonical(back)
+        # A '+' sign is outside the language: the last record is refused.
+        prefix, value = rewritten[-1].split(";")
+        rewritten[-1] = f"{prefix};+{value.removeprefix('-')}"
+        with pytest.raises(ParseError) as err:
+            parse_series("\n".join([head, *rewritten]) + "\n")
+        assert (err.value.message, err.value.line) == ("bad coefficient value", len(records) + 1)
 
     @pytest.mark.parametrize("value", ["2/4", "-0/5", "+1/2", f"{3 * 10**60}/{6 * 10**60}"])
     def test_non_lowest_record_examples(self, value):
         want = Series.zero(1, 1) if value == "-0/5" else Series(1, 1, {(1,): Fraction(1, 2)})
         text = f"cfseries m=1 N=1 mode=rational\n;0/1\n0;0/1\n1;{value}\n"
-        assert parse_series(text) == want
+        if value.startswith("+"):  # outside the language
+            with pytest.raises(ParseError) as err:
+                parse_series(text)
+            assert (err.value.message, err.value.line, err.value.token) == (
+                "bad coefficient value", 4, value)
+        else:
+            assert parse_series(text) == want
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -897,10 +1044,16 @@ class TestLevelLayout:
             to_float(s)
         assert str(err.value) == "coefficient of word (1, 0) is outside the float range"
 
-    def test_unrelated_denominators_past_level_bound_fail_fast(self):
+    def test_unrelated_denominators_past_level_bound_fail_fast(self, monkeypatch):
         # 2^14 records of degree 14 over distinct odd ~60-bit denominators:
         # one denominator for the level would have about a million bits,
-        # times 16 384 numerators.
+        # times 16 384 numerators.  The column reader names the record from
+        # the LevelSizeError, without a second read of the text.
+        def refuse(*args):
+            raise AssertionError("a file refused for its level size was read again")
+
+        monkeypatch.setattr(fps, "_refusal", refuse)
+        monkeypatch.setattr(fps, "split_lines", refuse)
         words = words_up_to(1, 14)
         records = [
             ",".join(map(str, w)) + (f";1/{10**18 + 2 * i + 1}" if len(w) == 14 else ";0/1")
@@ -916,6 +1069,7 @@ class TestLevelLayout:
             tracemalloc.stop()
         assert err.value.message == level_size_message(14)
         assert err.value.line > len(words) - 2**14
+        assert err.value.token == str(int(text.splitlines()[err.value.line - 1].split("/")[1]))
         assert peak < 64 * 2**20
 
     def test_level_past_bound_fails_built_and_read_back(self):
@@ -929,10 +1083,13 @@ class TestLevelLayout:
         }
         with pytest.raises(LevelSizeError) as built:
             Series(2, 9, ref)
+        text = reference_text(2, 9, ref)
         with pytest.raises(ParseError) as read:
-            parse_series(reference_text(2, 9, ref))
+            parse_series(text)
         assert str(built.value) == read.value.message == level_size_message(9)
         assert read.value.line > word_count(2, 8) + 1
+        assert read_outcome(reference_parse, text) == (
+            read.value.message, read.value.line, read.value.token)
 
     def test_integer_level_past_bound_fails(self):
         # 3^9 numerators over a ~32 650-bit denominator pass the bound;
