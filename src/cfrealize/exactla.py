@@ -15,7 +15,9 @@ v is reduced by ``v <- (p_k * v - v[piv_k] * row_k) // p_{k-1}`` for every k
 in order, with p_{-1} = 1 (Bareiss 1968).  Every entry is then a minor of the
 integer matrix, so every division is exact.  No row is skipped when v[piv_k]
 is already 0: v must still be multiplied by p_k, or the next division by p_k
-is not exact.
+is not exact.  A zero vector stays zero at every step, so it is answered
+without a step: its multipliers are all 0, it never enlarges the span, and
+its coordinates are all 0.
 
 Each echelon row keeps only its multipliers v[piv_k], so :func:`rank` and
 ``add`` carry no expressions.  The expression of a row over the inserted
@@ -74,13 +76,16 @@ class RowSpan:
 
     def _reduce(self, vec):
         """den * vec reduced against every echelon row, the multipliers of
-        the steps, and den."""
+        the steps, and den.  A zero vector comes back as it is, with zero
+        multipliers: no step would change it."""
         if set(map(type, vec)) <= {int}:
-            v, den = list(vec), 1
+            v, den = vec, 1
         else:
             v, den = over_common_denominator(vec)
         if len(v) != self.length:
             raise ValueError(f"vector length {len(v)} != span length {self.length}")
+        if not any(v):
+            return v, [0] * len(self._rows), den
         cs: list[int] = []
         last = 1
         for piv, p, row, _ in self._rows:
@@ -104,10 +109,11 @@ class RowSpan:
     def add(self, vec) -> bool:
         """Insert ``vec``; returns True if it enlarged the span."""
         v, cs, den = self._reduce(vec)
-        piv = next((j for j, x in enumerate(v) if x), None)
-        if piv is None:
+        if not any(v):
             return False
-        self._rows.append((piv, v[piv], v, cs))
+        piv = next(j for j, x in enumerate(v) if x)
+        # A vector that took no step is still the caller's sequence.
+        self._rows.append((piv, v[piv], list(v) if v is vec else v, cs))
         self._dens.append(den)
         return True
 

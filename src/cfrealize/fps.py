@@ -9,8 +9,10 @@ matrix indexing and for file output, so artifacts are bit-reproducible.
 Series, series files, Hankel columns and integral tables share one level
 layout: level k holds the (m+1)^k words of degree k in that order, w at
 ``word_index(w, m)`` (its letters read as a base-(m+1) numeral).  Hence
-word_index(u.v) = word_index(u) * (m+1)^|v| + word_index(v), and a Hankel
-column [s(u.v) for |u| = a] is a strided slice of level a + |v|.
+word_index(u.v) = word_index(u) * (m+1)^|v| + word_index(v), so a Hankel
+column [s(u.v) for |u| = a] is a strided slice of level a + |v|, and a
+Hankel row's entries of column degree b, [s(u.v) for |v| = b], are one
+contiguous slice of level |u| + b.
 
 A :class:`Series` assigns a scalar coefficient to every word up to a fixed
 truncation degree.  Coefficients beyond the truncation degree are unknown
@@ -60,6 +62,8 @@ MAX_CELLS = 10**7
 # once per word of the level: values whose denominators share no factors would
 # otherwise carry their product in every numerator.
 MAX_LEVEL_BITS = 64 * MAX_CELLS
+# The largest m a series may take: the most a series file's header spells.
+MAX_LETTER = 9_999_999
 
 
 def word_key(w: Word):
@@ -151,7 +155,8 @@ class Series:
     """Truncated noncommutative formal power series.
 
     Attributes:
-        m: largest letter of the alphabet (alphabet size is m + 1).
+        m: largest letter of the alphabet (alphabet size is m + 1), at
+            most MAX_LETTER.
         max_degree: validity degree; coefficients of longer words are unknown.
         mode: ``"rational"`` or ``"float"``.
         levels: ``levels[k]`` holds the words of degree k, w's at
@@ -175,6 +180,8 @@ class Series:
     ):
         if m < 1:
             raise AlphabetError(f"alphabet max letter must be >= 1, got m={m}")
+        if m > MAX_LETTER:
+            raise AlphabetError(f"alphabet max letter must be <= {MAX_LETTER}, got m={m}")
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         if mode not in (RATIONAL, FLOAT):
@@ -375,7 +382,7 @@ def to_float(r: Series) -> Series:
 # A series file is exactly what format_series writes, and parse_series is its
 # one reader.  Header line, with single spaces:
 #     cfseries m=<m> N=<N> mode=<rational|float>
-# m in 1..9999999 and N in 0..99, without leading zeros.  Then one record per
+# m in 1..MAX_LETTER and N in 0..99, without leading zeros.  Then one record per
 # word of degree <= N in graded-lex order, that is the levels one after
 # another:
 #     <comma-joined letters>;<value>

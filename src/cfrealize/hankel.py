@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -92,7 +93,12 @@ def hankel_build(s: Series, d_r: int, d_c: int) -> HankelBlock:
     """Hankel section of a series with row degree d_r and column degree d_c.
 
     Needs d_r + d_c <= the series truncation degree, since every entry is a
-    genuine coefficient of the source series.
+    genuine coefficient of the source series.  Row u is gathered straight
+    from the levels: its entries of column degree b are the contiguous slice
+    of level |u| + b of length (m+1)^b at ``word_index(u) * (m+1)^b``.
+    Rational entries are integer numerators over the common denominator
+    ``s.den``; a level over another denominator is scaled to it once, with
+    one ``map``, and a level already over it is sliced as it is.
     """
     if d_r < 0 or d_c < 0:
         raise ValueError("block degrees must be nonnegative")
@@ -100,9 +106,23 @@ def hankel_build(s: Series, d_r: int, d_c: int) -> HankelBlock:
         raise DegreeError(
             f"insufficient series degree: need {d_r + d_c}, have {s.max_degree}"
         )
-    cols = words_up_to(s.m, d_c)
-    entries = tuple(zip(*(hankel_column(s, v, d_r) for v in cols)))
-    return HankelBlock(s.m, tuple(words_up_to(s.m, d_r)), tuple(cols), entries, s.mode, s.den)
+    den = s.den
+    # Each level over the common denominator: scaled once, or as it is.
+    levels = [
+        level if level_den == den else tuple(map((den // level_den).__mul__, level))
+        for level, level_den in zip(s.levels[: d_r + d_c + 1], s.dens)
+    ]
+    rows = []
+    for a in range(d_r + 1):
+        # Level a + b cut into (m+1)^a pieces of (m+1)^b: piece i belongs to row i.
+        cuts = [
+            [level[i : i + size] for i in range(0, len(level), size)]
+            for level, size in ((levels[a + b], (s.m + 1) ** b) for b in range(d_c + 1))
+        ]
+        rows += map(tuple, map(chain.from_iterable, zip(*cuts)))
+    return HankelBlock(
+        s.m, tuple(words_up_to(s.m, d_r)), tuple(words_up_to(s.m, d_c)), tuple(rows), s.mode, den
+    )
 
 
 def rank_exact(h: HankelBlock) -> RankReport:

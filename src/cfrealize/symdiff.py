@@ -107,9 +107,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __eq__(self, other):
         return (
             isinstance(other, MultiPoly)

@@ -1,6 +1,7 @@
 """Library pieces that only the tests use: the concatenation product of
-series, two causal functionals with memory, and a randomized causality
-check.  No command reaches them, so they live beside their tests."""
+series, a polynomial's total degree, two causal functionals with memory,
+and a randomized causality check.  No command reaches them, so they live
+beside their tests."""
 
 import numpy as np
 
@@ -26,6 +27,11 @@ def series_product(r: Series, s: Series) -> Series:
             if len(u) + len(v) <= n:
                 out[u + v] = out.get(u + v, 0) + a * b
     return Series(r.m, n, out, r.mode)
+
+
+def total_degree(p: MultiPoly) -> int:
+    """The largest total degree of p's monomials (0 for the zero polynomial)."""
+    return max((sum(e) for e in p.terms), default=0)
 
 
 class RunningIntegralFunctional(CausalFunctional):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +144,30 @@ class TestRowSpan:
             span.coords(bad)
         assert span.dim == 1
 
+    def test_span_keeps_its_own_rows(self):
+        # The first row takes no step, so it is the one the span must copy:
+        # changing the caller's list afterwards changes no answer.
+        first, second = [1, 2, 0], [0, 1, 1]
+        span = RowSpan(3)
+        assert span.add(first) and span.add(second)
+        first[:] = second[:] = [0, 0, 0]
+        assert span.pivots == [(0, 1), (1, 1)]
+        assert span.coords([2, 5, 1]) == [2, 1]
+        assert span.coords([0, 0, 1]) is None
+
+    @pytest.mark.parametrize("zero", [[0], [0, 0, 0], (), (0, 0, 0), [Fraction(0)] * 3])
+    def test_zero_vector_length_checked_first(self, zero):
+        # A zero vector is answered without a step, but only after its
+        # length is checked, on an empty span and on a grown one.
+        span = RowSpan(2)
+        for dim in (0, 1):
+            with pytest.raises(ValueError):
+                span.add(zero)
+            with pytest.raises(ValueError):
+                span.coords(zero)
+            assert span.dim == dim
+            span.add([1, 1])
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_coords_between_inserts(self, data):
@@ -166,3 +191,33 @@ class TestRowSpan:
         assert span.add([1, 2]) and span.add([3, 0])
         assert span.coords([5, 4]) == [2, 1]
         assert span.coords([Fraction(5, 6), Fraction(2, 3)]) == [Fraction(1, 3), Fraction(1, 6)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_zero_vectors_change_nothing(self, data):
+        # The integer form of the exact layer: numerators over one shared
+        # denominator.  Zero vectors, as lists and tuples, interleaved with
+        # the inserts and the coordinate solves leave every answer as it is.
+        length = data.draw(st.integers(1, 6))
+        vectors = rational_vectors(data, length, data.draw(st.integers(0, 8)))
+        queries = vectors + rational_vectors(data, length, 4)
+        den = lcm(*(x.denominator for vec in queries for x in vec))
+        numerators = [[int(x * den) for x in vec] for vec in queries]
+        plain, mixed = RowSpan(length), RowSpan(length)
+        zeros = ([0] * length, (0,) * length)
+        for vec in numerators[: len(vectors)]:
+            for _ in range(data.draw(st.integers(0, 2))):
+                zero = data.draw(st.sampled_from(zeros))
+                assert not mixed.add(zero)
+                if data.draw(st.booleans()):
+                    assert mixed.coords(zero) == [Fraction(0)] * mixed.dim
+            assert mixed.add(vec) == plain.add(vec)
+        assert (mixed.dim, mixed.pivots) == (plain.dim, plain.pivots)
+        for vec in numerators:
+            assert mixed.coords(vec) == plain.coords(vec)
+        for zero in zeros:
+            got = mixed.coords(zero)
+            assert got == [Fraction(0)] * mixed.dim
+            assert all(type(c) is Fraction for c in got)
+        with_zeros = [v for vec in numerators for v in (vec, zeros[0])]
+        assert rank(with_zeros) == rank(numerators) == fraction_rank(queries)

@@ -38,6 +38,7 @@ from cfrealize import (
 from cfrealize import fps
 from cfrealize.fps import (
     FLOAT,
+    MAX_LETTER,
     MAX_LEVEL_BITS,
     MAX_WORDS,
     RATIONAL,
@@ -417,6 +418,19 @@ class TestSeriesFile:
             tracemalloc.stop()
         assert text == "cfseries m=999999 N=0 mode=rational\n;1/2\n"
         assert peak < 2**20
+
+    def test_alphabet_bound_is_the_header_bound(self):
+        # The header spells m in at most seven digits; a Series past that
+        # would be written as a file its own reader refuses.
+        s = Series(MAX_LETTER, 0, {(): 1})
+        assert MAX_LETTER == 9_999_999
+        assert format_series(s) == "cfseries m=9999999 N=0 mode=rational\n;1/1\n"
+        assert parse_series(format_series(s)) == s
+        for mode in (RATIONAL, FLOAT):
+            with pytest.raises(AlphabetError, match="<= 9999999, got m=10000000"):
+                Series(10**7, 0, {(): 1}, mode)
+        with pytest.raises(AlphabetError):
+            Series(10**7, 0, levels=[[1]])
 
     def test_oversized_header_fails_before_listing_words(self):
         # m=3, N=11 would list 5.6 million words; the record count alone

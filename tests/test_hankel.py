@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from cfrealize import (
     lyndon_words,
     f_y_apply,
     hankel_build,
+    hankel_column,
     lie_derivative,
     lie_rank,
     parse_model,
@@ -74,6 +76,54 @@ class TestHankelBuild:
         for i, u in enumerate(block.row_words):
             for j, v in enumerate(block.col_words):
                 assert Fraction(block.entries[i][j], block.den) == coefficient(s, u + v)
+
+
+def unrelated_denominator_series(rng, m, n):
+    """A rational series whose levels have pairwise unrelated denominators,
+    a power of the k-th prime at level k, with zeros mixed in."""
+    primes = [2, 3, 5, 7, 11, 13, 17]
+    levels, dens = [], []
+    for k in range(n + 1):
+        size = (m + 1) ** k
+        values = [rng.choice((0, 1, -1, 19, -23)) for _ in range(size)]
+        values[rng.randrange(size)] = rng.choice((1, -1))
+        levels.append(values)
+        dens.append([primes[k] ** rng.randint(1, 2) for _ in range(size)])
+    return Series(m, n, levels=levels, dens=dens)
+
+
+class TestHankelGather:
+    """A block gathered a row at a time from the levels holds exactly the
+    entries of the Hankel columns, transposed."""
+
+    @staticmethod
+    def assert_columns_transposed(s):
+        for d_r in range(s.max_degree + 1):
+            for d_c in range(s.max_degree + 1 - d_r):
+                block = hankel_build(s, d_r, d_c)
+                want = tuple(zip(*(hankel_column(s, v, d_r) for v in block.col_words)))
+                assert block.entries == want, (d_r, d_c)
+                got_types = {type(x) for row in block.entries for x in row}
+                assert got_types == {float if s.mode == "float" else int}
+                assert block.shape == (len(words_up_to(s.m, d_r)), len(words_up_to(s.m, d_c)))
+                assert block.den == s.den
+
+    @pytest.mark.parametrize("m, n", [(1, 6), (2, 4), (3, 3)])
+    def test_rational_and_float_series(self, m, n):
+        rng = random.Random(2700 + m)
+        s = unrelated_denominator_series(rng, m, n)
+        assert len(set(s.dens)) == n + 1  # every level its own denominator
+        for series in (s, to_float(s), ones_series(m, n)):
+            self.assert_columns_transposed(series)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_zero_series(self, m, mode):
+        self.assert_columns_transposed(Series.zero(m, 3, mode))
+
+    def test_bilinear_series(self, rng):
+        s = bilinear_coefficients(rand_bilinear(rng, 2, 2), 4)
+        self.assert_columns_transposed(s)
 
 
 class TestRankExact:

@@ -13,7 +13,9 @@ same order of operations as ``simulate_states``.  The earlier integrator,
 one ``@`` per Heun stage on a power-table evaluator, stays as
 ``reference_loop_states``, the oracle of both steppers' values within a
 rounding bound.  The CSV reference is a row-by-row join, which the files
-must match however many workers write them.
+must match however many workers write them.  The memory tests hold the
+stepper's peak flat in the number of monomials and an exact span's answer
+to a zero vector free of full-length copies.
 """
 
 import os
@@ -28,6 +30,7 @@ import pytest
 from cfrealize import QSpec, make_grid, parse_model, sample_brownian, simulate_states
 from cfrealize.cli import _write_replicates
 from cfrealize.errors import DivergenceError
+from cfrealize.exactla import RowSpan
 from cfrealize.paths import (
     AFFINE_MAX_DIM,
     DIVERGENCE_GUARD,
@@ -39,6 +42,7 @@ from cfrealize.paths import (
 from cfrealize.symdiff import MultiPoly, compile_float, linear_embedding, stratonovich_to_ito_drift
 
 from conftest import assert_no_child, count_forks, rand_analytic, rand_bilinear, rand_poly, traced_peak
+from helpers import total_degree
 
 
 def ordered_sum(terms):
@@ -110,7 +114,7 @@ def reference_fields(model, path, method):
 def takes_map(model, path, method):
     """Whether ``simulate_states`` steps this model by the affine map."""
     fields, _ = reference_fields(model, path, method)
-    degrees = [c.total_degree() for fs in fields for g in fs for c in g.components]
+    degrees = [total_degree(c) for fs in fields for g in fs for c in g.components]
     return model.n <= AFFINE_MAX_DIM and max(degrees) <= 1
 
 
@@ -316,7 +320,7 @@ def worst_loop_gap(rng, models, field_deg, grid, seed):
     for k in range(models):
         n, m = rng.randint(1, 3), rng.randint(1, 2)
         model = rand_analytic(rng, n, m, field_deg=field_deg)
-        if max(c.total_degree() for g in model.fields for c in g.components) < min(field_deg, 2):
+        if max(total_degree(c) for g in model.fields for c in g.components) < min(field_deg, 2):
             continue  # a draw of degree-2 fields that came out affine
         for method, q in (
             ("heun", QSpec.identity(m)),
@@ -384,6 +388,24 @@ class TestStepperMemory:
         assert peak_many <= 1.2 * peak_few, (peak_many, peak_few)
 
 
+class TestZeroVectorMemory:
+    """Most rows of the filter models' Hankel blocks are zero.  A span
+    answers a zero vector without a Bareiss step, so it copies no
+    full-length list: 10^4 entries would take 8 * 10^4 bytes of pointers."""
+
+    LENGTH = 10**4
+
+    def test_zero_vector_allocates_no_full_length_list(self):
+        span = RowSpan(self.LENGTH)
+        assert span.add([1] * self.LENGTH) and span.add([0, 1] * (self.LENGTH // 2))
+        for zero in ([0] * self.LENGTH, (0,) * self.LENGTH):
+            for answer in (span.add, span.coords):
+                assert traced_peak(answer, zero) < 8 * 10**3, answer.__name__
+            assert not span.add(zero)
+            assert span.coords(zero) == [Fraction(0)] * 2
+        assert span.dim == 2
+
+
 def rand_affine(rng, n, constant):
     """A polynomial of degree <= 1 in n variables, with a constant term or without."""
     exponents = [tuple(int(i == k) for i in range(n)) for k in range(n)]
@@ -414,7 +436,7 @@ class TestAffineEvaluatorBytes:
         gen = np.random.default_rng(2000 + 2 * n + constant)
         for _ in range(30):
             polys = [rand_affine(rng, n, constant) for _ in range(rng.randint(1, 4))]
-            assert all(p.total_degree() <= 1 for p in polys)
+            assert all(total_degree(p) <= 1 for p in polys)
             assert all(((0,) * n in p.terms) == constant for p in polys)
             scale = 10.0 ** rng.uniform(-3, 3)
             for shape in ((rng.randint(1, 9), n), (4, 5, n), (n,)):
