@@ -127,14 +127,6 @@ def default_bump(path: SamplePath):
     return np.sqrt(dt) * np.maximum(1.0, amp)
 
 
-def horizontal_derivative(f: CausalFunctional, path: SamplePath, j: int) -> float:
-    """Forward difference of f along the path stopped at t_j, over one grid
-    cell."""
-    if j + 1 >= path.grid.size:
-        raise ValueError("horizontal step runs past the horizon")
-    return _Cell(f, path, j).stop_step() / (float(path.grid[j + 1]) - float(path.grid[j]))
-
-
 def vertical_derivative(
     f: CausalFunctional,
     path: SamplePath,

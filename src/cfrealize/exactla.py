@@ -12,12 +12,18 @@ one series share it), and coordinates over vectors that share a denominator
 do not depend on it.  Any other rational vector is scaled to integers over
 its own common denominator.  Echelon row k keeps its pivot p_k, and a vector
 v is reduced by ``v <- (p_k * v - v[piv_k] * row_k) // p_{k-1}`` for every k
-in order, with p_{-1} = 1 (Bareiss 1968).  Every entry is then a minor of the
+in order, with p_{-1} = 1 (Bareiss 1968); a step whose p_{k-1} is 1, the
+first one always, takes no division.  Every entry is then a minor of the
 integer matrix, so every division is exact.  No row is skipped when v[piv_k]
 is already 0: v must still be multiplied by p_k, or the next division by p_k
 is not exact.  A zero vector stays zero at every step, so it is answered
 without a step: its multipliers are all 0, it never enlarges the span, and
 its coordinates are all 0.
+
+A vector that enlarges the span pivots on its reduced form's first nonzero
+entry, and later rows are zero there.  So the pivots that the first r rows
+inserted leave in the first c columns count the rank of those rows cut to
+those columns; ``realize`` reads two ranks from one span this way.
 
 Each echelon row keeps only its multipliers v[piv_k], so :func:`rank` and
 ``add`` carry no expressions.  The expression of a row over the inserted
@@ -91,7 +97,11 @@ class RowSpan:
         for piv, p, row, _ in self._rows:
             c = v[piv]
             cs.append(c)
-            v = [(p * a - c * b) // last for a, b in zip(v, row)]
+            v = (
+                [p * a - c * b for a, b in zip(v, row)]
+                if last == 1
+                else [(p * a - c * b) // last for a, b in zip(v, row)]
+            )
             last = p
         return v, cs, den
 

@@ -299,7 +299,9 @@ def hankel_column(r: Series, v, d: int) -> list:
     """Hankel column [r(u.v) for u of degree <= d], u in graded-lex order:
     one strided slice per level.  Rational entries are integer numerators
     over the series' common denominator ``r.den``, so every column of one
-    series shares it; float entries are the doubles.  As with
+    series shares it: a slice of a level over another denominator is scaled
+    to it once, and one already over it is taken as it is.  Float entries
+    are the doubles.  As with
     :func:`coefficient`, a product word beyond the truncation degree is an
     error, not a zero."""
     if d + len(v) > r.max_degree:
@@ -308,8 +310,11 @@ def hankel_column(r: Series, v, d: int) -> list:
         )
     start, step = word_index(v, r.m), (r.m + 1) ** len(v)
     den, span = r.den, slice(len(v), len(v) + d + 1)
-    scales = [den // level_den for level_den in r.dens[span]]
-    return [c * scale for level, scale in zip(r.levels[span], scales) for c in level[start::step]]
+    column = []
+    for level, level_den in zip(r.levels[span], r.dens[span]):
+        part = level[start::step]
+        column += part if level_den == den else map((den // level_den).__mul__, part)
+    return column
 
 
 def series_linear_combine(alpha, r: Series, beta, s: Series) -> Series:
@@ -397,12 +402,17 @@ def to_float(r: Series) -> Series:
 # fills one template, the word column with a value slot on each line, with a
 # single %.  parse_series checks each line's separators, splits the body into
 # cells once per level, compares the word cells with the word column and
-# turns the value cells with map(int) or map(float); Series reduces each n/d
-# and scales the level to numerators over the lcm of the reduced d.  A
-# rational level past MAX_LEVEL_BITS is a ParseError naming its record, taken
-# from the LevelSizeError.  Any other file the columns refuse is read once
-# more, line by line, by _refusal, which names its first line that is not the
-# header or <expected word>;<value>, with its token, else the record count.
+# turns the value cells with map(int) or map(float).  A rational level's
+# denominator cells are read once per distinct text, and the level goes to
+# Series as its numerators scaled to D, the lcm of those denominators; Series
+# divides out the one gcd of the numerators and D, which leaves the lcm of the
+# reduced denominators.  A level whose D passes MAX_LEVEL_BITS goes with one
+# denominator per value instead, which Series reduces one by one: a file
+# that is not in lowest terms still reads if its reduced level fits, and one
+# that does not is a ParseError naming its record, taken from the
+# LevelSizeError.  Any other file the columns refuse is read once more, line
+# by line, by _refusal, which names its first line that is not the header or
+# <expected word>;<value>, with its token, else the record count.
 
 _HEADER_FIELDS = (
     # (a field as written, the same key with a value below range, its message)
@@ -515,18 +525,34 @@ def _parse_columns(m: int, n: int, mode: str, body: str) -> Series | None:
             del cells[0::stride]
             if mode == FLOAT:
                 levels[k] = list(map(float, cells))
+                continue
+            den_text = cells[1::2]
+            del cells[1::2]
+            values = {t: int(t) for t in set(den_text)}
+            if min(values.values()) < 1:
+                return None
+            den = 1
+            for d in values.values():
+                den = math.lcm(den, d)
+                if den.bit_length() * len(den_text) > MAX_LEVEL_BITS:
+                    # Series reduces each value and names the record past the bound.
+                    levels[k] = list(map(int, cells))
+                    dens[k] = list(map(values.__getitem__, den_text))
+                    break
             else:
-                dens[k] = list(map(int, cells[1::2]))
-                del cells[1::2]
-                levels[k] = list(map(int, cells))
+                scale = {t: den // d for t, d in values.items()}
+                nums = map(int, cells)
+                levels[k] = list(map(operator.mul, nums, map(scale.__getitem__, den_text)))
+                dens[k] = den
+            # Freed before the next level is split off: held into that split,
+            # the denominator texts raised peak RSS over repeated reads.
+            del cells, den_text
     except ValueError:  # not a number, or past the interpreter's digit limit
         return None
     if mode == FLOAT:
         if not all(map(math.isfinite, chain.from_iterable(levels))):
             return None
         return Series(m, n, mode=FLOAT, levels=levels)
-    if min(map(min, dens)) < 1:
-        return None
     try:
         return Series(m, n, mode=RATIONAL, levels=levels, dens=dens)
     except LevelSizeError as exc:

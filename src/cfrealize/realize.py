@@ -36,9 +36,10 @@ from .fps import (
     coefficient,
     hankel_column,
     to_float,
+    word_count,
     words_up_to,
 )
-from .hankel import hankel_build, rank_exact
+from .hankel import hankel_build
 from .symdiff import BilinearModel, bilinear_coefficients
 
 
@@ -108,13 +109,35 @@ def _empty_model(m: int) -> BilinearModel:
     return BilinearModel(0, m, (), tuple(() for _ in range(m + 1)), ())
 
 
+def _stabilization_ranks(s: Series, depth: int) -> tuple[int, int]:
+    """Exact ranks of the (depth - 1, depth - 1) and (depth, depth) Hankel
+    blocks from one elimination of the larger block's rows, in order.
+
+    The smaller block is the leading rows by the leading columns of the
+    larger.  A span pivots on a reduced row's first nonzero entry, so once
+    the leading rows are in, its pivots in the leading columns count that
+    block's rank.  They are counted before the other rows come in, as those
+    may pivot in the leading columns too."""
+    block = hankel_build(s, depth, depth)
+    lead = word_count(s.m, depth - 1)
+    span = RowSpan(len(block.col_words))
+    for row in block.entries[:lead]:
+        span.add(row)
+    r_lo = sum(piv < lead for piv, _ in span.pivots)
+    for row in block.entries[lead:]:
+        span.add(row)
+    return r_lo, span.dim
+
+
 def bilinear_realize(s: Series, n_budget: int | None = None) -> RealizationResult:
     """Synthesize a bilinear model reproducing a rational coefficient series.
 
     The series must be known to degree N = ``n_budget`` (default: its
     truncation degree) and its square Hankel sections must have equal rank at
     degrees floor(N/2) - 1 and floor(N/2); otherwise the data cannot certify
-    rationality and a StabilizationError is raised.
+    rationality and a StabilizationError is raised.  Both ranks come from one
+    elimination of the larger section's rows, the smaller section being its
+    leading rows and columns.
 
     States are identified with Hankel columns: the state reached along a word
     v is the column of v, and prepending a letter applies the corresponding
@@ -141,8 +164,7 @@ def bilinear_realize(s: Series, n_budget: int | None = None) -> RealizationResul
         raise StabilizationError(
             "insufficient data: need the series to degree >= 2 to check rank stabilization"
         )
-    r_lo = rank_exact(hankel_build(s, depth - 1, depth - 1)).rank
-    r_hi = rank_exact(hankel_build(s, depth, depth)).rank
+    r_lo, r_hi = _stabilization_ranks(s, depth)
     if r_lo != r_hi:
         raise StabilizationError(
             f"truncated Hankel rank has not stabilized (rank {r_lo} at degree "

@@ -1,11 +1,11 @@
 """Library pieces that only the tests use: the concatenation product of
-series, a polynomial's total degree, two causal functionals with memory,
-and a randomized causality check.  No command reaches them, so they live
-beside their tests."""
+series, a polynomial's total degree, the horizontal derivative of a causal
+functional, two causal functionals with memory, and a randomized causality
+check.  No command reaches them, so they live beside their tests."""
 
 import numpy as np
 
-from cfrealize.dupire import CausalFunctional
+from cfrealize.dupire import CausalFunctional, _Cell
 from cfrealize.fps import Series, _check_pair
 from cfrealize.paths import SamplePath
 from cfrealize.symdiff import MultiPoly, compile_float
@@ -32,6 +32,14 @@ def series_product(r: Series, s: Series) -> Series:
 def total_degree(p: MultiPoly) -> int:
     """The largest total degree of p's monomials (0 for the zero polynomial)."""
     return max((sum(e) for e in p.terms), default=0)
+
+
+def horizontal_derivative(f: CausalFunctional, path: SamplePath, j: int) -> float:
+    """Forward difference of f along the path stopped at t_j, over one grid
+    cell."""
+    if j + 1 >= path.grid.size:
+        raise ValueError("horizontal step runs past the horizon")
+    return _Cell(f, path, j).stop_step() / (float(path.grid[j + 1]) - float(path.grid[j]))
 
 
 class RunningIntegralFunctional(CausalFunctional):

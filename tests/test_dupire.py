@@ -21,7 +21,6 @@ from cfrealize.dupire import (
     default_bump,
     functional_ito_residual,
     hijab_decomposition_check,
-    horizontal_derivative,
     second_vertical_derivative,
     vertical_derivative,
 )
@@ -36,7 +35,12 @@ from cfrealize.symdiff import (
     poly_eval,
 )
 
-from helpers import LinearFilterFunctional, RunningIntegralFunctional, causality_defect
+from helpers import (
+    LinearFilterFunctional,
+    RunningIntegralFunctional,
+    causality_defect,
+    horizontal_derivative,
+)
 
 
 def P(text, n):

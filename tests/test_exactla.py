@@ -25,6 +25,24 @@ def fraction_rank(rows) -> int:
     return rk
 
 
+def fraction_det(mat) -> Fraction:
+    """Determinant of a square matrix by elimination over Fraction."""
+    mat = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for i in range(len(mat)):
+        piv = next((r for r in range(i, len(mat)) if mat[r][i] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != i:
+            mat[i], mat[piv] = mat[piv], mat[i]
+            det = -det
+        det *= mat[i][i]
+        for r in range(i + 1, len(mat)):
+            f = mat[r][i] / mat[i][i]
+            mat[r] = [a - f * b for a, b in zip(mat[r], mat[i])]
+    return det
+
+
 class TestRank:
     @pytest.mark.parametrize(
         "rows",
@@ -124,6 +142,24 @@ class TestRowSpan:
             assert got is not None and len(got) == len(inserted)
             rebuilt = [sum(c * u[j] for c, u in zip(got, inserted)) for j in range(length)]
             assert rebuilt == vec
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_pivots_are_bordered_minors(self, data):
+        # Row k pivots on the first column whose minor over the first k + 1
+        # inserted vectors and the earlier pivot columns is nonzero, and its
+        # pivot is that minor.  A step that skips or adds a division keeps
+        # the rank and the coordinates, but not the pivots.
+        length = data.draw(st.integers(1, 6))
+        row = st.lists(st.integers(-4, 4), min_size=length, max_size=length)
+        span = RowSpan(length)
+        inserted = [vec for vec in data.draw(st.lists(row, max_size=8)) if span.add(vec)]
+        cols = []
+        for k, (piv, p) in enumerate(span.pivots):
+            first = inserted[: k + 1]
+            minors = [fraction_det([[r[j] for j in cols + [c]] for r in first]) for c in range(piv + 1)]
+            assert minors[:piv] == [0] * piv and minors[piv] == p
+            cols.append(piv)
 
     def test_coordinates_over_inserted_vectors(self):
         span = RowSpan(3)

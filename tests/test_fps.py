@@ -19,6 +19,7 @@ from cfrealize import (
     ParseError,
     Series,
     QSpec,
+    bilinear_coefficients,
     cf_trajectory,
     coefficient,
     expand_bracket,
@@ -52,6 +53,7 @@ from cfrealize.fps import (
     words_of_degree,
 )
 
+from conftest import rand_bilinear
 from helpers import series_product
 
 words_strategy = st.lists(st.integers(0, 2), max_size=4).map(tuple)
@@ -1140,6 +1142,84 @@ class TestLevelLayout:
         with pytest.raises(ModeMismatchError):
             cf_trajectory(s, table)
         assert cf_trajectory(to_float(s), table)[-1] == pytest.approx(path.values[:, 0] / 3)
+
+
+def level_text(m, n, levels):
+    """A rational series file whose level k holds the value texts
+    ``levels[k]``, one per word."""
+    records = [
+        ",".join(map(str, w)) + ";" + value
+        for w, value in zip(words_up_to(m, n), itertools.chain.from_iterable(levels))
+    ]
+    return "\n".join([f"cfseries m={m} N={n} mode=rational", *records]) + "\n"
+
+
+class TestLevelDenominators:
+    """A rational level is read over the lcm of its distinct denominator
+    texts or, when that lcm passes MAX_LEVEL_BITS, over one denominator per
+    value; either way it is the canonical level reference_parse reads."""
+
+    @staticmethod
+    def read(text):
+        got = parse_series(text)
+        assert got == reference_parse(text)
+        assert_canonical(got)
+        return got
+
+    def test_past_bound_until_reduced_reads(self):
+        # The top level of m = 1, N = 14 holds k*d/d over 2^14 distinct odd
+        # ~60-bit d.  The lcm of the written d passes the bound, but every
+        # value is the integer k, so the file reads.
+        top = [(i % 7 - 3, 10**18 + 2 * i + 1) for i in range(2**14)]
+        assert math.lcm(*[d for _, d in top[:1000]]).bit_length() * 2**14 > MAX_LEVEL_BITS
+        levels = [["0/1"] * 2**k for k in range(14)] + [[f"{k * d}/{d}" for k, d in top]]
+        got = self.read(level_text(1, 14, levels))
+        assert got.dens[14] == 1
+        assert list(got.levels[14]) == [k for k, _ in top]
+
+    @pytest.mark.parametrize(
+        "level",
+        [
+            ["2/4", "-0/5", "6/3", "1/7", "-5/6", "0/1", "3/14", "-9/10", "1/1"],
+            ["1/7", "-9/10", "2/4", "3/14", "6/3", "-5/6", "-0/5", "1/1", "0/1"],
+            ["2/4", "-0/5", "6/3", "0/1", "5/1", "-0/5", "2/4", "6/3", "1/1"],
+        ],
+        ids=["first", "mixed", "only-non-lowest"],
+    )
+    def test_non_lowest_values_among_other_denominators(self, level):
+        got = self.read(level_text(2, 2, [["1/3"], ["4/6", "-0/5", "6/3"], level]))
+        assert got.levels[1] == (2, 0, 6) and got.dens[1] == 3
+        assert [coefficient(got, w) for w in words_of_degree(2, 2)] == list(map(Fraction, level))
+
+    @pytest.mark.parametrize(
+        "level, den",
+        [
+            (["2/12", "4/12", "-6/12", "0/12", "10/12", "12/12", "-8/12", "2/12", "6/12"], 6),
+            (["1/7", "-3/7", "0/7", "2/7", "5/7", "-1/7", "6/7", "3/7", "4/7"], 7),
+            (["0/1"] * 9, 1),
+        ],
+        ids=["shared-with-common-factor", "shared-lowest", "all-zero"],
+    )
+    def test_level_over_one_denominator(self, level, den):
+        got = self.read(level_text(2, 2, [["0/1"], ["0/1", "1/2", "-1/3"], level]))
+        assert got.dens[2] == den
+        assert [Fraction(c, den) for c in got.levels[2]] == list(map(Fraction, level))
+
+    def test_dense_bilinear_parse_memory(self):
+        # Splitting off a level at a time peaks at 5-9x the text on such
+        # files; splitting the whole body at once took about 1.4x that.
+        s = bilinear_coefficients(rand_bilinear(random.Random(28), 3, 2), 8)
+        text = format_series(s)
+        assert len(set(s.dens)) > 1
+        parse_series(text)  # caches filled before the peak is taken
+        tracemalloc.start()
+        try:
+            got = parse_series(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == s
+        assert peak < 10 * len(text)
 
 
 # Characters str.splitlines breaks lines at besides \n, \r\n and \r.

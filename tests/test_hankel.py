@@ -126,6 +126,40 @@ class TestHankelGather:
         self.assert_columns_transposed(s)
 
 
+class TestHankelColumn:
+    """Each level's strided slice, scaled to ``s.den`` once or taken as it
+    is, holds the column's coefficients over ``s.den``."""
+
+    @staticmethod
+    def assert_column_oracle(s):
+        for d in range(s.max_degree + 1):
+            for v in words_up_to(s.m, s.max_degree - d):
+                got = hankel_column(s, v, d)
+                want = [coefficient(s, u + v) * s.den for u in words_up_to(s.m, d)]
+                assert got == want, (v, d)
+                assert {type(x) for x in got} == {float if s.mode == "float" else int}
+
+    @pytest.mark.parametrize("m, n", [(1, 6), (2, 4), (3, 3)])
+    def test_rational_and_float_series(self, m, n):
+        rng = random.Random(2800 + m)
+        s = unrelated_denominator_series(rng, m, n)
+        assert s.den not in s.dens  # every level is scaled
+        # Levels over 6, 2 and 3: level 0 is already over s.den = 6.
+        mixed = Series(m, 2, {(): Fraction(1, 6), (m,): Fraction(-1, 2), (1, 0): Fraction(5, 3)})
+        assert mixed.dens == (6, 2, 3) and mixed.den == 6
+        for series in (s, to_float(s), mixed, to_float(mixed), ones_series(m, n)):
+            self.assert_column_oracle(series)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_zero_series(self, m, mode):
+        self.assert_column_oracle(Series.zero(m, 3, mode))
+
+    def test_bilinear_series(self, rng):
+        s = bilinear_coefficients(rand_bilinear(rng, 2, 2), 4)
+        self.assert_column_oracle(s)
+
+
 class TestRankExact:
     def test_rank_one(self):
         assert rank_exact(hankel_build(ones_series(), 2, 2)).rank == 1

@@ -35,6 +35,7 @@ from cfrealize import (
     words_up_to,
 )
 from cfrealize.exactla import rank as exact_rank
+from cfrealize.realize import _stabilization_ranks
 from conftest import rand_bilinear
 from test_golden import ANALYTIC
 
@@ -138,8 +139,12 @@ class TestBilinearRealize:
 
         n = 8
         s = Series(1, n, {(0,) * k: math.factorial(k) for k in range(n + 1)})
-        with pytest.raises(StabilizationError):
+        with pytest.raises(StabilizationError) as err:
             bilinear_realize(s)
+        assert str(err.value) == (
+            "truncated Hankel rank has not stabilized (rank 4 at degree 3 vs 5 at degree 4); "
+            "insufficient data or possibly infinite Hankel rank"
+        )
 
     def test_tampered_series_detected(self, rng):
         model = rand_bilinear(rng, 2, 1)
@@ -178,6 +183,29 @@ class TestBilinearRealize:
         s = Series(1, 1, {(0,): 1})
         with pytest.raises(StabilizationError):
             bilinear_realize(s)
+
+
+class TestStabilizationRanks:
+    """The gate's two ranks, read from one elimination of the (d, d) block,
+    are the exact ranks of the (d - 1, d - 1) and (d, d) blocks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 2), st.integers(2, 8), st.booleans(), st.randoms(use_true_random=False))
+    def test_matches_two_exact_ranks(self, m, n, bilinear, rnd):
+        # Both kinds are rank-deficient: a model of at most 3 states, or at
+        # most 8 nonzero words, each on at most n + 1 entries of a block.
+        if bilinear:
+            s = bilinear_coefficients(rand_bilinear(rnd, rnd.randint(1, 3), m), n)
+        else:
+            words = words_up_to(m, n)
+            words = rnd.sample(words, rnd.randint(1, min(8, len(words))))
+            s = Series(m, n, {w: Fraction(rnd.randint(-3, 3), rnd.randint(1, 5)) for w in words})
+        d = n // 2
+        want = (
+            rank_exact(hankel_build(s, d - 1, d - 1)).rank,
+            rank_exact(hankel_build(s, d, d)).rank,
+        )
+        assert _stabilization_ranks(s, d) == want
 
 
 class TestVerifyRealization:
